@@ -9,6 +9,11 @@ requires them.
 Everything is float64: the test suite rests on central finite differences,
 which are not trustworthy at single precision.
 
+Gradient arrays are never mutated in place, because a backward rule may hand
+its parent a view of the incoming gradient. Kernels that work in place follow
+one rule: they write only into arrays they allocated themselves, never into
+an operand's ``.data`` or an incoming gradient ``g``.
+
 Broadcasting in elementwise binary ops follows numpy semantics; the backward
 pass sum-reduces gradients over broadcast axes. The rest of the op set is the
 minimum a small transformer needs: matmul (2-D, batched, and N-D by 2-D),
@@ -232,7 +237,9 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), backward, "add")
 
@@ -242,7 +249,9 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), backward, "sub")
 
@@ -399,7 +408,8 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """Basic (int/slice) indexing with scatter-add backward."""
+    """Basic (int/slice) indexing, or integer-array indexing whose positions
+    do not repeat, with scatter-add backward."""
     a = as_tensor(a)
     out = a.data[index]
 
@@ -452,12 +462,16 @@ def tanh(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # split by sign so exp never overflows
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # split by sign so exp never overflows
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -478,9 +492,7 @@ def softplus(a) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def backward(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
+        return (g * _sigmoid(x),)
 
     return _make(out, (a,), backward, "softplus")
 
@@ -497,13 +509,32 @@ def gelu(a) -> Tensor:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # x*x*x, not x**3: numpy's generic pow is ~40x slower on mixed-sign input.
+    # out= keeps a 0-d product an array, so the in-place steps accept it.
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out *= t + 1.0
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x))
+        dinner = np.multiply(x, x, out=np.empty_like(x))
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        tail = np.multiply(t, t, out=np.empty_like(x))
+        np.subtract(1.0, tail, out=tail)
+        tail *= x * 0.5
+        tail *= dinner
+        gx = np.add(t, 1.0, out=dinner)
+        gx *= 0.5
+        gx += tail
+        gx *= g
+        return (gx,)
 
     return _make(out, (a,), backward, "gelu")
 
@@ -515,12 +546,15 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.shape[-1] < 1:
         raise ShapeMismatchError("softmax needs a non-empty last axis")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+        gx = g * out
+        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= out
+        return (gx,)
 
     return _make(out, (a,), backward, "softmax")
 

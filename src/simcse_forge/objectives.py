@@ -186,7 +186,7 @@ def unsup_simcse_loss(h: Tensor, h_plus: Tensor, tau: float = 0.05) -> Tensor:
     if n < 2:
         raise ValueError("in-batch contrastive loss needs N >= 2 (no negatives otherwise)")
     sim = matmul(_normalize_rows(h), ag.transpose(_normalize_rows(h_plus))) * (1.0 / tau)
-    diag = (sim * Tensor(np.eye(n))).sum(axis=-1)
+    diag = sim[np.arange(n), np.arange(n)]
     return (_logsumexp_rows(sim) - diag).mean()
 
 
@@ -200,5 +200,5 @@ def sup_simcse_loss(h: Tensor, h_plus: Tensor, h_minus: Tensor, tau: float = 0.0
     hn = _normalize_rows(h)
     sim_pos = matmul(hn, ag.transpose(_normalize_rows(h_plus))) * (1.0 / tau)
     sim_neg = matmul(hn, ag.transpose(_normalize_rows(h_minus))) * (1.0 / tau)
-    diag = (sim_pos * Tensor(np.eye(n))).sum(axis=-1)
+    diag = sim_pos[np.arange(n), np.arange(n)]
     return (_logsumexp_rows(concat([sim_pos, sim_neg], axis=1)) - diag).mean()

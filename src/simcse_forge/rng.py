@@ -20,11 +20,17 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _finalize(states: np.ndarray) -> np.ndarray:
-    z = states
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """Apply the SplitMix64 output finalizer to z in place and return it."""
+    shifted = z >> np.uint64(30)
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 class Rng:
@@ -35,17 +41,24 @@ class Rng:
 
     def _raw(self, n: int) -> np.ndarray:
         """Next n 64-bit outputs as a uint64 array."""
-        offsets = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        with np.errstate(over="ignore"):
-            out = _finalize(np.uint64(self._state) + offsets)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        _finalize(z)
         self._state = (self._state + n * _GOLDEN) & _MASK64
-        return out
+        return z
+
+    def _bits53(self, shape) -> np.ndarray:
+        """Next draws as 53-bit integers k, one per entry of shape (a scalar
+        for shape ()); the uniform draw is k * 2**-53."""
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        k = self._raw(n)
+        k >>= np.uint64(11)
+        return k.reshape(shape) if shape else k[0]
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape) if shape else u[0]
+        return self._bits53(shape).astype(np.float64) * 2.0**-53
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""
@@ -64,8 +77,11 @@ class Rng:
     def bernoulli(self, keep_prob, shape=()) -> np.ndarray:
         """0/1 mask; entry is 1 with probability keep_prob (scalar or array)."""
         keep = np.asarray(keep_prob, dtype=np.float64)
-        u = self.uniform(shape if shape else keep.shape)
-        return (u < keep).astype(np.float64)
+        # k * 2**-53 < keep  <=>  k < keep * 2**53: both scalings by 2**53 are
+        # exact and k < 2**53 converts to float64 exactly, so the mask equals
+        # uniform() < keep without building the uniform array.
+        k = self._bits53(shape if shape else keep.shape)
+        return (k < keep * 2.0**53).astype(np.float64)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
