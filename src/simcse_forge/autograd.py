@@ -408,14 +408,14 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """Basic (int/slice) indexing, or integer-array indexing whose positions
-    do not repeat, with scatter-add backward."""
+    """Basic (int/slice) indexing, or integer-array indexing, with
+    scatter-add backward: a position read k times gets k gradients."""
     a = as_tensor(a)
     out = a.data[index]
 
     def backward(g):
         ga = np.zeros_like(a.data)
-        ga[index] += g
+        np.add.at(ga, index, g)
         return (ga,)
 
     return _make(out, (a,), backward, "take")

@@ -13,7 +13,10 @@ Binary layout (all integers little-endian):
 
 The JSON header is written with sorted keys and fixed separators, so a
 checkpoint's bytes are a pure function of its contents — two identically
-seeded runs produce identical files.
+seeded runs produce identical files. The CRC covers the body only; the
+loader checks the header's fields, types, stage, config and manifest against
+the parameter table (``encoder.param_spec``) instead, and reports every
+mismatch as an IntegrityError.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import Tensor
 from .dropout import DropoutPolicy
-from .encoder import EncoderConfig, ModelParams, init_params
-from .rng import Rng
+from .encoder import EncoderConfig, ModelParams, param_spec
 
 MAGIC = b"SCF1"
 FORMAT_VERSION = 1
@@ -39,6 +42,11 @@ STAGES = ("baseline", "unsup_simcse", "sup_simcse", "two_tier", "transfer")
 
 class IntegrityError(ValueError):
     """Unreadable, corrupt, truncated, or incompatible checkpoint file."""
+
+
+# Top-level header fields besides the version, with the JSON type each holds.
+_HEADER_FIELDS = {"stage": str, "config": dict, "vocab": list, "history": list,
+                  "arrays": list, "body_size": int}
 
 
 @dataclass
@@ -62,11 +70,10 @@ def config_to_dict(config: EncoderConfig) -> dict:
 def config_from_dict(d: dict) -> EncoderConfig:
     d = dict(d)
     dropout = d.pop("dropout", {})
-    known = {f.name for f in dataclasses.fields(EncoderConfig)} - {"dropout"}
-    unknown = set(d) - known
-    if unknown:
-        raise IntegrityError(f"unknown encoder config keys {sorted(unknown)}")
-    return EncoderConfig(dropout=DropoutPolicy(**dropout), **d)
+    try:     # an unknown key is a TypeError, a bad value a ValueError
+        return EncoderConfig(dropout=DropoutPolicy(**dropout), **d)
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"invalid encoder config: {exc}") from None
 
 
 def params_hash(params: ModelParams) -> str:
@@ -120,13 +127,23 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{p}: unreadable header ({exc})") from None
 
+    if not isinstance(header, dict):
+        raise IntegrityError(f"{p}: header is not a JSON object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise IntegrityError(
             f"{p}: format version {version} unsupported (expected {FORMAT_VERSION})")
+    for key, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(key), kind):
+            raise IntegrityError(
+                f"{p}: header field {key!r} missing or not a {kind.__name__}")
+    if header["stage"] not in STAGES:
+        raise IntegrityError(f"{p}: unknown stage {header['stage']!r}")
+    if not all(isinstance(token, str) for token in header["vocab"]):
+        raise IntegrityError(f"{p}: vocabulary holds a non-string token")
     body_size = header["body_size"]
     body_end = header_end + body_size
-    if len(blob) < body_end + 4:
+    if body_size < 0 or len(blob) < body_end + 4:
         raise IntegrityError(f"{p}: truncated body "
                              f"(expected {body_size} bytes)")
     body = blob[header_end:body_end]
@@ -135,26 +152,27 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{p}: body checksum mismatch")
 
     config = config_from_dict(header["config"])
-    params = init_params(config, Rng(0))
-    expected = dict(params.named_parameters())
-    seen = set()
+    shapes = {name: shape for name, shape, _ in param_spec(config)}
+    arrays = {}
     for entry in header["arrays"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in expected:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name not in shapes:
             raise IntegrityError(f"{p}: unexpected array {name!r}")
-        target = expected[name]
-        if shape != target.shape:
-            raise IntegrityError(
-                f"{p}: array {name!r} shape {list(shape)} != config shape {list(target.shape)}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
+        shape, offset = shapes[name], entry.get("offset")
+        if entry.get("shape") != list(shape):
+            raise IntegrityError(f"{p}: array {name!r} shape {entry.get('shape')} "
+                                 f"!= config shape {list(shape)}")
+        if type(offset) is not int or offset < 0:
+            raise IntegrityError(f"{p}: array {name!r} offset {offset!r} is invalid")
+        end = offset + 8 * int(np.prod(shape, dtype=np.int64))
         if end > body_size:
             raise IntegrityError(f"{p}: array {name!r} overruns body")
-        target.data = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
-        seen.add(name)
-    missing = set(expected) - seen
+        arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape)
+    missing = set(shapes) - set(arrays)
     if missing:
         raise IntegrityError(f"{p}: missing arrays {sorted(missing)}")
+    params = ModelParams((name, Tensor(arrays[name], requires_grad=True))
+                         for name in shapes)
     return Checkpoint(config=config, params=params, stage=header["stage"],
                       history=header["history"], vocab_tokens=header["vocab"],
                       version=version)

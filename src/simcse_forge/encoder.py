@@ -7,6 +7,11 @@ either a tanh pooler over the [CLS] state or a mask-weighted mean.
 
 Sentence pairs are encoded with two separate passes; there is no segment
 embedding or joint-sequence mode.
+
+Parameters live in one name->Tensor table (``ModelParams``) laid out by
+``param_spec``: each name, shape and initializer is written there once, and
+the names are the checkpoint manifest names (``layers.0.attn.wq``,
+``heads.sst.weight``, ``adaptive.alpha``, ...).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, embedding, layer_norm, matmul, softmax
 from .dropout import DropoutPolicy, apply_dropout
-from .objectives import HeadParams, init_head_params
+from .objectives import PARA_FEATURE_MODES
 from .rng import Rng
 
 POOLING_MODES = ("cls_tanh", "mean")
@@ -38,6 +43,10 @@ class EncoderConfig:
     para_features: str = "rich"
 
     def __post_init__(self):
+        dims = (self.vocab_size, self.hidden_dim, self.num_layers,
+                self.num_heads, self.ffn_dim, self.max_seq_len)
+        if not all(isinstance(v, (int, np.integer)) for v in dims):
+            raise ValueError("encoder dimensions must be integers")
         if min(self.vocab_size, self.hidden_dim, self.num_layers,
                self.num_heads, self.ffn_dim) < 1:
             raise ValueError("encoder dimensions must be positive")
@@ -48,100 +57,32 @@ class EncoderConfig:
             raise ValueError("max_seq_len must be at least 2 ([CLS] plus [SEP])")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
+        if self.para_features not in PARA_FEATURE_MODES:
+            raise ValueError(f"unknown para feature mode {self.para_features!r}")
 
 
-@dataclass
-class LayerParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-
-
-@dataclass
-class ModelParams:
-    """Every learnable tensor of the encoder plus the task heads.
+class ModelParams(dict):
+    """Every learnable tensor by name, in ``param_spec`` order; ``copy``
+    copies the tensors too.
 
     The adaptive-dropout affine scalars live here too so the optimizer and
     checkpoints treat them like any other parameter.
     """
 
-    token_embeddings: Tensor
-    position_embeddings: Tensor
-    emb_ln_gamma: Tensor
-    emb_ln_beta: Tensor
-    layers: list[LayerParams]
-    pooler_weight: Tensor
-    pooler_bias: Tensor
-    heads: HeadParams
-    adaptive_alpha: Tensor
-    adaptive_beta: Tensor
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("token_embeddings", self.token_embeddings),
-            ("position_embeddings", self.position_embeddings),
-            ("emb_ln.gamma", self.emb_ln_gamma),
-            ("emb_ln.beta", self.emb_ln_beta),
-        ]
-        for i, lp in enumerate(self.layers):
-            prefix = f"layers.{i}"
-            out += [
-                (f"{prefix}.attn.wq", lp.wq), (f"{prefix}.attn.bq", lp.bq),
-                (f"{prefix}.attn.wk", lp.wk), (f"{prefix}.attn.bk", lp.bk),
-                (f"{prefix}.attn.wv", lp.wv), (f"{prefix}.attn.bv", lp.bv),
-                (f"{prefix}.attn.wo", lp.wo), (f"{prefix}.attn.bo", lp.bo),
-                (f"{prefix}.ln1.gamma", lp.ln1_gamma), (f"{prefix}.ln1.beta", lp.ln1_beta),
-                (f"{prefix}.ffn.w1", lp.ffn_w1), (f"{prefix}.ffn.b1", lp.ffn_b1),
-                (f"{prefix}.ffn.w2", lp.ffn_w2), (f"{prefix}.ffn.b2", lp.ffn_b2),
-                (f"{prefix}.ln2.gamma", lp.ln2_gamma), (f"{prefix}.ln2.beta", lp.ln2_beta),
-            ]
-        h = self.heads
-        out += [
-            ("pooler.weight", self.pooler_weight), ("pooler.bias", self.pooler_bias),
-            ("heads.sst.weight", h.sst_weight), ("heads.sst.bias", h.sst_bias),
-            ("heads.para.weight", h.para_weight), ("heads.para.bias", h.para_bias),
-            ("heads.sts.weight", h.sts_weight), ("heads.sts.bias", h.sts_bias),
-            ("heads.cross_attn", h.cross_attn),
-            ("adaptive.alpha", self.adaptive_alpha),
-            ("adaptive.beta", self.adaptive_beta),
-        ]
-        return out
+        return list(self.items())
 
     def zero_grads(self) -> None:
-        for _, t in self.named_parameters():
+        for t in self.values():
             t.grad = None
 
     def copy(self) -> "ModelParams":
-        def c(t: Tensor) -> Tensor:
-            return t.copy()
+        return ModelParams((name, t.copy()) for name, t in self.items())
 
-        return ModelParams(
-            token_embeddings=c(self.token_embeddings),
-            position_embeddings=c(self.position_embeddings),
-            emb_ln_gamma=c(self.emb_ln_gamma),
-            emb_ln_beta=c(self.emb_ln_beta),
-            layers=[LayerParams(**{k: c(getattr(lp, k)) for k in lp.__dataclass_fields__})
-                    for lp in self.layers],
-            pooler_weight=c(self.pooler_weight),
-            pooler_bias=c(self.pooler_bias),
-            heads=HeadParams(**{k: c(getattr(self.heads, k))
-                                for k in self.heads.__dataclass_fields__}),
-            adaptive_alpha=c(self.adaptive_alpha),
-            adaptive_beta=c(self.adaptive_beta),
-        )
+    def scope(self, prefix: str) -> dict[str, Tensor]:
+        """The tensors whose names start with prefix, keyed by the rest."""
+        n = len(prefix)
+        return {name[n:]: t for name, t in self.items() if name.startswith(prefix)}
 
 
 class EncodeResult(NamedTuple):
@@ -149,55 +90,63 @@ class EncodeResult(NamedTuple):
     pooled: Tensor    # [B, d]
 
 
-def init_params(config: EncoderConfig, rng: Rng) -> ModelParams:
-    """Weights ~ N(0, 0.02), biases zero, layer-norm gamma=1 beta=0.
+def param_spec(config: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter: the one table of the layout.
 
-    The draw order is fixed (embeddings, layers in order, pooler, heads) so a
-    seed pins every weight.
+    Its order is the checkpoint manifest order and the draw order of the
+    N(0, 0.02) weights (embeddings, layers in order, pooler, heads), so a
+    seed pins every weight. init is "normal" for N(0, 0.02), "zeros",
+    "ones", or "alpha"/"beta" for the dropout policy's adaptive scalars.
     """
     d, ffn = config.hidden_dim, config.ffn_dim
+    para = 4 * d if config.para_features == "rich" else 2 * d
+    spec = [("token_embeddings", (config.vocab_size, d), "normal"),
+            ("position_embeddings", (config.max_seq_len, d), "normal"),
+            ("emb_ln.gamma", (d,), "ones"), ("emb_ln.beta", (d,), "zeros")]
+    for i in range(config.num_layers):
+        spec += [(f"layers.{i}.{name}", shape, init) for name, shape, init in (
+            ("attn.wq", (d, d), "normal"), ("attn.bq", (d,), "zeros"),
+            ("attn.wk", (d, d), "normal"), ("attn.bk", (d,), "zeros"),
+            ("attn.wv", (d, d), "normal"), ("attn.bv", (d,), "zeros"),
+            ("attn.wo", (d, d), "normal"), ("attn.bo", (d,), "zeros"),
+            ("ln1.gamma", (d,), "ones"), ("ln1.beta", (d,), "zeros"),
+            ("ffn.w1", (d, ffn), "normal"), ("ffn.b1", (ffn,), "zeros"),
+            ("ffn.w2", (ffn, d), "normal"), ("ffn.b2", (d,), "zeros"),
+            ("ln2.gamma", (d,), "ones"), ("ln2.beta", (d,), "zeros"))]
+    return spec + [
+        ("pooler.weight", (d, d), "normal"), ("pooler.bias", (d,), "zeros"),
+        ("heads.sst.weight", (d, 5), "normal"), ("heads.sst.bias", (5,), "zeros"),
+        # [4d, 1] for "rich" pair features, [2d, 1] for "concat"
+        ("heads.para.weight", (para, 1), "normal"), ("heads.para.bias", (1,), "zeros"),
+        ("heads.sts.weight", (2 * d, 1), "normal"), ("heads.sts.bias", (1,), "zeros"),
+        ("heads.cross_attn", (d, d), "normal"),
+        ("adaptive.alpha", (), "alpha"), ("adaptive.beta", (), "beta"),
+    ]
 
-    def w(*shape):
-        return Tensor(rng.normal(shape, std=0.02), requires_grad=True)
 
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
-    layers = []
-    token_emb = w(config.vocab_size, d)
-    pos_emb = w(config.max_seq_len, d)
-    for _ in range(config.num_layers):
-        layers.append(LayerParams(
-            wq=w(d, d), bq=zeros(d), wk=w(d, d), bk=zeros(d),
-            wv=w(d, d), bv=zeros(d), wo=w(d, d), bo=zeros(d),
-            ln1_gamma=ones(d), ln1_beta=zeros(d),
-            ffn_w1=w(d, ffn), ffn_b1=zeros(ffn),
-            ffn_w2=w(ffn, d), ffn_b2=zeros(d),
-            ln2_gamma=ones(d), ln2_beta=zeros(d),
-        ))
+def init_from_spec(spec, config: EncoderConfig, rng: Rng) -> ModelParams:
+    """Fresh tensors for the given spec entries, drawn in spec order."""
+    fill = {"zeros": 0.0, "ones": 1.0,
+            "alpha": config.dropout.alpha, "beta": config.dropout.beta}
     return ModelParams(
-        token_embeddings=token_emb,
-        position_embeddings=pos_emb,
-        emb_ln_gamma=ones(d), emb_ln_beta=zeros(d),
-        layers=layers,
-        pooler_weight=w(d, d), pooler_bias=zeros(d),
-        heads=init_head_params(d, config.para_features, rng),
-        adaptive_alpha=Tensor(config.dropout.alpha, requires_grad=True),
-        adaptive_beta=Tensor(config.dropout.beta, requires_grad=True),
-    )
+        (name, Tensor(rng.normal(shape, std=0.02) if init == "normal"
+                      else np.full(shape, fill[init]), requires_grad=True))
+        for name, shape, init in spec)
+
+
+def init_params(config: EncoderConfig, rng: Rng) -> ModelParams:
+    """Weights ~ N(0, 0.02), biases zero, layer-norm gamma=1 beta=0."""
+    return init_from_spec(param_spec(config), config, rng)
 
 
 def parameter_count(params: ModelParams) -> int:
-    return sum(t.size for _, t in params.named_parameters())
+    return sum(t.size for t in params.values())
 
 
 def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
                   mode: str, step: int, rng: Rng | None) -> Tensor:
     return apply_dropout(x, config.dropout, mode, step, rng,
-                         alpha=params.adaptive_alpha, beta=params.adaptive_beta)
+                         alpha=params["adaptive.alpha"], beta=params["adaptive.beta"])
 
 
 def embed(token_ids, params: ModelParams, config: EncoderConfig,
@@ -212,15 +161,17 @@ def embed(token_ids, params: ModelParams, config: EncoderConfig,
     t = ids.shape[1]
     if t > config.max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {config.max_seq_len}")
-    tok = embedding(params.token_embeddings, ids)
-    pos = embedding(params.position_embeddings, np.arange(t)).reshape(1, t, config.hidden_dim)
-    h = layer_norm(tok + pos, params.emb_ln_gamma, params.emb_ln_beta)
+    tok = embedding(params["token_embeddings"], ids)
+    pos = embedding(params["position_embeddings"], np.arange(t)).reshape(1, t, config.hidden_dim)
+    h = layer_norm(tok + pos, params["emb_ln.gamma"], params["emb_ln.beta"])
     return _site_dropout(h, params, config, mode, step, rng)
 
 
-def multi_head_attention(hidden: Tensor, mask, layer: LayerParams, num_heads: int,
+def multi_head_attention(hidden: Tensor, mask, layer: dict[str, Tensor], num_heads: int,
                          dropout_fn=None, return_weights: bool = False):
     """Scaled dot-product self-attention with residual add and layer norm.
+
+    layer is one block's tensors, ``params.scope("layers.<i>.")``.
 
     mask is a [B, T] 0/1 array; masked key positions get a -1e9 additive
     score, which underflows to exactly zero attention weight after softmax.
@@ -237,18 +188,18 @@ def multi_head_attention(hidden: Tensor, mask, layer: LayerParams, num_heads: in
     def split_heads(x):
         return x.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
 
-    q = split_heads(matmul(hidden, layer.wq) + layer.bq)
-    k = split_heads(matmul(hidden, layer.wk) + layer.bk)
-    v = split_heads(matmul(hidden, layer.wv) + layer.bv)
+    q = split_heads(matmul(hidden, layer["attn.wq"]) + layer["attn.bq"])
+    k = split_heads(matmul(hidden, layer["attn.wk"]) + layer["attn.bk"])
+    v = split_heads(matmul(hidden, layer["attn.wv"]) + layer["attn.bv"])
 
     scores = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
     scores = scores + Tensor((mask - 1.0).reshape(b, 1, 1, t) * 1e9)
     weights = softmax(scores)                       # [B, H, T, T]
     ctx = matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    out = matmul(ctx, layer.wo) + layer.bo
+    out = matmul(ctx, layer["attn.wo"]) + layer["attn.bo"]
     if dropout_fn is not None:
         out = dropout_fn(out)
-    result = layer_norm(hidden + out, layer.ln1_gamma, layer.ln1_beta)
+    result = layer_norm(hidden + out, layer["ln1.gamma"], layer["ln1.beta"])
     if return_weights:
         return result, weights
     return result
@@ -269,13 +220,15 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     def site(x):
         return _site_dropout(x, params, config, mode, step, rng)
 
-    for lp in params.layers:
+    for i in range(config.num_layers):
+        lp = params.scope(f"layers.{i}.")
         h = multi_head_attention(h, mask, lp, config.num_heads, dropout_fn=site)
-        f = matmul(ag.gelu(matmul(h, lp.ffn_w1) + lp.ffn_b1), lp.ffn_w2) + lp.ffn_b2
-        h = layer_norm(h + site(f), lp.ln2_gamma, lp.ln2_beta)
+        f = matmul(ag.gelu(matmul(h, lp["ffn.w1"]) + lp["ffn.b1"]),
+                   lp["ffn.w2"]) + lp["ffn.b2"]
+        h = layer_norm(h + site(f), lp["ln2.gamma"], lp["ln2.beta"])
 
     if config.pooling == "cls_tanh":
-        pooled = ag.tanh(matmul(h[:, 0, :], params.pooler_weight) + params.pooler_bias)
+        pooled = ag.tanh(matmul(h[:, 0, :], params["pooler.weight"]) + params["pooler.bias"])
     else:
         weighted = (h * Tensor(mask[:, :, None])).sum(axis=1)
         pooled = weighted / Tensor(mask.sum(axis=1, keepdims=True))

@@ -3,19 +3,18 @@
 Heads map pooled sentence embeddings to predictions: a 5-way linear
 classifier for sentiment, a linear classifier over pair features for
 paraphrase detection, and five similarity heads for the 0-5 STS score.
+They read their weights from the model's parameter table by name
+(``heads.sst.weight`` ...; see ``encoder.param_spec``).
 Losses: numerically stable BCE, MSE, and the two contrastive objectives
 (in-batch negatives, optionally with hard negatives).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, concat, matmul
-from .rng import Rng
 
 SIMILARITY_HEADS = ("sum_linear", "cos_scale", "cos_sigmoid",
                     "cos_sigmoid_scaled", "cross_attention")
@@ -27,46 +26,14 @@ class ZeroNormError(ValueError):
     """Cosine of a zero-norm embedding is undefined."""
 
 
-@dataclass
-class HeadParams:
-    """Per-task head weights; serialized together with the encoder."""
-
-    sst_weight: Tensor   # [d, 5]
-    sst_bias: Tensor     # [5]
-    para_weight: Tensor  # [4d, 1] for "rich" features, [2d, 1] for "concat"
-    para_bias: Tensor    # [1]
-    sts_weight: Tensor   # [2d, 1]
-    sts_bias: Tensor     # [1]
-    cross_attn: Tensor   # [d, d]
-
-
-def init_head_params(d: int, para_features: str, rng: Rng) -> HeadParams:
-    if para_features not in PARA_FEATURE_MODES:
-        raise ValueError(f"unknown para feature mode {para_features!r}")
-    pf = 4 * d if para_features == "rich" else 2 * d
-
-    def w(*shape):
-        return Tensor(rng.normal(shape, std=0.02), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    return HeadParams(
-        sst_weight=w(d, 5), sst_bias=zeros(5),
-        para_weight=w(pf, 1), para_bias=zeros(1),
-        sts_weight=w(2 * d, 1), sts_bias=zeros(1),
-        cross_attn=w(d, d),
-    )
-
-
 # -- heads ---------------------------------------------------------------------
 
-def sst_logits(pooled: Tensor, heads: HeadParams) -> Tensor:
+def sst_logits(pooled: Tensor, params) -> Tensor:
     """[B, d] -> [B, 5] raw logits; the loss owns normalization."""
-    return matmul(pooled, heads.sst_weight) + heads.sst_bias
+    return matmul(pooled, params["heads.sst.weight"]) + params["heads.sst.bias"]
 
 
-def paraphrase_logit(pooled_a: Tensor, pooled_b: Tensor, heads: HeadParams,
+def paraphrase_logit(pooled_a: Tensor, pooled_b: Tensor, params,
                      features: str = "rich") -> Tensor:
     """[B, d] x 2 -> [B] raw logit from pair features.
 
@@ -81,7 +48,7 @@ def paraphrase_logit(pooled_a: Tensor, pooled_b: Tensor, heads: HeadParams,
         feats = concat([pooled_a, pooled_b], axis=-1)
     else:
         raise ValueError(f"unknown para feature mode {features!r}")
-    out = matmul(feats, heads.para_weight) + heads.para_bias
+    out = matmul(feats, params["heads.para.weight"]) + params["heads.para.bias"]
     return out.reshape(out.shape[0])
 
 
@@ -96,12 +63,12 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
     return dot / (ag.sqrt(na2) * ag.sqrt(nb2))
 
 
-def sts_score(pooled_a: Tensor, pooled_b: Tensor, kind: str, heads: HeadParams) -> Tensor:
+def sts_score(pooled_a: Tensor, pooled_b: Tensor, kind: str, params) -> Tensor:
     """[B, d] x 2 -> [B] similarity scores in 0-5 score space (head-dependent
     range; the plain linear head is unbounded)."""
     if kind == "sum_linear":
         feats = concat([pooled_a, pooled_b], axis=-1)
-        out = matmul(feats, heads.sts_weight) + heads.sts_bias
+        out = matmul(feats, params["heads.sts.weight"]) + params["heads.sts.bias"]
         return out.reshape(out.shape[0])
     if kind == "cos_scale":
         return (cosine(pooled_a, pooled_b) + 1.0) * 2.5
@@ -111,7 +78,8 @@ def sts_score(pooled_a: Tensor, pooled_b: Tensor, kind: str, heads: HeadParams) 
         return ag.sigmoid(cosine(pooled_a, pooled_b) * 5.0) * 5.0
     if kind == "cross_attention":
         # bilinear attention score a^T M b per row, squashed into [0, 5]
-        scores = (pooled_a * matmul(pooled_b, ag.transpose(heads.cross_attn))).sum(axis=-1)
+        m = ag.transpose(params["heads.cross_attn"])
+        scores = (pooled_a * matmul(pooled_b, m)).sum(axis=-1)
         return ag.sigmoid(scores) * 5.0
     raise ValueError(f"unknown similarity head {kind!r}, expected one of {SIMILARITY_HEADS}")
 

@@ -1,6 +1,12 @@
 """Training procedures: single-task and multitask fine-tuning, the two
 contrastive stages, the 2-tier pipeline, and transfer fine-tuning.
 
+The four trainers share one optimizer loop, ``_fit``. It owns the rng, the
+starting weights, the AdamW state, the step counter, the loss totals, the
+best-dev selection and the stop on a non-finite loss or gradient norm; each
+trainer adds only its input checks, its per-epoch batch source, its
+per-batch loss and its dev evaluation.
+
 Every trainer is deterministic given (seed, config, data): one SplitMix64
 stream drives initialization, shuffling, and dropout in a fixed consumption
 order, and evaluation passes never touch it.
@@ -9,6 +15,7 @@ order, and evaluation passes never touch it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,10 +24,11 @@ from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
 from .data import (Classification, PairLabeled, PairScored, Triplet, Vocab,
                    make_batches, pad_batch, sentences_of, tokenize)
-from .encoder import EncoderConfig, ModelParams, encode, init_params
+from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
+                      init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
-from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, init_head_params,
-                         mse_loss, paraphrase_logit, sst_logits, sts_score,
+from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, mse_loss,
+                         paraphrase_logit, sst_logits, sts_score,
                          sup_simcse_loss, unsup_simcse_loss)
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .rng import Rng
@@ -74,14 +82,6 @@ class TrainConfig:
                            clip_norm=self.clip_norm)
 
 
-def _stage_encoder_config(encoder_config: EncoderConfig,
-                          train_config: TrainConfig) -> EncoderConfig:
-    if train_config.dropout_p is None:
-        return encoder_config
-    return replace(encoder_config,
-                   dropout=replace(encoder_config.dropout, p=train_config.dropout_p))
-
-
 def _check_variant(task: str, examples, which: str) -> None:
     want = _VARIANTS[task]
     for e in examples:
@@ -89,10 +89,6 @@ def _check_variant(task: str, examples, which: str) -> None:
             raise ValueError(
                 f"{which} dataset holds {type(e).__name__} examples, "
                 f"but task {task!r} needs {want.__name__}")
-
-
-def _vocab_tokens(vocab: Vocab | None) -> list[str]:
-    return vocab.tokens() if vocab is not None else []
 
 
 # -- task forward passes ------------------------------------------------------------
@@ -104,7 +100,7 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
     pooled = encode(batch.token_ids, batch.mask, params, config,
                     mode=mode, step=step, rng=rng).pooled
     if task == "sst":
-        logits = sst_logits(pooled, params.heads)
+        logits = sst_logits(pooled, params)
         if train_config.sst_loss == "bce":
             onehot = np.zeros((batch.size, 5))
             onehot[np.arange(batch.size), batch.labels] = 1.0
@@ -113,10 +109,9 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
     pooled_b = encode(batch.b_ids, batch.b_mask, params, config,
                       mode=mode, step=step, rng=rng).pooled
     if task == "paraphrase":
-        logit = paraphrase_logit(pooled, pooled_b, params.heads,
-                                 config.para_features)
+        logit = paraphrase_logit(pooled, pooled_b, params, config.para_features)
         return bce_loss(logit, batch.labels.astype(np.float64))
-    scores = sts_score(pooled, pooled_b, train_config.sts_head, params.heads)
+    scores = sts_score(pooled, pooled_b, train_config.sts_head, params)
     return mse_loss(scores, batch.scores)
 
 
@@ -126,14 +121,13 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
     with ag.no_grad():
         pooled = encode(batch.token_ids, batch.mask, params, config).pooled
         if task == "sst":
-            return np.argmax(sst_logits(pooled, params.heads).data, axis=1)
+            return np.argmax(sst_logits(pooled, params).data, axis=1)
         pooled_b = encode(batch.b_ids, batch.b_mask, params, config).pooled
         if task == "paraphrase":
-            logit = paraphrase_logit(pooled, pooled_b, params.heads,
+            logit = paraphrase_logit(pooled, pooled_b, params,
                                      config.para_features)
             return (logit.data > 0.0).astype(np.int64)
-        return sts_score(pooled, pooled_b, train_config.sts_head,
-                         params.heads).data
+        return sts_score(pooled, pooled_b, train_config.sts_head, params).data
 
 
 def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
@@ -151,6 +145,77 @@ def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
     return "accuracy", accuracy(preds, golds), len(preds)
 
 
+# -- the training loop ---------------------------------------------------------------
+
+def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
+         vocab: Vocab | None, params: ModelParams | None, epoch_batches,
+         batch_loss, dev_fields, task: str | None = None,
+         eval_every: int = 0) -> Checkpoint:
+    """The one optimizer loop behind every trainer, from a copy of params
+    (or init_params when None).
+
+    epoch_batches(rng, step at epoch start) yields an epoch's batches;
+    batch_loss(batch, params, config, step, rng) gives (loss, examples).
+    History rows (per epoch, and every eval_every steps) take
+    dev_fields(params, config). Returns the best-dev_metric weights, or the
+    final ones when no row has a dev_metric.
+    """
+    config = encoder_config
+    if train_config.dropout_p is not None:
+        config = replace(config, dropout=replace(config.dropout, p=train_config.dropout_p))
+    rng = Rng(train_config.seed)
+    params = params.copy() if params is not None else init_params(config, rng)
+    opt_state = AdamWState()
+    opt = train_config.optim()
+    tag = {"stage": stage} if task is None else {"stage": stage, "task": task}
+
+    history: list[dict] = []
+    best = (-np.inf, params.copy())     # (dev_metric, weights)
+
+    def record(entry: dict) -> None:
+        nonlocal best
+        entry.update(dev_fields(params, config))
+        history.append(entry)
+        if entry.get("dev_metric", -np.inf) > best[0]:
+            best = (entry["dev_metric"], params.copy())
+
+    step = 0
+    for epoch in range(train_config.epochs):
+        total, seen = 0.0, 0
+        for batch in epoch_batches(rng, step):
+            params.zero_grads()
+            loss, n = batch_loss(batch, params, config, step, rng)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise ValueError(f"{stage} stage: non-finite loss at step {step}")
+            loss.backward()
+            norm = adamw_step(params.named_parameters(), opt_state, opt)
+            if not math.isfinite(norm):
+                raise ValueError(
+                    f"{stage} stage: non-finite gradient norm at step {step}")
+            total += value * n
+            seen += n
+            step += 1
+            if eval_every and step % eval_every == 0:
+                record({**tag, "epoch": epoch, "step": step})
+        record({**tag, "epoch": epoch, "train_loss": total / max(seen, 1)})
+
+    if any("dev_metric" in entry for entry in history):
+        params = best[1]
+    return Checkpoint(config=encoder_config, params=params, stage=stage,
+                      history=history,
+                      vocab_tokens=vocab.tokens() if vocab is not None else [])
+
+
+def _task_batch_loss(train_config: TrainConfig):
+    """Per-batch loss for (task, batch) items."""
+    def loss(item, params, config, step, rng):
+        task, batch = item
+        return task_loss(task, batch, params, config, train_config,
+                         mode="train", step=step, rng=rng), batch.size
+    return loss
+
+
 # -- single-task ---------------------------------------------------------------------
 
 def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
@@ -163,58 +228,21 @@ def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
     _check_variant(task, train_examples, "train")
     if dev_examples:
         _check_variant(task, dev_examples, "dev")
-    config = _stage_encoder_config(encoder_config, train_config)
-    rng = Rng(train_config.seed)
-    params = params.copy() if params is not None else init_params(config, rng)
-    opt_state = AdamWState()
-    opt = train_config.optim()
 
-    history: list[dict] = []
-    best_value = -np.inf
-    best_params = params.copy()
-    step = 0
+    def batches(rng, step):
+        return ((task, b) for b in make_batches(
+            train_examples, train_config.batch_size, rng, shuffle=True))
 
-    def consider(value: float) -> None:
-        nonlocal best_value, best_params
-        if value > best_value:
-            best_value = value
-            best_params = params.copy()
+    def dev_fields(params, config):
+        if not dev_examples:
+            return {}
+        name, value, _ = evaluate_task(task, params, config,
+                                       dev_examples, train_config)
+        return {"metric": name, "dev_metric": value}
 
-    for epoch in range(train_config.epochs):
-        batches = make_batches(train_examples, train_config.batch_size,
-                               rng, shuffle=True)
-        total, seen = 0.0, 0
-        for batch in batches:
-            params.zero_grads()
-            loss = task_loss(task, batch, params, config, train_config,
-                             mode="train", step=step, rng=rng)
-            loss.backward()
-            adamw_step(params.named_parameters(), opt_state, opt)
-            total += loss.item() * batch.size
-            seen += batch.size
-            step += 1
-            if (train_config.eval_every and dev_examples
-                    and step % train_config.eval_every == 0):
-                name, value, _ = evaluate_task(task, params, config,
-                                               dev_examples, train_config)
-                history.append({"stage": stage, "task": task, "epoch": epoch,
-                                "step": step, "metric": name,
-                                "dev_metric": value})
-                consider(value)
-        entry = {"stage": stage, "task": task, "epoch": epoch,
-                 "train_loss": total / max(seen, 1)}
-        if dev_examples:
-            name, value, _ = evaluate_task(task, params, config,
-                                           dev_examples, train_config)
-            entry["metric"] = name
-            entry["dev_metric"] = value
-            consider(value)
-        history.append(entry)
-
-    if not dev_examples:
-        best_params = params
-    return Checkpoint(config=encoder_config, params=best_params, stage=stage,
-                      history=history, vocab_tokens=_vocab_tokens(vocab))
+    return _fit(stage, train_config, encoder_config, vocab, params, batches,
+                _task_batch_loss(train_config), dev_fields, task=task,
+                eval_every=train_config.eval_every if dev_examples else 0)
 
 
 # -- multitask -------------------------------------------------------------------------
@@ -239,51 +267,24 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
         _check_variant(t, datasets[t][0], f"{t} train")
         _check_variant(t, datasets[t][1], f"{t} dev")
 
-    config = _stage_encoder_config(encoder_config, train_config)
-    rng = Rng(train_config.seed)
-    params = params.copy() if params is not None else init_params(config, rng)
-    opt_state = AdamWState()
-    opt = train_config.optim()
-
-    history: list[dict] = []
-    best_value = -np.inf
-    best_params = params.copy()
-    step = 0
-    for epoch in range(train_config.epochs):
+    def rounds(rng, step):
         streams = [make_batches(datasets[t][0], train_config.batch_size,
                                 rng, shuffle=True) for t in tasks]
-        rounds = max(len(s) for s in streams)
-        total, seen = 0.0, 0
-        for i in range(rounds):
+        for i in range(max(len(s) for s in streams)):
             for task, stream in zip(tasks, streams):
-                batch = stream[i % len(stream)]
-                params.zero_grads()
-                loss = task_loss(task, batch, params, config, train_config,
-                                 mode="train", step=step, rng=rng)
-                loss.backward()
-                adamw_step(params.named_parameters(), opt_state, opt)
-                total += loss.item() * batch.size
-                seen += batch.size
-                step += 1
-        entry = {"stage": "baseline", "task": "+".join(tasks), "epoch": epoch,
-                 "train_loss": total / max(seen, 1)}
-        values = []
+                yield task, stream[i % len(stream)]
+
+    def dev_fields(params, config):
+        fields = {}
         for task in tasks:
             name, value, _ = evaluate_task(task, params, config,
                                            datasets[task][1], train_config)
-            entry[f"{task}_{name}"] = value
-            values.append(value)
-        entry["dev_metric"] = float(np.mean(values))
-        if entry["dev_metric"] > best_value:
-            best_value = entry["dev_metric"]
-            best_params = params.copy()
-        history.append(entry)
+            fields[f"{task}_{name}"] = value
+        fields["dev_metric"] = float(np.mean(list(fields.values())))
+        return fields
 
-    if train_config.epochs == 0:
-        best_params = params
-    return Checkpoint(config=encoder_config, params=best_params,
-                      stage="baseline", history=history,
-                      vocab_tokens=_vocab_tokens(vocab))
+    return _fit("baseline", train_config, encoder_config, vocab, params, rounds,
+                _task_batch_loss(train_config), dev_fields, task="+".join(tasks))
 
 
 # -- contrastive stages -------------------------------------------------------------------
@@ -310,6 +311,15 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     return float(np.mean(sims))
 
 
+def _alignment_fields(dev_token_lists, seed: int):
+    def dev_fields(params, config):
+        if not dev_token_lists:
+            return {}
+        return {"dev_alignment": dropout_alignment(params, config,
+                                                   dev_token_lists, seed=seed)}
+    return dev_fields
+
+
 def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                        vocab: Vocab | None, token_lists, params: ModelParams,
                        dev_token_lists=None) -> Checkpoint:
@@ -322,46 +332,30 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     if params is None:
         raise ValueError("unsupervised contrastive training fine-tunes "
                          "existing weights; params is required")
-    config = _stage_encoder_config(encoder_config, train_config)
-    rng = Rng(train_config.seed)
-    params = params.copy()
-    opt_state = AdamWState()
-    opt = train_config.optim()
+    size = train_config.batch_size
 
-    history: list[dict] = []
-    step = 0
-    for epoch in range(train_config.epochs):
+    def chunks(rng, step):
         order = list(token_lists)
         rng.shuffle(order)
-        total, seen = 0.0, 0
-        for start in range(0, len(order), train_config.batch_size):
-            chunk = order[start:start + train_config.batch_size]
+        for start in range(0, len(order), size):
+            chunk = order[start:start + size]
             if len(chunk) < 2:
                 logger.warning("skipping size-1 batch at step %d "
                                "(in-batch negatives need N >= 2)", step)
                 continue
-            ids, mask = pad_batch(chunk)
-            params.zero_grads()
-            h = encode(ids, mask, params, config, mode="train",
-                       step=step, rng=rng).pooled
-            h_plus = encode(ids, mask, params, config, mode="train",
-                            step=step, rng=rng).pooled
-            loss = unsup_simcse_loss(h, h_plus, train_config.tau)
-            loss.backward()
-            adamw_step(params.named_parameters(), opt_state, opt)
-            total += loss.item() * len(chunk)
-            seen += len(chunk)
+            yield pad_batch(chunk)
             step += 1
-        entry = {"stage": "unsup_simcse", "epoch": epoch,
-                 "train_loss": total / max(seen, 1)}
-        if dev_token_lists:
-            entry["dev_alignment"] = dropout_alignment(
-                params, config, dev_token_lists, seed=train_config.seed)
-        history.append(entry)
 
-    return Checkpoint(config=encoder_config, params=params,
-                      stage="unsup_simcse", history=history,
-                      vocab_tokens=_vocab_tokens(vocab))
+    def loss(batch, params, config, step, rng):
+        ids, mask = batch
+        h = encode(ids, mask, params, config, mode="train",
+                   step=step, rng=rng).pooled
+        h_plus = encode(ids, mask, params, config, mode="train",
+                        step=step, rng=rng).pooled
+        return unsup_simcse_loss(h, h_plus, train_config.tau), len(ids)
+
+    return _fit("unsup_simcse", train_config, encoder_config, vocab, params,
+                chunks, loss, _alignment_fields(dev_token_lists, train_config.seed))
 
 
 def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
@@ -378,42 +372,21 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     for e in triplets:
         if type(e) is not Triplet:
             raise ValueError(f"triplet dataset holds {type(e).__name__} examples")
-    config = _stage_encoder_config(encoder_config, train_config)
-    rng = Rng(train_config.seed)
-    params = params.copy()
-    opt_state = AdamWState()
-    opt = train_config.optim()
 
-    history: list[dict] = []
-    step = 0
-    for epoch in range(train_config.epochs):
-        batches = make_batches(triplets, train_config.batch_size,
-                               rng, shuffle=True)
-        total, seen = 0.0, 0
-        for batch in batches:
-            params.zero_grads()
-            h = encode(batch.token_ids, batch.mask, params, config,
-                       mode="train", step=step, rng=rng).pooled
-            h_plus = encode(batch.b_ids, batch.b_mask, params, config,
-                            mode="train", step=step, rng=rng).pooled
-            h_minus = encode(batch.c_ids, batch.c_mask, params, config,
-                             mode="train", step=step, rng=rng).pooled
-            loss = sup_simcse_loss(h, h_plus, h_minus, train_config.tau)
-            loss.backward()
-            adamw_step(params.named_parameters(), opt_state, opt)
-            total += loss.item() * batch.size
-            seen += batch.size
-            step += 1
-        entry = {"stage": "sup_simcse", "epoch": epoch,
-                 "train_loss": total / max(seen, 1)}
-        if dev_token_lists:
-            entry["dev_alignment"] = dropout_alignment(
-                params, config, dev_token_lists, seed=train_config.seed)
-        history.append(entry)
+    def batches(rng, step):
+        return make_batches(triplets, train_config.batch_size, rng, shuffle=True)
 
-    return Checkpoint(config=encoder_config, params=params,
-                      stage="sup_simcse", history=history,
-                      vocab_tokens=_vocab_tokens(vocab))
+    def loss(batch, params, config, step, rng):
+        h = encode(batch.token_ids, batch.mask, params, config,
+                   mode="train", step=step, rng=rng).pooled
+        h_plus = encode(batch.b_ids, batch.b_mask, params, config,
+                        mode="train", step=step, rng=rng).pooled
+        h_minus = encode(batch.c_ids, batch.c_mask, params, config,
+                         mode="train", step=step, rng=rng).pooled
+        return sup_simcse_loss(h, h_plus, h_minus, train_config.tau), batch.size
+
+    return _fit("sup_simcse", train_config, encoder_config, vocab, params,
+                batches, loss, _alignment_fields(dev_token_lists, train_config.seed))
 
 
 # -- 2-tier pipeline --------------------------------------------------------------------
@@ -447,43 +420,30 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     reports: list[MetricReport] = []
     history: list[dict] = []
 
-    def stage_report(stage: str, params: ModelParams, init_hash: str,
-                     eval_config: TrainConfig) -> None:
-        name, value, n = evaluate_task("sts", params, encoder_config,
-                                       sts_dev, eval_config)
-        reports.append(MetricReport("two_tier", "sts", name, value, n, stage))
-        history.append({"stage": stage, "summary": True,
-                        "init_hash": init_hash, "final_hash": params_hash(params),
+    def stage(name: str, init_hash: str, ck: Checkpoint) -> ModelParams:
+        """Record one finished stage; returns its weights for the next."""
+        history.extend(ck.history)
+        metric, value, n = evaluate_task("sts", ck.params, encoder_config,
+                                         sts_dev, tt.stage1)
+        reports.append(MetricReport("two_tier", "sts", metric, value, n, name))
+        history.append({"stage": name, "summary": True,
+                        "init_hash": init_hash, "final_hash": params_hash(ck.params),
                         "dev_pearson": value})
+        return ck.params
 
-    ck = train_single_task(tt.stage1, encoder_config, vocab,
-                           sts_train, sts_dev, stage="baseline")
-    history.extend(ck.history)
-    stage_report("baseline", ck.params, "", tt.stage1)
-    params = ck.params
-
+    params = stage("baseline", "", train_single_task(
+        tt.stage1, encoder_config, vocab, sts_train, sts_dev, stage="baseline"))
     if not tt.skip_unsup:
-        init_hash = params_hash(params)
         pool = [tokenize(s, vocab, encoder_config.max_seq_len)
                 for s in sentences_of(sts_train)]
-        ck = train_unsup_simcse(tt.stage2, encoder_config, vocab, pool, params)
-        history.extend(ck.history)
-        stage_report("unsup_simcse", ck.params, init_hash, tt.stage1)
-        params = ck.params
-
-    init_hash = params_hash(params)
-    ck = train_sup_simcse(tt.stage3, encoder_config, vocab, triplets, params)
-    history.extend(ck.history)
-    stage_report("sup_simcse", ck.params, init_hash, tt.stage1)
-    params = ck.params
-
+        params = stage("unsup_simcse", params_hash(params), train_unsup_simcse(
+            tt.stage2, encoder_config, vocab, pool, params))
+    params = stage("sup_simcse", params_hash(params), train_sup_simcse(
+        tt.stage3, encoder_config, vocab, triplets, params))
     if tt.extra_sts_finetune:
-        init_hash = params_hash(params)
-        ck = train_single_task(tt.stage1, encoder_config, vocab, sts_train,
-                               sts_dev, params=params, stage="two_tier")
-        history.extend(ck.history)
-        stage_report("two_tier", ck.params, init_hash, tt.stage1)
-        params = ck.params
+        params = stage("two_tier", params_hash(params), train_single_task(
+            tt.stage1, encoder_config, vocab, sts_train, sts_dev,
+            params=params, stage="two_tier"))
 
     final = Checkpoint(config=encoder_config, params=params, stage="two_tier",
                        history=history, vocab_tokens=vocab.tokens())
@@ -492,26 +452,23 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
 
 # -- transfer ---------------------------------------------------------------------------
 
+_HEAD_PREFIXES = {"sst": ("heads.sst.",), "paraphrase": ("heads.para.",),
+                  "sts": ("heads.sts.", "heads.cross_attn")}
+
+
 def reinit_task_head(params: ModelParams, task: str, config: EncoderConfig,
                      rng: Rng) -> None:
-    """Fresh draws for one task head, in place; the encoder is untouched."""
-    d = config.hidden_dim
-    heads = params.heads
-    if task == "sst":
-        fresh = init_head_params(d, config.para_features, rng)
-        heads.sst_weight.data = fresh.sst_weight.data
-        heads.sst_bias.data = np.zeros(5)
-    elif task == "paraphrase":
-        fresh = init_head_params(d, config.para_features, rng)
-        heads.para_weight.data = fresh.para_weight.data
-        heads.para_bias.data = np.zeros(1)
-    elif task == "sts":
-        fresh = init_head_params(d, config.para_features, rng)
-        heads.sts_weight.data = fresh.sts_weight.data
-        heads.sts_bias.data = np.zeros(1)
-        heads.cross_attn.data = fresh.cross_attn.data
-    else:
+    """Fresh draws for one task head, in place; the encoder is untouched.
+
+    Every head weight is drawn, in table order, and only the task's own are
+    kept, so a seed gives the same values as a fresh init of all heads.
+    """
+    if task not in _HEAD_PREFIXES:
         raise ValueError(f"unknown task {task!r}")
+    heads = [entry for entry in param_spec(config) if entry[0].startswith("heads.")]
+    for name, fresh in init_from_spec(heads, config, rng).items():
+        if name.startswith(_HEAD_PREFIXES[task]):
+            params[name].data = fresh.data
 
 
 def transfer_finetune(ckpt: Checkpoint, target_task: str,

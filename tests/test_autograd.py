@@ -262,6 +262,16 @@ def test_reduction_shape_and_index_gradients():
     check_grad(lambda t: (t.transpose(2, 0, 1) * 0.3).sum(), x)
     check_grad(lambda t: (t[:, 0, :] * w).sum(), x)
     check_grad(lambda t: (t**3.0).sum() * (1 / 50), x)
+    # integer-array indexing that reads some positions more than once
+    rows, cols = np.array([0, 1, 0, 0]), np.array([2, 1, 2, 3])
+    v = Tensor(rng.normal((2, 4)))
+    check_grad(lambda t: (t[:, rows, cols] * v).sum(), x)
+
+
+def test_take_scatter_adds_repeated_indices():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    x[np.array([0, 0, 2])].sum().backward()
+    assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
 def test_concat_gradients():

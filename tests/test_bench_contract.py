@@ -1,0 +1,79 @@
+"""What the benchmark in perfbench/ relies on from the package.
+
+perfbench patches functions at the names the trainers resolve
+(``training.adamw_step``, ``training.encode``, ...) and counts optimizer
+steps through ``training.adamw_step``. A rename or a loop that stops calling
+through those names would make a layer vanish from the trace or break the
+step-count check; these tests catch that here instead.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+from simcse_forge import training
+from simcse_forge.data import Vocab, tokenize
+from simcse_forge.dropout import DropoutPolicy
+from simcse_forge.encoder import EncoderConfig, init_params
+from simcse_forge.rng import Rng
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+SENTENCES = ["the dog ran home", "a cat sat on the mat", "birds sing",
+             "the river is cold today", "moon over the harbor", "old clock",
+             "a red kettle boils", "the teacher found a letter"]
+BATCH = 3
+
+
+def _tiny_unsup_run():
+    vocab = Vocab.build(SENTENCES)
+    config = EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=1,
+                           num_heads=2, ffn_dim=16, max_seq_len=12,
+                           dropout=DropoutPolicy(kind="standard", p=0.1))
+    pool = [tokenize(s, vocab, config.max_seq_len) for s in SENTENCES]
+    tc = training.TrainConfig(task="sts", epochs=1, batch_size=BATCH, lr=1e-3)
+    return training.train_unsup_simcse(tc, config, vocab, pool,
+                                       init_params(config, Rng(0)))
+
+
+def test_every_traced_target_exists():
+    with tracing.instrument(tracing.Tracer()) as missing:
+        assert missing == []
+
+
+def test_traced_unsup_run_reaches_every_training_layer():
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _tiny_unsup_run()
+    names = [span[0] for span in tracer.spans]
+    assert {"training", "data.batch", "encoder.encode", "encoder.attention",
+            "autograd.softmax", "autograd.matmul", "autograd.gelu",
+            "autograd.layer_norm", "dropout.site", "rng.mask",
+            "objectives.loss", "autograd.backward", "optim.adamw"} <= set(names)
+    steps = math.ceil(len(SENTENCES) / BATCH)
+    assert names.count("optim.adamw") == steps
+    assert names.count("encoder.encode") == 2 * steps
+
+
+def test_step_clock_marks_each_optimizer_step():
+    clock = workloads.StepClock()
+    clock.install()
+    try:
+        _tiny_unsup_run()
+    finally:
+        clock.uninstall()
+    assert len(clock.marks) == math.ceil(len(SENTENCES) / BATCH)
+    assert training.adamw_step is clock._original

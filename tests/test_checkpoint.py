@@ -88,7 +88,7 @@ def test_params_hash_tracks_content():
     h1 = params_hash(ck.params)
     assert h1 == params_hash(ck.params)
     assert params_hash(init_params(ck.config, Rng(7))) == h1
-    ck.params.pooler_bias.data = ck.params.pooler_bias.data + 1e-9
+    ck.params["pooler.bias"].data = ck.params["pooler.bias"].data + 1e-9
     assert params_hash(ck.params) != h1
 
 
@@ -202,3 +202,40 @@ def test_load_config_shape_conflict(tmp_path):
                             lambda h: h["config"].update(hidden_dim=16)))
     with pytest.raises(IntegrityError):
         load_checkpoint(path)
+
+
+def _drop(key):
+    return lambda h: h.pop(key)
+
+
+def _set(key, value, *path):
+    def mutate(h):
+        for part in path:
+            h = h[part]
+        h[key] = value
+    return mutate
+
+
+BAD_HEADERS = {
+    "no-body-size": _drop("body_size"),
+    "no-arrays": _drop("arrays"),
+    "unknown-dropout-key": _set("rate", 0.1, "config", "dropout"),
+    "negative-offset": _set("offset", -8, "arrays", 0),
+    "heads-do-not-divide-width": _set("num_heads", 3, "config"),
+    "float-width": _set("hidden_dim", 8.0, "config"),
+    "unknown-stage": _set("stage", "pretrain"),
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_embed_rejects_crc_valid_bad_header_with_exit_3(tmp_path, capsys, mutate):
+    from simcse_forge.cli import main
+
+    path, sentences = tmp_path / "model.ckpt", tmp_path / "s.txt"
+    save_checkpoint(toy_checkpoint(), path)
+    sentences.write_text("alpha beta\ngamma\n")
+    args = ["embed", str(path), str(sentences), "--out", str(tmp_path)]
+    assert main(args) == 0
+    path.write_bytes(repack(path.read_bytes(), mutate))
+    assert main(args) == 3
+    assert "error:" in capsys.readouterr().err

@@ -168,6 +168,24 @@ def test_train_usage_errors(tmp_path):
     assert main(["--help"]) == 0
 
 
+def test_train_from_nan_weights_exit_1_without_checkpoint(sst_run, capsys):
+    from simcse_forge.checkpoint import save_checkpoint
+
+    tmp_path, _, out = sst_run
+    ck = load_checkpoint(out / "checkpoint.ckpt")
+    ck.params["layers.0.attn.wq"].data[0, 0] = float("nan")
+    save_checkpoint(ck, tmp_path / "nan.ckpt")
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("the dog and the cat\nmoon over the harbor\n")
+    config = write_config(tmp_path, data={"checkpoint": str(tmp_path / "nan.ckpt"),
+                                          "sentences": str(sentences)})
+    run = tmp_path / "nan_run"
+    assert main(["train", "unsup-simcse", "--config", config,
+                 "--out", str(run)]) == 1
+    assert "error: unsup_simcse stage: non-finite loss" in capsys.readouterr().err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
 # -- eval / embed -----------------------------------------------------------------
 
 def test_eval_reproduces_recorded_dev_metric(sst_run, tmp_path, capsys):

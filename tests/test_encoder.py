@@ -40,6 +40,10 @@ def test_config_validation():
         toy_config(pooling="max")
     with pytest.raises(ValueError, match="positive"):
         toy_config(num_layers=0)
+    with pytest.raises(ValueError, match="integers"):
+        toy_config(hidden_dim=8.0)
+    with pytest.raises(ValueError, match="para feature mode"):
+        toy_config(para_features="bilinear")
 
 
 # -- init ------------------------------------------------------------------------
@@ -67,16 +71,16 @@ def test_init_determinism_and_layernorm_values():
     for (n1, t1), (n2, t2) in zip(p1.named_parameters(), p2.named_parameters()):
         assert n1 == n2
         assert np.array_equal(t1.data, t2.data)
-    assert np.all(p1.emb_ln_gamma.data == 1.0)
-    assert np.all(p1.layers[0].ln1_gamma.data == 1.0)
-    assert np.all(p1.layers[1].ln2_beta.data == 0.0)
-    assert np.all(p1.pooler_bias.data == 0.0)
+    assert np.all(p1["emb_ln.gamma"].data == 1.0)
+    assert np.all(p1["layers.0.ln1.gamma"].data == 1.0)
+    assert np.all(p1["layers.1.ln2.beta"].data == 0.0)
+    assert np.all(p1["pooler.bias"].data == 0.0)
 
 
 def test_init_weight_scale():
     cfg = toy_config(vocab_size=500, hidden_dim=32, num_heads=4)
     params = init_params(cfg, Rng(7))
-    w = params.token_embeddings.data
+    w = params["token_embeddings"].data
     assert abs(w.std() - 0.02) < 0.002
     assert abs(w.mean()) < 0.002
 
@@ -93,12 +97,9 @@ def test_named_parameters_unique_and_stable():
 def test_params_copy_is_deep():
     params = init_params(toy_config(), Rng(2))
     clone = params.copy()
-    clone.token_embeddings.data[0, 0] += 1.0
-    clone.layers[0].wq.data[0, 0] += 1.0
-    clone.heads.sst_bias.data[0] += 1.0
-    assert params.token_embeddings.data[0, 0] != clone.token_embeddings.data[0, 0]
-    assert params.layers[0].wq.data[0, 0] != clone.layers[0].wq.data[0, 0]
-    assert params.heads.sst_bias.data[0] != clone.heads.sst_bias.data[0]
+    for name in ("token_embeddings", "layers.0.attn.wq", "heads.sst.bias"):
+        clone[name].data.reshape(-1)[0] += 1.0
+        assert params[name].data.reshape(-1)[0] != clone[name].data.reshape(-1)[0]
 
 
 # -- embed -----------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_embed_single_token_definition():
     cfg = toy_config()
     params = init_params(cfg, Rng(3))
     out = embed(np.array([[7]]), params, cfg)
-    raw = params.token_embeddings.data[7] + params.position_embeddings.data[0]
+    raw = params["token_embeddings"].data[7] + params["position_embeddings"].data[0]
     mu, var = raw.mean(), raw.var()
     expected = (raw - mu) / np.sqrt(var + 1e-5)
     assert np.allclose(out.data[0, 0], expected, atol=1e-12)
@@ -150,7 +151,7 @@ def test_attention_single_position_weight_is_one():
     cfg = toy_config()
     params = init_params(cfg, Rng(4))
     h = Tensor(np.random.default_rng(0).normal(size=(1, 1, cfg.hidden_dim)))
-    out, weights = multi_head_attention(h, np.ones((1, 1)), params.layers[0],
+    out, weights = multi_head_attention(h, np.ones((1, 1)), params.scope("layers.0."),
                                         cfg.num_heads, return_weights=True)
     assert weights.shape == (1, cfg.num_heads, 1, 1)
     assert np.allclose(weights.data, 1.0, atol=1e-15)
@@ -162,7 +163,7 @@ def test_attention_masked_positions_get_zero_weight():
     params = init_params(cfg, Rng(5))
     h = Tensor(np.random.default_rng(1).normal(size=(2, 4, cfg.hidden_dim)))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
-    _, weights = multi_head_attention(h, mask, params.layers[0],
+    _, weights = multi_head_attention(h, mask, params.scope("layers.0."),
                                       cfg.num_heads, return_weights=True)
     assert np.all(np.abs(weights.data[0, :, :, 2:]) <= 1e-12)
     assert np.all(np.abs(weights.data[1, :, :, 3:]) <= 1e-12)
@@ -173,14 +174,14 @@ def test_attention_masked_positions_get_zero_weight():
 def test_attention_matches_brute_force_two_tokens():
     # hand-rolled numpy attention on a 2-token sequence
     cfg = toy_config(hidden_dim=4, num_heads=2, ffn_dim=8)
-    lp = init_params(cfg, Rng(6)).layers[0]
+    lp = init_params(cfg, Rng(6)).scope("layers.0.")
     x = np.random.default_rng(2).normal(size=(1, 2, 4))
     got, got_w = multi_head_attention(Tensor(x), np.ones((1, 2)), lp, 2,
                                       return_weights=True)
 
-    q = x[0] @ lp.wq.data + lp.bq.data
-    k = x[0] @ lp.wk.data + lp.bk.data
-    v = x[0] @ lp.wv.data + lp.bv.data
+    q = x[0] @ lp["attn.wq"].data + lp["attn.bq"].data
+    k = x[0] @ lp["attn.wk"].data + lp["attn.bk"].data
+    v = x[0] @ lp["attn.wv"].data + lp["attn.bv"].data
     ctx = np.zeros((2, 4))
     for head in range(2):
         sl = slice(head * 2, head * 2 + 2)
@@ -189,11 +190,11 @@ def test_attention_matches_brute_force_two_tokens():
         w = e / e.sum(axis=1, keepdims=True)
         assert np.allclose(got_w.data[0, head], w, atol=1e-12)
         ctx[:, sl] = w @ v[:, sl]
-    proj = ctx @ lp.wo.data + lp.bo.data
+    proj = ctx @ lp["attn.wo"].data + lp["attn.bo"].data
     pre = x[0] + proj
     mu = pre.mean(axis=1, keepdims=True)
     var = ((pre - mu) ** 2).mean(axis=1, keepdims=True)
-    expected = lp.ln1_gamma.data * (pre - mu) / np.sqrt(var + 1e-5) + lp.ln1_beta.data
+    expected = lp["ln1.gamma"].data * (pre - mu) / np.sqrt(var + 1e-5) + lp["ln1.beta"].data
     assert np.allclose(got.data[0], expected, atol=1e-10)
 
 
@@ -202,9 +203,9 @@ def test_attention_shape_errors():
     params = init_params(cfg, Rng(0))
     h = Tensor(np.zeros((1, 3, cfg.hidden_dim)))
     with pytest.raises(ag.ShapeMismatchError, match="mask"):
-        multi_head_attention(h, np.ones((1, 4)), params.layers[0], cfg.num_heads)
+        multi_head_attention(h, np.ones((1, 4)), params.scope("layers.0."), cfg.num_heads)
     with pytest.raises(ag.ShapeMismatchError, match="heads"):
-        multi_head_attention(h, np.ones((1, 3)), params.layers[0], 3)
+        multi_head_attention(h, np.ones((1, 3)), params.scope("layers.0."), 3)
 
 
 # -- encode ------------------------------------------------------------------------
@@ -279,8 +280,8 @@ def test_encode_cls_pooling_formula():
     params = init_params(cfg, Rng(12))
     ids, mask = batch(cfg, b=2)
     r = encode(ids, mask, params, cfg)
-    manual = np.tanh(r.sequence.data[:, 0, :] @ params.pooler_weight.data
-                     + params.pooler_bias.data)
+    manual = np.tanh(r.sequence.data[:, 0, :] @ params["pooler.weight"].data
+                     + params["pooler.bias"].data)
     assert np.allclose(r.pooled.data, manual, atol=1e-12)
 
 

@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 
 from simcse_forge import autograd as ag
 from simcse_forge.autograd import Tensor
-from simcse_forge.objectives import (HeadParams, ZeroNormError, bce_loss, ce_loss,
-                                     cosine, init_head_params, mse_loss,
+from simcse_forge.encoder import EncoderConfig, init_params
+from simcse_forge.objectives import (ZeroNormError, bce_loss, ce_loss,
+                                     cosine, mse_loss,
                                      paraphrase_logit, sst_logits, sts_score,
                                      sup_simcse_loss, unsup_simcse_loss)
 from simcse_forge.rng import Rng
 
 
 def make_heads(d=4, para="rich", seed=0):
-    return init_head_params(d, para, Rng(seed))
+    config = EncoderConfig(vocab_size=4, hidden_dim=d, num_layers=1, num_heads=1,
+                           ffn_dim=4, max_seq_len=4, para_features=para)
+    return init_params(config, Rng(seed))
 
 
 # -- brute-force oracles (independent double-loop implementations) ---------------
@@ -51,7 +54,7 @@ def brute_sup(h, hp, hm, tau):
 
 def test_sst_logits_zero_head():
     heads = make_heads()
-    heads.sst_weight.data[:] = 0.0
+    heads["heads.sst.weight"].data[:] = 0.0
     out = sst_logits(Tensor(np.random.default_rng(0).normal(size=(3, 4))), heads)
     assert out.shape == (3, 5)
     assert np.allclose(out.data, 0.0)
@@ -59,8 +62,8 @@ def test_sst_logits_zero_head():
 
 def test_sst_logits_hand_example():
     heads = make_heads(d=2)
-    heads.sst_weight.data[:] = np.arange(10.0).reshape(2, 5)
-    heads.sst_bias.data[:] = 1.0
+    heads["heads.sst.weight"].data[:] = np.arange(10.0).reshape(2, 5)
+    heads["heads.sst.bias"].data[:] = 1.0
     out = sst_logits(Tensor(np.array([[1.0, 2.0]])), heads)
     # row = [1,2] @ [[0..4],[5..9]] + 1 = [10,13,16,19,22] + 1
     assert np.allclose(out.data, [[11.0, 14.0, 17.0, 20.0, 23.0]])
@@ -85,17 +88,17 @@ def test_paraphrase_logit_shapes_and_abs_block():
     out = paraphrase_logit(a, a, heads)
     assert out.shape == (1,)
     # a == b: the |a-b| block contributes nothing; zeroing its weights changes nothing
-    w = heads.para_weight.data.copy()
-    heads.para_weight.data[6:9] = 0.0
+    w = heads["heads.para.weight"].data.copy()
+    heads["heads.para.weight"].data[6:9] = 0.0
     out2 = paraphrase_logit(a, a, heads)
-    heads.para_weight.data[:] = w
+    heads["heads.para.weight"].data[:] = w
     assert out.item() == pytest.approx(out2.item(), abs=1e-15)
 
 
 def test_paraphrase_symmetric_weights_symmetric_logit():
     d = 3
     heads = make_heads(d=d)
-    w = heads.para_weight.data
+    w = heads["heads.para.weight"].data
     w[d:2 * d] = w[0:d]        # tie the a and b blocks
     a = Tensor(np.array([[0.3, -1.2, 0.5]]))
     b = Tensor(np.array([[1.0, 0.4, -0.7]]))
@@ -105,7 +108,7 @@ def test_paraphrase_symmetric_weights_symmetric_logit():
 
 def test_paraphrase_concat_mode_shape():
     heads = make_heads(d=3, para="concat")
-    assert heads.para_weight.shape == (6, 1)
+    assert heads["heads.para.weight"].shape == (6, 1)
     a = Tensor(np.ones((2, 3)))
     assert paraphrase_logit(a, a, heads, features="concat").shape == (2,)
     with pytest.raises(ValueError, match="feature mode"):
@@ -185,8 +188,8 @@ def test_sts_cos_sigmoid_scaled():
 
 def test_sts_sum_linear_hand_example():
     heads = make_heads(d=2)
-    heads.sts_weight.data[:] = np.array([[1.0], [2.0], [3.0], [4.0]])
-    heads.sts_bias.data[:] = 0.5
+    heads["heads.sts.weight"].data[:] = np.array([[1.0], [2.0], [3.0], [4.0]])
+    heads["heads.sts.bias"].data[:] = 0.5
     a = Tensor(np.array([[1.0, 1.0]]))
     b = Tensor(np.array([[2.0, -1.0]]))
     # [1,1,2,-1] . [1,2,3,4] + 0.5 = 1+2+6-4+0.5
@@ -198,7 +201,7 @@ def test_sts_cross_attention_bounded_and_matches_formula():
     a = Tensor(np.array([[0.5, -0.2, 0.8]]))
     b = Tensor(np.array([[1.0, 0.3, -0.4]]))
     got = sts_score(a, b, "cross_attention", heads).item()
-    raw = float(a.data[0] @ heads.cross_attn.data @ b.data[0])
+    raw = float(a.data[0] @ heads["heads.cross_attn"].data @ b.data[0])
     assert got == pytest.approx(5.0 / (1.0 + math.exp(-raw)), rel=1e-12)
     assert 0.0 < got < 5.0
 

@@ -291,6 +291,54 @@ def test_sup_simcse_trains_and_allows_singletons():
     assert math.isfinite(ck1.history[0]["train_loss"])
 
 
+def _nan_trainers():
+    """Each trainer, run on params that hold one NaN weight."""
+    sst_rows = synth_toy_corpus("sst", 8, Rng(42))
+    nli_rows = synth_toy_corpus("nli", 4, Rng(43))
+    texts = texts_of_rows(sst_rows, "classification")
+    vocab = Vocab.build(texts + texts_of_rows(nli_rows, "triplet"))
+    sst = examples_from_rows(sst_rows, "classification", vocab, MAX_LEN)
+    triplets = examples_from_rows(nli_rows, "triplet", vocab, MAX_LEN)
+    pool = [tokenize(t, vocab, MAX_LEN) for t in texts]
+    config = toy_encoder_config(vocab, p=0.1)
+    params = init_params(config, Rng(0))
+    params["layers.0.attn.wq"].data[0, 0] = np.nan
+    tc = TrainConfig(task="sst", epochs=1, batch_size=4, lr=1e-3)
+    return {
+        "baseline": lambda: train_single_task(tc, config, vocab, sst, sst,
+                                              params=params),
+        "multitask": lambda: train_multitask(tc, config, vocab, {"sst": (sst, sst)},
+                                             tasks=("sst",), params=params),
+        "unsup_simcse": lambda: train_unsup_simcse(tc, config, vocab, pool, params),
+        "sup_simcse": lambda: train_sup_simcse(tc, config, vocab, triplets, params),
+    }
+
+
+@pytest.mark.parametrize("trainer", ["baseline", "multitask", "unsup_simcse",
+                                     "sup_simcse"])
+def test_non_finite_loss_stops_every_trainer(trainer):
+    stage = "baseline" if trainer == "multitask" else trainer
+    with pytest.raises(ValueError, match=f"{stage} stage: non-finite loss at step 0"):
+        _nan_trainers()[trainer]()
+
+
+def test_non_finite_gradient_norm_stops_training(monkeypatch):
+    from simcse_forge import training
+
+    sst, vocab = corpus("sst", 8, seed=45)
+    config = toy_encoder_config(vocab)
+    real_step = training.adamw_step
+
+    def nan_norm_on_second_step(named, state, opt):
+        norm = real_step(named, state, opt)
+        return float("nan") if state.step == 2 else norm
+
+    monkeypatch.setattr(training, "adamw_step", nan_norm_on_second_step)
+    tc = TrainConfig(task="sst", epochs=1, batch_size=4, lr=1e-3)
+    with pytest.raises(ValueError, match="non-finite gradient norm at step 1"):
+        train_single_task(tc, config, vocab, sst, [])
+
+
 def test_sup_simcse_rejects_wrong_variant():
     sts, vocab = corpus("sts", 4, seed=41)
     config = toy_encoder_config(vocab)
