@@ -18,7 +18,9 @@ Broadcasting in elementwise binary ops follows numpy semantics; the backward
 pass sum-reduces gradients over broadcast axes. The rest of the op set is the
 minimum a small transformer needs: matmul (2-D, batched, and N-D by 2-D),
 softmax over the last axis, layer norm, GELU, elementwise functions,
-reductions, reshapes, concatenation, basic slicing, and embedding lookup.
+reductions, reshapes, concatenation, basic slicing, embedding lookup, and
+the gather/scatter of unique rows that moves packed token rows in and out of
+a padded [B, T, ...] layout.
 """
 
 from __future__ import annotations
@@ -421,6 +423,41 @@ def take(a, index) -> Tensor:
     return _make(out, (a,), backward, "take")
 
 
+def gather_rows(a, index, shape) -> Tensor:
+    """``a[index]`` reshaped to shape, where index picks rows over a's leading
+    axes (an int array, or a tuple of them) and names each row at most once,
+    so backward is an indexed assignment. index None picks every row in
+    order: a plain reshape, no copy."""
+    if index is None:
+        return reshape(a, shape)
+    a = as_tensor(a)
+    picked = a.data[index]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[index] = g.reshape(picked.shape)
+        return (ga,)
+
+    return _make(picked.reshape(shape), (a,), backward, "gather_rows")
+
+
+def scatter_rows(a, index, shape) -> Tensor:
+    """The inverse of gather_rows: zeros of shape with a's rows placed at the
+    unique rows index names over the leading axes. index None fills every
+    row in order: a plain reshape, no copy."""
+    if index is None:
+        return reshape(a, shape)
+    a = as_tensor(a)
+    out = np.zeros(shape)
+    lead = len(index) if isinstance(index, tuple) else 1
+    out[index] = a.data.reshape(-1, *shape[lead:])
+
+    def backward(g):
+        return (g[index].reshape(a.shape),)
+
+    return _make(out, (a,), backward, "scatter_rows")
+
+
 def embedding(table, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = table[ids[...], :]."""
     table = as_tensor(table)
@@ -541,12 +578,19 @@ def gelu(a) -> Tensor:
 
 # -- composite primitives --------------------------------------------------
 
-def softmax(a) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction."""
+def softmax(a, scale: float = 1.0, bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of ``a * scale + bias``, computed with max
+    subtraction. bias is a constant (no gradient) that broadcasts against a,
+    such as attention's -1e9 mask offsets. Folding both in here spares two
+    full-size temporaries, and the values and gradients are bit-identical to
+    the separate multiply, add and softmax."""
     a = as_tensor(a)
     if a.shape[-1] < 1:
         raise ShapeMismatchError("softmax needs a non-empty last axis")
-    out = a.data - a.data.max(axis=-1, keepdims=True)
+    out = np.multiply(a.data, scale)
+    if bias is not None:
+        out += bias
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
@@ -554,6 +598,7 @@ def softmax(a) -> Tensor:
         gx = g * out
         np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
         gx *= out
+        gx *= scale
         return (gx,)
 
     return _make(out, (a,), backward, "softmax")

@@ -8,6 +8,16 @@ either a tanh pooler over the [CLS] state or a mask-weighted mean.
 Sentence pairs are encoded with two separate passes; there is no segment
 embedding or joint-sequence mode.
 
+Padding-free layout: ``encode`` packs the [B, T] batch once (``pack``) into
+N rows, one per real token plus position 0 of every sequence, which CLS
+pooling reads even when it is masked. Embeddings, every dropout site, the
+projections, residual adds, layer norms, the GELU feed-forward and pooling
+run on [N, d] rows; only the attention core scatters Q/K/V into [B, T] for
+the masked T x T scores and gathers the context back. Train-mode dropout
+masks are therefore drawn over packed rows only, and
+``EncodeResult.sequence`` is zero at the slots the packing skips. A batch
+with no padding packs every slot, and the gather/scatter become reshapes.
+
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
 the names are the checkpoint manifest names (``layers.0.attn.wq``,
@@ -86,7 +96,7 @@ class ModelParams(dict):
 
 
 class EncodeResult(NamedTuple):
-    sequence: Tensor  # [B, T, d]
+    sequence: Tensor  # [B, T, d], zero at the slots the packing skips
     pooled: Tensor    # [B, d]
 
 
@@ -149,53 +159,96 @@ def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
                          alpha=params["adaptive.alpha"], beta=params["adaptive.beta"])
 
 
+class Packing(NamedTuple):
+    """Where the packed rows of a [B, T] batch sit among its B*T slots.
+
+    The packed rows are every real token plus position 0 of every sequence
+    (CLS pooling reads it even when it is masked), in row-major slot order.
+    """
+
+    mask: np.ndarray          # [B, T] 0/1 key mask for attention
+    seqs: np.ndarray          # [N] sequence of each row
+    positions: np.ndarray     # [N] position of each row
+    full: bool                # every slot is a row
+
+    @property
+    def rows(self) -> int:
+        return len(self.positions)
+
+    @property
+    def slots(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The rows' (b, t) index into [B, T], or None when every slot is a row."""
+        return None if self.full else (self.seqs, self.positions)
+
+
+def pack(mask) -> Packing:
+    """The packing of a [B, T] 0/1 mask."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.ndim != 2 or mask.shape[1] < 1:
+        raise ag.ShapeMismatchError(
+            f"attention mask must be [B, T] with T >= 1, got {list(mask.shape)}")
+    keep = mask != 0
+    keep[:, 0] = True
+    seqs, positions = np.nonzero(keep)
+    return Packing(mask, seqs, positions, bool(keep.all()))
+
+
 def embed(token_ids, params: ModelParams, config: EncoderConfig,
-          mode: str = "eval", step: int = 0, rng: Rng | None = None) -> Tensor:
-    """Token plus position embeddings, layer-normed, then dropout."""
+          mode: str = "eval", step: int = 0, rng: Rng | None = None,
+          packing: Packing | None = None) -> Tensor:
+    """Token plus position embeddings, layer-normed, then dropout: one [N, d]
+    row per packed token of the [B, T] ids (every slot when packing is None).
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ag.ShapeMismatchError(f"token ids must be [B, T], got {list(ids.shape)}")
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise ValueError(f"token id {bad} out of range for vocab size {config.vocab_size}")
-    t = ids.shape[1]
-    if t > config.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {config.max_seq_len}")
-    tok = embedding(params["token_embeddings"], ids)
-    pos = embedding(params["position_embeddings"], np.arange(t)).reshape(1, t, config.hidden_dim)
+    if ids.shape[1] > config.max_seq_len:
+        raise ValueError(
+            f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
+    if packing is None:
+        packing = pack(np.ones(ids.shape))
+    if packing.mask.shape != ids.shape:
+        raise ag.ShapeMismatchError(
+            f"attention mask shape {list(packing.mask.shape)} != {list(ids.shape)}")
+    tok = embedding(params["token_embeddings"], ids[packing.seqs, packing.positions])
+    pos = embedding(params["position_embeddings"], packing.positions)
     h = layer_norm(tok + pos, params["emb_ln.gamma"], params["emb_ln.beta"])
     return _site_dropout(h, params, config, mode, step, rng)
 
 
-def multi_head_attention(hidden: Tensor, mask, layer: dict[str, Tensor], num_heads: int,
-                         dropout_fn=None, return_weights: bool = False):
+def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
+                         num_heads: int, dropout_fn=None, return_weights: bool = False):
     """Scaled dot-product self-attention with residual add and layer norm.
 
-    layer is one block's tensors, ``params.scope("layers.<i>.")``.
-
-    mask is a [B, T] 0/1 array; masked key positions get a -1e9 additive
-    score, which underflows to exactly zero attention weight after softmax.
+    hidden is the batch's packed [N, d] rows; layer is one block's tensors,
+    ``params.scope("layers.<i>.")``. Q, K and V are scattered into the padded
+    [B, T] layout only for the T x T scores, softmax and context, which is
+    gathered back to rows before the output projection. Masked key positions
+    get a -1e9 additive score, which underflows to exactly zero attention
+    weight after softmax, so padded slots never reach a real row.
     """
-    b, t, d = hidden.shape
+    n, d = hidden.shape
     if d % num_heads != 0:
         raise ag.ShapeMismatchError(f"hidden dim {d} not divisible by {num_heads} heads")
-    hd = d // num_heads
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (b, t):
+    if n != packing.rows:
         raise ag.ShapeMismatchError(
-            f"attention mask shape {list(mask.shape)} != [{b}, {t}]")
+            f"{n} hidden rows, but the attention mask packs {packing.rows}")
+    b, t = packing.mask.shape
+    hd = d // num_heads
 
     def split_heads(x):
-        return x.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+        return ag.scatter_rows(x, packing.slots, (b, t, num_heads, hd)).transpose(0, 2, 1, 3)
 
     q = split_heads(matmul(hidden, layer["attn.wq"]) + layer["attn.bq"])
     k = split_heads(matmul(hidden, layer["attn.wk"]) + layer["attn.bk"])
     v = split_heads(matmul(hidden, layer["attn.wv"]) + layer["attn.bv"])
 
-    scores = matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-    scores = scores + Tensor((mask - 1.0).reshape(b, 1, 1, t) * 1e9)
-    weights = softmax(scores)                       # [B, H, T, T]
-    ctx = matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    weights = softmax(matmul(q, k.transpose(0, 1, 3, 2)), scale=1.0 / np.sqrt(hd),
+                      bias=(packing.mask - 1.0).reshape(b, 1, 1, t) * 1e9)   # [B, H, T, T]
+    ctx = ag.gather_rows(matmul(weights, v).transpose(0, 2, 1, 3), packing.slots, (n, d))
     out = matmul(ctx, layer["attn.wo"]) + layer["attn.bo"]
     if dropout_fn is not None:
         out = dropout_fn(out)
@@ -209,27 +262,36 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
            mode: str = "eval", step: int = 0, rng: Rng | None = None) -> EncodeResult:
     """Full encoder pass: embeddings, num_layers transformer blocks, pooling.
 
+    Every per-token op runs on the packed rows of ``pack(mask)``.
+
     Eval mode is a pure function of (token_ids, mask, params); train mode
     consumes the rng at every dropout site.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    h = embed(token_ids, params, config, mode=mode, step=step, rng=rng)
-    mask = np.asarray(mask, dtype=np.float64)
+    packing = pack(mask)
+    h = embed(token_ids, params, config, mode=mode, step=step, rng=rng, packing=packing)
 
     def site(x):
         return _site_dropout(x, params, config, mode, step, rng)
 
     for i in range(config.num_layers):
         lp = params.scope(f"layers.{i}.")
-        h = multi_head_attention(h, mask, lp, config.num_heads, dropout_fn=site)
+        h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site)
         f = matmul(ag.gelu(matmul(h, lp["ffn.w1"]) + lp["ffn.b1"]),
                    lp["ffn.w2"]) + lp["ffn.b2"]
         h = layer_norm(h + site(f), lp["ln2.gamma"], lp["ln2.beta"])
 
+    b, t = packing.mask.shape
     if config.pooling == "cls_tanh":
-        pooled = ag.tanh(matmul(h[:, 0, :], params["pooler.weight"]) + params["pooler.bias"])
+        first = ag.gather_rows(h, np.flatnonzero(packing.positions == 0),
+                               (b, config.hidden_dim))
+        pooled = ag.tanh(matmul(first, params["pooler.weight"]) + params["pooler.bias"])
     else:
-        weighted = (h * Tensor(mask[:, :, None])).sum(axis=1)
-        pooled = weighted / Tensor(mask.sum(axis=1, keepdims=True))
-    return EncodeResult(sequence=h, pooled=pooled)
+        # [B, N]: each row's mask value, in its own sequence's line
+        weights = np.zeros((b, packing.rows))
+        weights[packing.seqs, np.arange(packing.rows)] = packing.mask[packing.seqs,
+                                                                      packing.positions]
+        pooled = matmul(Tensor(weights), h) / Tensor(packing.mask.sum(axis=1, keepdims=True))
+    sequence = ag.scatter_rows(h, packing.slots, (b, t, config.hidden_dim))
+    return EncodeResult(sequence=sequence, pooled=pooled)

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
-from .data import (Classification, PairLabeled, PairScored, Triplet, Vocab,
-                   make_batches, pad_batch, sentences_of, tokenize)
+from .data import (Classification, DataError, PairLabeled, PairScored, Triplet,
+                   Vocab, make_batches, pad_batch, sentences_of, tokenize)
+from .dropout import DropoutPolicy, curriculum_rate
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
@@ -266,6 +267,8 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
             raise ValueError(f"missing dataset for task {t!r}")
         _check_variant(t, datasets[t][0], f"{t} train")
         _check_variant(t, datasets[t][1], f"{t} dev")
+        if not datasets[t][0]:
+            raise DataError(f"task {t!r} is enabled but its train set is empty")
 
     def rounds(rng, step):
         streams = [make_batches(datasets[t][0], train_config.batch_size,
@@ -320,6 +323,15 @@ def _alignment_fields(dev_token_lists, seed: int):
     return dev_fields
 
 
+def _identical_views(policy: DropoutPolicy, step: int) -> bool:
+    """Whether train-mode dropout is the identity at this step."""
+    if policy.kind == "standard":
+        return policy.p == 0.0
+    if policy.kind == "curriculum":
+        return curriculum_rate(step, policy) == 0.0
+    return False
+
+
 def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                        vocab: Vocab | None, token_lists, params: ModelParams,
                        dev_token_lists=None) -> Checkpoint:
@@ -327,12 +339,16 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     encoded twice in train mode and the two views are positives.
 
     Fine-tunes given weights (params required); returns the final weights.
-    Batches of size 1 carry no negatives and are skipped with a warning.
+    Batches of size 1 carry no negatives and are skipped with a warning. A
+    dropout policy that draws no mask (standard p=0, or curriculum at a step
+    where its rate is 0, such as step 0) makes the two views identical; the
+    first such step logs one warning.
     """
     if params is None:
         raise ValueError("unsupervised contrastive training fine-tunes "
                          "existing weights; params is required")
     size = train_config.batch_size
+    warned = False
 
     def chunks(rng, step):
         order = list(token_lists)
@@ -347,6 +363,12 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
             step += 1
 
     def loss(batch, params, config, step, rng):
+        nonlocal warned
+        if not warned and _identical_views(config.dropout, step):
+            logger.warning("unsup_simcse step %d: %s dropout draws no mask, so both "
+                           "views are identical and carry no contrastive signal",
+                           step, config.dropout.kind)
+            warned = True
         ids, mask = batch
         h = encode(ids, mask, params, config, mode="train",
                    step=step, rng=rng).pooled

@@ -274,6 +274,34 @@ def test_take_scatter_adds_repeated_indices():
     assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
+def test_gather_and_scatter_rows_are_inverse_placements():
+    rng = Rng(16)
+    x = rand(rng, 2, 3, 4)
+    index = (np.array([0, 0, 1]), np.array([0, 2, 1]))   # unique (b, t) rows
+    rows = ag.gather_rows(x, index, (3, 4))
+    assert np.array_equal(rows.data, x.data[index])
+    back = ag.scatter_rows(rows, index, (2, 3, 4))
+    assert np.array_equal(back.data[index], x.data[index])
+    assert np.count_nonzero(back.data) == 3 * 4
+    w = Tensor(rng.normal((3, 4)))
+    check_grad(lambda t: (ag.gather_rows(t, index, (3, 4)) * w).sum(), x)
+    r = rand(rng, 3, 4)
+    v = Tensor(rng.normal((2, 3, 2, 2)))
+    check_grad(lambda t: (ag.scatter_rows(t, index, (2, 3, 2, 2)) * v).sum(), r)
+    # a 1-D index over the leading axis
+    check_grad(lambda t: (ag.gather_rows(t, np.array([2, 0]), (2, 4)) * w[:2]).sum(), r)
+
+
+def test_gather_and_scatter_rows_without_index_are_copy_free_reshapes():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    rows = ag.gather_rows(x, None, (6, 4))
+    back = ag.scatter_rows(rows, None, (2, 3, 4))
+    assert np.shares_memory(rows.data, x.data) and np.shares_memory(back.data, x.data)
+    assert rows.node.op == back.node.op == "reshape"
+    back.sum().backward()
+    assert np.array_equal(x.grad, np.ones((2, 3, 4)))
+
+
 def test_concat_gradients():
     rng = Rng(14)
     a, b = rand(rng, 2, 3), rand(rng, 2, 2)

@@ -38,11 +38,15 @@ SENTENCES = ["the dog ran home", "a cat sat on the mat", "birds sing",
 BATCH = 3
 
 
+def _tiny_config(vocab):
+    return EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=1,
+                         num_heads=2, ffn_dim=16, max_seq_len=12,
+                         dropout=DropoutPolicy(kind="standard", p=0.1))
+
+
 def _tiny_unsup_run():
     vocab = Vocab.build(SENTENCES)
-    config = EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=1,
-                           num_heads=2, ffn_dim=16, max_seq_len=12,
-                           dropout=DropoutPolicy(kind="standard", p=0.1))
+    config = _tiny_config(vocab)
     pool = [tokenize(s, vocab, config.max_seq_len) for s in SENTENCES]
     tc = training.TrainConfig(task="sts", epochs=1, batch_size=BATCH, lr=1e-3)
     return training.train_unsup_simcse(tc, config, vocab, pool,
@@ -77,3 +81,16 @@ def test_step_clock_marks_each_optimizer_step():
         clock.uninstall()
     assert len(clock.marks) == math.ceil(len(SENTENCES) / BATCH)
     assert training.adamw_step is clock._original
+
+
+def test_traced_unsup_run_draws_masks_over_real_tokens_only():
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _tiny_unsup_run()
+    drawn = sum(span[4]["mask_units"] for span in tracer.spans
+                if span[0] == "rng.mask")
+    vocab = Vocab.build(SENTENCES)
+    config = _tiny_config(vocab)
+    real = sum(len(tokenize(s, vocab, config.max_seq_len)) for s in SENTENCES)
+    sites = 1 + 2 * config.num_layers      # embeddings, then attention and FFN per layer
+    assert drawn == 2 * sites * real * config.hidden_dim

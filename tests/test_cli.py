@@ -7,7 +7,7 @@ import pytest
 
 from simcse_forge.cli import main
 from simcse_forge.checkpoint import load_checkpoint
-from simcse_forge.data import read_rows
+from simcse_forge.data import SCHEMAS, read_rows
 from simcse_forge.evaluation import parse_report_tsv
 
 ENCODER = {"hidden_dim": 8, "num_layers": 1, "num_heads": 2,
@@ -153,6 +153,25 @@ def test_train_missing_data_path_exit_2(tmp_path, capsys):
     assert main(["train", "single", "--config", config,
                  "--out", str(tmp_path / "x")]) == 2
     assert "ghost.tsv" in capsys.readouterr().err
+
+
+def test_train_multitask_header_only_train_tsv_exit_2(tmp_path, capsys):
+    sst_train = tmp_path / "sst_train.tsv"
+    sst_train.write_text("\t".join(SCHEMAS["classification"]) + "\n")
+    data = {"sst_train": str(sst_train),
+            "sst_dev": synth(tmp_path, "sst", 6, "sst_dev.tsv", seed=1),
+            "para_train": synth(tmp_path, "paraphrase", 8, "para_train.tsv", seed=2),
+            "para_dev": synth(tmp_path, "paraphrase", 4, "para_dev.tsv", seed=3),
+            "sts_train": synth(tmp_path, "sts", 8, "sts_train.tsv", seed=4),
+            "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=5)}
+    config = write_config(tmp_path, data=data)
+    capsys.readouterr()
+    run = tmp_path / "mt"
+    assert main(["train", "multitask", "--config", config, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'sst'" in err
+    assert "Traceback" not in err
+    assert not (run / "checkpoint.ckpt").exists()
 
 
 def test_train_usage_errors(tmp_path):

@@ -6,7 +6,7 @@ from simcse_forge.autograd import Tensor
 from simcse_forge.dropout import DropoutPolicy
 from simcse_forge.encoder import (EncoderConfig, EncodeResult, ModelParams, embed,
                                   encode, init_params, multi_head_attention,
-                                  parameter_count)
+                                  pack, parameter_count)
 from simcse_forge.rng import Rng
 
 
@@ -111,15 +111,15 @@ def test_embed_single_token_definition():
     raw = params["token_embeddings"].data[7] + params["position_embeddings"].data[0]
     mu, var = raw.mean(), raw.var()
     expected = (raw - mu) / np.sqrt(var + 1e-5)
-    assert np.allclose(out.data[0, 0], expected, atol=1e-12)
+    assert np.allclose(out.data[0], expected, atol=1e-12)
 
 
 def test_embed_identical_rows_for_identical_sentences():
     cfg = toy_config()
     params = init_params(cfg, Rng(3))
     ids = np.array([[1, 5, 6, 2], [1, 5, 6, 2]])
-    out = embed(ids, params, cfg)
-    assert np.array_equal(out.data[0], out.data[1])
+    out = embed(ids, params, cfg)   # packed rows, one per slot
+    assert np.array_equal(out.data[:4], out.data[4:])
 
 
 def test_embed_train_dropout_differs_across_passes():
@@ -150,8 +150,8 @@ def test_embed_validation():
 def test_attention_single_position_weight_is_one():
     cfg = toy_config()
     params = init_params(cfg, Rng(4))
-    h = Tensor(np.random.default_rng(0).normal(size=(1, 1, cfg.hidden_dim)))
-    out, weights = multi_head_attention(h, np.ones((1, 1)), params.scope("layers.0."),
+    h = Tensor(np.random.default_rng(0).normal(size=(1, cfg.hidden_dim)))
+    out, weights = multi_head_attention(h, pack(np.ones((1, 1))), params.scope("layers.0."),
                                         cfg.num_heads, return_weights=True)
     assert weights.shape == (1, cfg.num_heads, 1, 1)
     assert np.allclose(weights.data, 1.0, atol=1e-15)
@@ -161,9 +161,9 @@ def test_attention_single_position_weight_is_one():
 def test_attention_masked_positions_get_zero_weight():
     cfg = toy_config()
     params = init_params(cfg, Rng(5))
-    h = Tensor(np.random.default_rng(1).normal(size=(2, 4, cfg.hidden_dim)))
+    h = Tensor(np.random.default_rng(1).normal(size=(5, cfg.hidden_dim)))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
-    _, weights = multi_head_attention(h, mask, params.scope("layers.0."),
+    _, weights = multi_head_attention(h, pack(mask), params.scope("layers.0."),
                                       cfg.num_heads, return_weights=True)
     assert np.all(np.abs(weights.data[0, :, :, 2:]) <= 1e-12)
     assert np.all(np.abs(weights.data[1, :, :, 3:]) <= 1e-12)
@@ -176,7 +176,7 @@ def test_attention_matches_brute_force_two_tokens():
     cfg = toy_config(hidden_dim=4, num_heads=2, ffn_dim=8)
     lp = init_params(cfg, Rng(6)).scope("layers.0.")
     x = np.random.default_rng(2).normal(size=(1, 2, 4))
-    got, got_w = multi_head_attention(Tensor(x), np.ones((1, 2)), lp, 2,
+    got, got_w = multi_head_attention(Tensor(x[0]), pack(np.ones((1, 2))), lp, 2,
                                       return_weights=True)
 
     q = x[0] @ lp["attn.wq"].data + lp["attn.bq"].data
@@ -195,17 +195,17 @@ def test_attention_matches_brute_force_two_tokens():
     mu = pre.mean(axis=1, keepdims=True)
     var = ((pre - mu) ** 2).mean(axis=1, keepdims=True)
     expected = lp["ln1.gamma"].data * (pre - mu) / np.sqrt(var + 1e-5) + lp["ln1.beta"].data
-    assert np.allclose(got.data[0], expected, atol=1e-10)
+    assert np.allclose(got.data, expected, atol=1e-10)
 
 
 def test_attention_shape_errors():
     cfg = toy_config()
     params = init_params(cfg, Rng(0))
-    h = Tensor(np.zeros((1, 3, cfg.hidden_dim)))
+    h = Tensor(np.zeros((3, cfg.hidden_dim)))
     with pytest.raises(ag.ShapeMismatchError, match="mask"):
-        multi_head_attention(h, np.ones((1, 4)), params.scope("layers.0."), cfg.num_heads)
+        multi_head_attention(h, pack(np.ones((1, 4))), params.scope("layers.0."), cfg.num_heads)
     with pytest.raises(ag.ShapeMismatchError, match="heads"):
-        multi_head_attention(h, np.ones((1, 3)), params.scope("layers.0."), 3)
+        multi_head_attention(h, pack(np.ones((1, 3))), params.scope("layers.0."), 3)
 
 
 # -- encode ------------------------------------------------------------------------
@@ -238,6 +238,25 @@ def test_encode_mode_validation():
     ids, mask = batch(cfg)
     with pytest.raises(ValueError, match="mode"):
         encode(ids, mask, params, cfg, mode="test")
+
+
+def test_encode_typed_errors():
+    cfg = toy_config()
+    params = init_params(cfg, Rng(0))
+    ids, mask = batch(cfg)
+    with pytest.raises(ag.ShapeMismatchError, match="mask shape"):
+        encode(ids, mask[:, :-1], params, cfg)
+    with pytest.raises(ag.ShapeMismatchError, match="mask"):
+        encode(ids, mask[0], params, cfg)
+    with pytest.raises(ag.ShapeMismatchError, match="mask"):
+        encode(ids[:, :0], mask[:, :0], params, cfg)
+    with pytest.raises(ag.ShapeMismatchError, match="token ids"):
+        encode(ids[0], mask, params, cfg)
+    with pytest.raises(ValueError, match="out of range"):
+        encode(ids + cfg.vocab_size, mask, params, cfg)
+    long_mask = np.ones((1, cfg.max_seq_len + 1))
+    with pytest.raises(ValueError, match="max_seq_len"):
+        encode(np.ones_like(long_mask, dtype=int), long_mask, params, cfg)
 
 
 def test_encode_batch_permutation_invariance():
@@ -332,3 +351,121 @@ def test_encode_gradient_flows_to_all_encoder_params():
             assert p.grad is None   # heads not touched by a bare encode
         else:
             assert p.grad is not None, name
+
+
+# -- packed rows ---------------------------------------------------------------------
+
+def ragged(config, lengths, t, seed=0):
+    """ids/mask of sentences with the given lengths, padded to t slots."""
+    rng = np.random.default_rng(seed)
+    ids = np.zeros((len(lengths), t), dtype=np.int64)
+    mask = np.zeros((len(lengths), t))
+    for i, n in enumerate(lengths):
+        ids[i, :n] = rng.integers(4, config.vocab_size, size=n)
+        ids[i, 0] = 1
+        mask[i, :n] = 1.0
+    return ids, mask
+
+
+def worst_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("pooling", ["cls_tanh", "mean"])
+def test_ragged_batch_matches_each_sentence_alone_and_longer_padding(pooling):
+    cfg = toy_config(pooling=pooling)
+    params = init_params(cfg, Rng(15))
+    lengths = (5, 2, 4)
+    ids, mask = ragged(cfg, lengths, 5)
+    pooled = encode(ids, mask, params, cfg).pooled.data
+    alone = np.concatenate([encode(ids[i:i + 1, :n], mask[i:i + 1, :n],
+                                   params, cfg).pooled.data
+                            for i, n in enumerate(lengths)])
+    long_ids = np.pad(ids, ((0, 0), (0, 4)))
+    longer = encode(long_ids, np.pad(mask, ((0, 0), (0, 4))), params, cfg).pooled.data
+    assert worst_rel(pooled, alone) < 1e-12
+    assert worst_rel(pooled, longer) < 1e-12
+
+
+def test_extra_padding_changes_no_gradient():
+    cfg = toy_config(pooling="cls_tanh")
+    probe = np.random.default_rng(4).normal(size=(3, cfg.hidden_dim))
+    grads = []
+    for t in (5, 9):
+        params = init_params(cfg, Rng(16))
+        ids, mask = ragged(cfg, (5, 2, 4), t)
+        r = encode(ids, mask, params, cfg, mode="train", rng=Rng(1))
+        (r.pooled * Tensor(probe)).sum().backward()
+        grads.append({n: p.grad for n, p in params.named_parameters()
+                      if p.grad is not None})
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        if name.endswith("attn.bk"):
+            # a key bias shifts every score of a query equally: exact gradient 0
+            assert np.max(np.abs(g - grads[1][name])) < 1e-12, name
+        else:
+            assert worst_rel(g, grads[1][name]) < 1e-12, name
+
+
+def test_ragged_mean_pooling_gradient_check():
+    cfg = EncoderConfig(vocab_size=9, hidden_dim=4, num_layers=2, num_heads=2,
+                        ffn_dim=8, max_seq_len=6, pooling="mean",
+                        dropout=DropoutPolicy(kind="standard", p=0.0))
+    params = init_params(cfg, Rng(17))
+    ids, mask = ragged(cfg, (5, 2, 3), 5, seed=1)
+    probe = np.random.default_rng(5).normal(size=(3, 4))
+
+    def loss_value():
+        return (encode(ids, mask, params, cfg).pooled * Tensor(probe)).sum()
+
+    loss_value().backward()
+    h = 1e-5
+    worst = 0.0
+    for name, p in params.named_parameters():
+        if name.startswith(("heads", "adaptive", "pooler")):
+            assert p.grad is None, name
+            continue
+        flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = loss_value().item()
+            flat[i] = keep - h
+            down = loss_value().item()
+            flat[i] = keep
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))
+    assert worst < 1e-6
+
+
+def test_cls_row_masked_at_position_zero_still_pooled():
+    cfg = toy_config()
+    params = init_params(cfg, Rng(18))
+    ids, mask = ragged(cfg, (4, 3), 5, seed=2)
+    mask[1, 0] = 0.0     # row 1's [CLS] is not a key, but CLS pooling reads it
+    r = encode(ids, mask, params, cfg)
+    first = r.sequence.data[1, 0]
+    assert np.all(np.isfinite(first)) and np.any(first != 0.0)
+    manual = np.tanh(first @ params["pooler.weight"].data + params["pooler.bias"].data)
+    assert np.allclose(r.pooled.data[1], manual, atol=1e-12)
+    alone = encode(ids[1:, :3], mask[1:, :3], params, cfg).pooled.data
+    assert worst_rel(alone[0], r.pooled.data[1]) < 1e-12
+
+
+def test_mean_pooling_skips_a_masked_position_zero():
+    cfg = toy_config(pooling="mean")
+    params = init_params(cfg, Rng(18))
+    ids, mask = ragged(cfg, (4, 3), 5, seed=2)
+    mask[1, 0] = 0.0
+    r = encode(ids, mask, params, cfg)
+    assert np.allclose(r.pooled.data[1], r.sequence.data[1, 1:3].mean(axis=0), atol=1e-12)
+
+
+def test_sequence_is_zero_at_padded_slots():
+    cfg = toy_config()
+    params = init_params(cfg, Rng(19))
+    ids, mask = ragged(cfg, (5, 2, 4), 6)
+    seq = encode(ids, mask, params, cfg).sequence.data
+    assert seq.shape == (3, 6, cfg.hidden_dim)
+    assert np.all(seq[mask == 0.0] == 0.0)
+    assert np.all(np.any(seq[mask == 1.0] != 0.0, axis=-1))

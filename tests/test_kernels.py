@@ -150,6 +150,19 @@ def test_softmax_masked_scores_match_reference_bits():
     assert np.all(out[..., -1] == 0.0)
 
 
+def test_softmax_folds_scale_and_bias_bit_for_bit():
+    # softmax(a, scale, bias) against the separate multiply, add and softmax
+    x, g = inputs((2, 3, 4, 4), seed=4)
+    bias = np.zeros((2, 1, 1, 4))
+    bias[1, ..., -2:] = -1e9
+    scale = 1.0 / np.sqrt(8.0)
+    out, gx = run_unary(lambda t: ag.softmax(t, scale=scale, bias=bias), x, g)
+    ref_out, ref_gsum = ref_softmax(x * scale + bias, g)
+    assert same_bits(out, ref_out)
+    assert same_bits(gx, ref_gsum * scale)
+    assert np.all(out[1, ..., -2:] == 0.0)
+
+
 def test_gelu_close_to_pow_cube():
     """x*x*x differs from x**3 by about an ulp. 1 + tanh(.) cancels for
     negative x, so there the output carries an absolute error near

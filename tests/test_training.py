@@ -196,6 +196,16 @@ def test_multitask_missing_dataset_errors():
                         tasks=())
 
 
+def test_multitask_empty_train_set_names_the_task():
+    # beside non-empty streams, an empty one would make the round-robin's
+    # `i % len(stream)` divide by zero
+    vocab, datasets = multitask_data(23)
+    config = toy_encoder_config(vocab)
+    datasets["sst"] = ([], datasets["sst"][1])
+    with pytest.raises(ValueError, match="task 'sst' .* train set is empty"):
+        train_multitask(TrainConfig(epochs=1, batch_size=4), config, vocab, datasets)
+
+
 def test_multitask_single_stream_degenerates_to_single_task():
     vocab, datasets = multitask_data(22)
     config = toy_encoder_config(vocab, p=0.15)
@@ -246,6 +256,34 @@ def test_unsup_simcse_skips_singleton_batches(caplog):
     with caplog.at_level(logging.WARNING, logger="simcse_forge.training"):
         train_unsup_simcse(tc, config, vocab, pool[:5], params)
     assert any("size-1" in r.message for r in caplog.records)
+
+
+def _identical_view_warnings(caplog, policy: DropoutPolicy) -> list[str]:
+    pool, vocab = sentence_pool(8, seed=34)
+    config = toy_encoder_config(vocab, dropout=policy)
+    params = init_params(config, Rng(1))
+    tc = TrainConfig(epochs=2, batch_size=4, lr=1e-4, seed=2)
+    with caplog.at_level(logging.WARNING, logger="simcse_forge.training"):
+        train_unsup_simcse(tc, config, vocab, pool, params)
+    return [r.message for r in caplog.records if "identical" in r.message]
+
+
+def test_unsup_simcse_warns_once_when_standard_dropout_is_off(caplog):
+    messages = _identical_view_warnings(caplog, DropoutPolicy(kind="standard", p=0.0))
+    assert len(messages) == 1
+    assert "step 0" in messages[0] and "standard" in messages[0]
+
+
+def test_unsup_simcse_warns_once_at_curriculum_step_zero(caplog):
+    # curriculum_rate(0) == 0: the first step's views coincide, later ones differ
+    policy = DropoutPolicy(kind="curriculum", p=0.2, total_steps=10)
+    messages = _identical_view_warnings(caplog, policy)
+    assert len(messages) == 1
+    assert "step 0" in messages[0] and "curriculum" in messages[0]
+
+
+def test_unsup_simcse_positive_dropout_does_not_warn(caplog):
+    assert _identical_view_warnings(caplog, DropoutPolicy(kind="standard", p=0.1)) == []
 
 
 def test_unsup_simcse_improves_alignment():
