@@ -25,8 +25,9 @@ from .checkpoint import (Checkpoint, IntegrityError, load_checkpoint,
 from .config import (ENV_SEED, ConfigError, RunConfig, config_hash,
                      load_run_config)
 from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,
-                   load_tsv, make_batches, pad_batch, read_rows, sentences_of,
-                   synth_toy_corpus, texts_of_rows, tokenize, write_tsv)
+                   load_tsv, make_batches, pad_batch, read_rows, read_text,
+                   sentences_of, synth_toy_corpus, texts_of_rows, tokenize,
+                   write_tsv)
 from .encoder import encode
 from .evaluation import MetricReport, emit_report, similarity_heatmap
 from .rng import Rng
@@ -49,6 +50,16 @@ class UsageError(ValueError):
     """Bad invocation that argparse cannot catch (missing paths, etc.)."""
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simcse-forge",
@@ -69,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--task", required=True, choices=TASKS)
     p_eval.add_argument("--sts-head", default="cos_sigmoid")
-    p_eval.add_argument("--batch-size", type=int, default=32)
+    p_eval.add_argument("--batch-size", type=_positive_int, default=32)
     p_eval.add_argument("--out", default=None,
                         help="directory for heatmap.csv (sts only); default .")
     p_eval.set_defaults(func=cmd_eval)
@@ -79,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.add_argument("sentences", help="text file, one sentence per line")
     p_embed.add_argument("--out", default=None,
                          help="directory for embeddings.tsv; default .")
-    p_embed.add_argument("--batch-size", type=int, default=32)
+    p_embed.add_argument("--batch-size", type=_positive_int, default=32)
     p_embed.set_defaults(func=cmd_embed)
 
     p_synth = sub.add_parser("synth", help="write a synthetic toy corpus")
@@ -123,7 +134,7 @@ def _read_sentence_file(path) -> list[str]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"sentence file not found: {p}")
-    return [line for line in p.read_text(encoding="utf-8").splitlines() if line]
+    return [line for line in read_text(p).splitlines() if line]
 
 
 def _resolve_vocab(config: RunConfig, fallback_texts) -> Vocab:

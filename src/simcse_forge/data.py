@@ -14,6 +14,7 @@ truth instead of real SST/Quora/STS data.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import re
 from collections import Counter
@@ -41,6 +42,15 @@ _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
 class DataError(ValueError):
     """Malformed dataset file or row; message carries path/line context."""
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, line endings untranslated; undecodable
+    bytes are a DataError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
 
 
 def split_words(text: str) -> list[str]:
@@ -83,8 +93,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls.from_tokens(lines)
+        return cls.from_tokens(read_text(path).splitlines())
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocab":
@@ -198,21 +207,21 @@ def read_rows(path, schema: str, strict: bool = True) -> list[tuple[str, ...]]:
         raise DataError(f"dataset file not found: {p}")
     columns = SCHEMAS[schema]
     rows: list[tuple[str, ...]] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t", quotechar='"')
-        header = next(reader, None)
-        if header is None or tuple(header) != columns:
-            raise DataError(
-                f"{p}: expected header {list(columns)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
-                msg = (f"{p}:{line_no}: expected {len(columns)} columns, "
-                       f"got {len(row)}")
-                if strict:
-                    raise DataError(msg)
-                logger.warning("%s (row skipped)", msg)
-                continue
-            rows.append(tuple(row))
+    reader = csv.reader(io.StringIO(read_text(p), newline=""), delimiter="\t",
+                        quotechar='"')
+    header = next(reader, None)
+    if header is None or tuple(header) != columns:
+        raise DataError(
+            f"{p}: expected header {list(columns)}, got {header}")
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(columns):
+            msg = (f"{p}:{line_no}: expected {len(columns)} columns, "
+                   f"got {len(row)}")
+            if strict:
+                raise DataError(msg)
+            logger.warning("%s (row skipped)", msg)
+            continue
+        rows.append(tuple(row))
     return rows
 
 

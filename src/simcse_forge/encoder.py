@@ -12,11 +12,20 @@ Padding-free layout: ``encode`` packs the [B, T] batch once (``pack``) into
 N rows, one per real token plus position 0 of every sequence, which CLS
 pooling reads even when it is masked. Embeddings, every dropout site, the
 projections, residual adds, layer norms, the GELU feed-forward and pooling
-run on [N, d] rows; only the attention core scatters Q/K/V into [B, T] for
-the masked T x T scores and gathers the context back. Train-mode dropout
-masks are therefore drawn over packed rows only, and
-``EncodeResult.sequence`` is zero at the slots the packing skips. A batch
-with no padding packs every slot, and the gather/scatter become reshapes.
+run on [N, d] rows. Train-mode dropout masks are therefore drawn over
+packed rows only, and ``EncodeResult.sequence`` is zero at the slots the
+packing skips.
+
+Bucketed attention core: ``pack`` also splits the sequences into length
+buckets. A sequence's extent is its last packed position + 1; sorted by
+extent (stable), the sequences are cut into contiguous buckets that
+minimise sum(n_g * T_g^2) + C * G, the score entries the buckets compute
+plus a per-bucket cost C measured in score entries (``_BUCKET_COST``), by a
+DP over the distinct extents. The masked T x T scores, softmax and context
+then run per bucket at [n_g, H, T_g, T_g], with Q/K/V rows placed straight
+into each bucket's per-head layout and one node merging the contexts back
+into rows. A batch with no padding is one bucket at the full T whose
+placements are views, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
@@ -159,17 +168,46 @@ def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
                          alpha=params["adaptive.alpha"], beta=params["adaptive.beta"])
 
 
+# The cost of one more attention bucket, in score entries (n * T^2, each over
+# all heads): its fixed Python, graph and numpy-call cost over the cost of one
+# more entry. Measured at the default encoder (4 heads of 8) on a 2-vCPU Xeon
+# VM with one BLAS thread, eval mode: about 70 us per bucket and layer against
+# 0.05 us per entry, so the fits read 1300-1900. Backward adds three full
+# [N, d] gradient arrays per bucket, which favours fewer buckets in training,
+# but training epochs and eval passes over batches of 7-47-token sentences
+# read flat (within run noise) for constants between 750 and 6000.
+_BUCKET_COST = 2000
+
+
+class Bucket(NamedTuple):
+    """Sequences whose attention core runs together, at their longest extent.
+
+    The bucket's packed rows sit at ``slots``, a (sequence in the bucket,
+    position) index into an [n, length] block; ``rows`` picks them from the
+    packed rows. rows None means every packed row in order, and slots None
+    every slot of the block in order (the batch has no padding).
+    """
+
+    seqs: np.ndarray                                  # [n] sequences, ascending
+    length: int                                       # T_g: the longest extent
+    bias: np.ndarray | None                           # [n, 1, 1, T_g] mask offsets
+    rows: np.ndarray | None
+    slots: tuple[np.ndarray, np.ndarray] | None
+
+
 class Packing(NamedTuple):
     """Where the packed rows of a [B, T] batch sit among its B*T slots.
 
     The packed rows are every real token plus position 0 of every sequence
     (CLS pooling reads it even when it is masked), in row-major slot order.
+    ``buckets`` split the sequences for the attention core.
     """
 
     mask: np.ndarray          # [B, T] 0/1 key mask for attention
     seqs: np.ndarray          # [N] sequence of each row
     positions: np.ndarray     # [N] position of each row
     full: bool                # every slot is a row
+    buckets: tuple[Bucket, ...]
 
     @property
     def rows(self) -> int:
@@ -181,8 +219,48 @@ class Packing(NamedTuple):
         return None if self.full else (self.seqs, self.positions)
 
 
+def _bucket_plan(extents: np.ndarray) -> list[np.ndarray]:
+    """Groups of sequences, contiguous in stable extent order, that minimise
+    sum(n_g * T_g^2) + _BUCKET_COST * G, where T_g is group g's longest extent
+    and n_g its size.
+
+    An optimal split never separates equal extents (moving them into the
+    group of the longer ones costs nothing and may empty a group), so the DP
+    runs over the distinct extents: O(m^2) for m <= T distinct values.
+    """
+    order = np.argsort(extents, kind="stable")
+    ext = extents[order].tolist()
+    ends = [i for i in range(1, len(ext)) if ext[i] != ext[i - 1]] + [len(ext)]
+    starts = [0] + ends[:-1]
+    best, first = [0], [0]      # best[j]: least cost of the first j distinct extents
+    for j, end in enumerate(ends):
+        t2 = ext[end - 1] ** 2
+        i = min(range(j + 1), key=lambda i: best[i] + (end - starts[i]) * t2)
+        first.append(i)
+        best.append(best[i] + (end - starts[i]) * t2 + _BUCKET_COST)
+    groups, j = [], len(ends)
+    while j > 0:
+        i = first[j]
+        groups.append(np.sort(order[starts[i]:ends[j - 1]]))
+        j = i
+    return groups[::-1]
+
+
+def _offsets(mask: np.ndarray) -> np.ndarray | None:
+    """[n, 1, 1, T] additive scores for an [n, T] key mask: -1e9 at masked
+    keys; None when no key is masked."""
+    if np.all(mask == 1.0):
+        return None
+    return ((mask - 1.0) * 1e9).reshape(len(mask), 1, 1, mask.shape[1])
+
+
 def pack(mask) -> Packing:
-    """The packing of a [B, T] 0/1 mask."""
+    """The packing of a [B, T] 0/1 mask, with its attention bucket plan.
+
+    A sequence's extent is its last packed position + 1; the plan groups the
+    sequences by extent (``_bucket_plan``). A batch with no padding, or a
+    plan of one group, is one bucket over every sequence in order.
+    """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2 or mask.shape[1] < 1:
         raise ag.ShapeMismatchError(
@@ -190,7 +268,25 @@ def pack(mask) -> Packing:
     keep = mask != 0
     keep[:, 0] = True
     seqs, positions = np.nonzero(keep)
-    return Packing(mask, seqs, positions, bool(keep.all()))
+    full = bool(keep.all())
+    if full:
+        bucket = Bucket(np.arange(len(mask)), mask.shape[1], _offsets(mask), None, None)
+        return Packing(mask, seqs, positions, full, (bucket,))
+    b, t = mask.shape
+    extents = t - np.argmax(keep[:, ::-1], axis=1)
+    groups = _bucket_plan(extents)
+    buckets = []
+    for members in groups:
+        length = int(extents[members].max())
+        if len(groups) == 1:
+            rows, slots = None, (seqs, positions)
+        else:
+            local = np.full(b, -1)            # each sequence's index in this bucket
+            local[members] = np.arange(len(members))
+            rows = np.flatnonzero(local[seqs] >= 0)
+            slots = (local[seqs[rows]], positions[rows])
+        buckets.append(Bucket(members, length, _offsets(mask[members, :length]), rows, slots))
+    return Packing(mask, seqs, positions, full, tuple(buckets))
 
 
 def embed(token_ids, params: ModelParams, config: EncoderConfig,
@@ -224,11 +320,15 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
-    ``params.scope("layers.<i>.")``. Q, K and V are scattered into the padded
-    [B, T] layout only for the T x T scores, softmax and context, which is
-    gathered back to rows before the output projection. Masked key positions
-    get a -1e9 additive score, which underflows to exactly zero attention
-    weight after softmax, so padded slots never reach a real row.
+    ``params.scope("layers.<i>.")``. The T x T scores, softmax and context run
+    once per bucket of ``packing``, at [n_g, H, T_g, T_g]: Q, K and V rows are
+    placed straight into each bucket's per-head layout, and one node writes
+    every bucket's context back to rows before the output projection. Masked
+    key positions get a -1e9 additive score, which underflows to exactly zero
+    attention weight after softmax, so padded slots never reach a real row.
+
+    With return_weights, also returns the dense [B, H, T, T] attention
+    weights as a constant Tensor (see ``_dense_weights``).
     """
     n, d = hidden.shape
     if d % num_heads != 0:
@@ -236,26 +336,47 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    b, t = packing.mask.shape
     hd = d // num_heads
+    q = matmul(hidden, layer["attn.wq"]) + layer["attn.bq"]
+    k = matmul(hidden, layer["attn.wk"]) + layer["attn.bk"]
+    v = matmul(hidden, layer["attn.wv"]) + layer["attn.bv"]
 
-    def split_heads(x):
-        return ag.scatter_rows(x, packing.slots, (b, t, num_heads, hd)).transpose(0, 2, 1, 3)
-
-    q = split_heads(matmul(hidden, layer["attn.wq"]) + layer["attn.bq"])
-    k = split_heads(matmul(hidden, layer["attn.wk"]) + layer["attn.bk"])
-    v = split_heads(matmul(hidden, layer["attn.wv"]) + layer["attn.bv"])
-
-    weights = softmax(matmul(q, k.transpose(0, 1, 3, 2)), scale=1.0 / np.sqrt(hd),
-                      bias=(packing.mask - 1.0).reshape(b, 1, 1, t) * 1e9)   # [B, H, T, T]
-    ctx = ag.gather_rows(matmul(weights, v).transpose(0, 2, 1, 3), packing.slots, (n, d))
+    contexts, weights = [], []
+    for bucket in packing.buckets:
+        shape = (len(bucket.seqs), bucket.length, num_heads, hd)
+        w = softmax(matmul(ag.rows_to_heads(q, bucket.rows, bucket.slots, shape),
+                           ag.rows_to_heads(k, bucket.rows, bucket.slots, shape, keys=True)),
+                    scale=1.0 / np.sqrt(hd), bias=bucket.bias)      # [n_g, H, T_g, T_g]
+        contexts.append(matmul(w, ag.rows_to_heads(v, bucket.rows, bucket.slots, shape)))
+        weights.append(w)
+    ctx = ag.heads_to_rows(contexts, [(b.rows, b.slots) for b in packing.buckets], n)
     out = matmul(ctx, layer["attn.wo"]) + layer["attn.bo"]
     if dropout_fn is not None:
         out = dropout_fn(out)
     result = layer_norm(hidden + out, layer["ln1.gamma"], layer["ln1.beta"])
     if return_weights:
-        return result, weights
+        return result, _dense_weights(packing, weights, num_heads)
     return result
+
+
+def _dense_weights(packing: Packing, weights: list[Tensor], num_heads: int) -> Tensor:
+    """[B, H, T, T] attention weights from the per-bucket ones.
+
+    Keys past a sequence's bucket length get exactly zero weight. Query
+    slots past it hold the weights of a zero query, softmax of the mask
+    offsets alone, which is what a padded slot's query gets inside a bucket.
+    """
+    b, t = packing.mask.shape
+    dense = np.zeros((b, num_heads, t, t))
+    for bucket, w in zip(packing.buckets, weights):
+        tg = bucket.length
+        block = np.zeros((len(bucket.seqs), num_heads, t, tg))
+        block[:, :, :tg] = w.data
+        offsets = (np.zeros((len(bucket.seqs), 1, 1, tg)) if bucket.bias is None
+                   else bucket.bias)
+        block[:, :, tg:] = ag.softmax(Tensor(offsets)).data
+        dense[bucket.seqs, :, :, :tg] = block
+    return Tensor(dense)
 
 
 def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,

@@ -300,3 +300,53 @@ def test_embed_empty_sentence_file_exit_2(sst_run):
     empty = out.parent / "empty.txt"
     empty.write_text("")
     assert main(["embed", str(out / "checkpoint.ckpt"), str(empty)]) == 2
+
+
+# -- undecodable input and bad batch sizes ---------------------------------------
+
+def test_embed_non_utf8_sentence_file_exit_2(sst_run, capsys):
+    _, _, out = sst_run
+    sentences = out.parent / "latin1.txt"
+    sentences.write_bytes(b"\xffthe dog ran\n")
+    capsys.readouterr()
+    assert main(["embed", str(out / "checkpoint.ckpt"), str(sentences)]) == 2
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "UTF-8" in err and "codec" not in err
+
+
+def test_eval_non_utf8_tsv_exit_2(sst_run, capsys):
+    _, _, out = sst_run
+    dev = out.parent / "dev.tsv"
+    bad = out.parent / "bad_dev.tsv"
+    bad.write_bytes(dev.read_bytes().replace(b"\n", b"\xff\n", 2))
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data", str(bad),
+                 "--task", "sst"]) == 2
+    err = capsys.readouterr().err
+    assert "bad_dev.tsv" in err and "UTF-8" in err and "codec" not in err
+
+
+def test_train_non_utf8_vocab_file_exit_2(tmp_path, capsys):
+    train = synth(tmp_path, "sst", 8, "train.tsv", seed=1)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_bytes(b"dog\n\xffcat\n")
+    config = write_config(tmp_path, data={"train": train, "vocab": str(vocab)})
+    capsys.readouterr()
+    assert main(["train", "single", "--config", config,
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "vocab.txt" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_batch_size_below_one_is_a_usage_error(sst_run, capsys, size):
+    _, _, out = sst_run
+    ckpt = str(out / "checkpoint.ckpt")
+    sentences = out.parent / "s.txt"
+    sentences.write_text("the dog ran\n")
+    for argv in (["embed", ckpt, str(sentences)],
+                 ["eval", ckpt, "--data", str(out.parent / "dev.tsv"), "--task", "sst"]):
+        capsys.readouterr()
+        assert main(argv + ["--batch-size", size]) == 1
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and f"must be at least 1, got {size}" in err

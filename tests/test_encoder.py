@@ -4,7 +4,7 @@ import pytest
 from simcse_forge import autograd as ag
 from simcse_forge.autograd import Tensor
 from simcse_forge.dropout import DropoutPolicy
-from simcse_forge.encoder import (EncoderConfig, EncodeResult, ModelParams, embed,
+from simcse_forge.encoder import (_BUCKET_COST, EncoderConfig, EncodeResult, ModelParams, embed,
                                   encode, init_params, multi_head_attention,
                                   pack, parameter_count)
 from simcse_forge.rng import Rng
@@ -469,3 +469,172 @@ def test_sequence_is_zero_at_padded_slots():
     assert seq.shape == (3, 6, cfg.hidden_dim)
     assert np.all(seq[mask == 0.0] == 0.0)
     assert np.all(np.any(seq[mask == 1.0] != 0.0, axis=-1))
+
+
+# -- attention buckets -----------------------------------------------------------------
+
+def plan_cost(packing):
+    return sum(len(b.seqs) * b.length ** 2 + _BUCKET_COST for b in packing.buckets)
+
+
+def random_mask(rng, b, t):
+    """Ragged 0/1 rows, some with a masked position 0 or an interior hole."""
+    mask = (np.arange(t)[None, :] < rng.integers(0, t + 1, size=(b, 1))).astype(float)
+    holes = rng.random((b, t)) < 0.1
+    mask[holes] = 0.0
+    return mask
+
+
+def brute_force_cost(extents):
+    """The least sum(n_g * T_g^2) + C * G over every split of the extents,
+    sorted, into contiguous groups."""
+    ext = sorted(extents)
+    best = None
+    for cuts in range(2 ** (len(ext) - 1)):
+        cost, start = 0, 0
+        for i in range(len(ext)):
+            if i == len(ext) - 1 or cuts >> i & 1:
+                cost += (i + 1 - start) * ext[i] ** 2 + _BUCKET_COST
+                start = i + 1
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+def test_bucket_plan_is_a_pure_function_of_the_mask():
+    mask = random_mask(np.random.default_rng(0), 12, 40)
+    before = mask.copy()
+    a, b = pack(mask), pack(mask.copy())
+    assert np.array_equal(mask, before)
+    assert len(a.buckets) == len(b.buckets)
+    for x, y in zip(a.buckets, b.buckets):
+        assert np.array_equal(x.seqs, y.seqs) and x.length == y.length
+        assert np.array_equal(x.rows, y.rows) and np.array_equal(x.bias, y.bias)
+        assert all(np.array_equal(i, j) for i, j in zip(x.slots, y.slots))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bucket_plan_is_the_optimal_contiguous_split(seed):
+    rng = np.random.default_rng(seed)
+    b, t = int(rng.integers(1, 8)), int(rng.integers(1, 60))
+    mask = random_mask(rng, b, t)
+    packing = pack(mask)
+    keep = mask != 0
+    keep[:, 0] = True
+    extents = [int(np.flatnonzero(row).max()) + 1 for row in keep]
+    assert plan_cost(packing) == brute_force_cost(extents)
+    # every sequence in exactly one bucket, every packed row placed once
+    assert sorted(np.concatenate([bk.seqs for bk in packing.buckets])) == list(range(b))
+    for bk in packing.buckets:
+        assert bk.length == max(extents[s] for s in bk.seqs)
+    placed = [np.arange(packing.rows) if bk.rows is None else bk.rows
+              for bk in packing.buckets]
+    assert sorted(np.concatenate(placed)) == list(range(packing.rows))
+    assert sum(len(bk.seqs) * bk.length ** 2 for bk in packing.buckets) <= b * t * t
+
+
+def test_unpadded_batch_is_one_bucket_without_a_row_copy():
+    packing = pack(np.ones((3, 7)))
+    (bucket,) = packing.buckets
+    assert np.array_equal(bucket.seqs, np.arange(3)) and bucket.length == 7
+    assert bucket.rows is None and bucket.slots is None and bucket.bias is None
+    x = Tensor(np.random.default_rng(0).normal(size=(21, 8)))
+    heads = ag.rows_to_heads(x, bucket.rows, bucket.slots, (3, 7, 2, 4))
+    assert np.shares_memory(heads.data, x.data)
+
+
+def three_bucket_batch(config, seed=0):
+    """Four short, three middling and one long sentence: three buckets."""
+    ids, mask = ragged(config, (3, 2, 3, 60, 25, 3, 25, 24), 62, seed=seed)
+    assert len(pack(mask).buckets) >= 3
+    return ids, mask
+
+
+@pytest.mark.parametrize("pooling", ["cls_tanh", "mean"])
+def test_bucketed_attention_matches_each_sentence_alone(pooling):
+    cfg = toy_config(pooling=pooling, max_seq_len=64)
+    params = init_params(cfg, Rng(20))
+    ids, mask = three_bucket_batch(cfg)
+    pooled = encode(ids, mask, params, cfg).pooled.data
+    lengths = mask.sum(axis=1).astype(int)
+    alone = np.concatenate([encode(ids[i:i + 1, :n], mask[i:i + 1, :n],
+                                   params, cfg).pooled.data
+                            for i, n in enumerate(lengths)])
+    assert worst_rel(pooled, alone) < 1e-12
+
+
+@pytest.mark.parametrize("pooling", ["cls_tanh", "mean"])
+def test_bucketed_attention_gradient_check(pooling):
+    cfg = EncoderConfig(vocab_size=9, hidden_dim=4, num_layers=2, num_heads=2,
+                        ffn_dim=8, max_seq_len=64, pooling=pooling,
+                        dropout=DropoutPolicy(kind="standard", p=0.0))
+    params = init_params(cfg, Rng(21))
+    ids, mask = three_bucket_batch(cfg, seed=3)
+    probe = np.random.default_rng(6).normal(size=(len(ids), 4))
+
+    def loss_value():
+        return (encode(ids, mask, params, cfg).pooled * Tensor(probe)).sum()
+
+    loss_value().backward()
+    h = 1e-5
+    worst = 0.0
+    for name in [f"layers.{i}.attn.{w}" for i in range(2) for w in ("wq", "wk", "wv")]:
+        p = params[name]
+        flat, gflat = p.data.reshape(-1), p.grad.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = loss_value().item()
+            flat[i] = keep - h
+            down = loss_value().item()
+            flat[i] = keep
+            fd = (up - down) / (2 * h)
+            worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))
+    assert worst < 1e-6
+
+
+def test_dense_weights_are_zero_outside_each_bucket():
+    cfg = toy_config(max_seq_len=64)
+    params = init_params(cfg, Rng(22))
+    ids, mask = three_bucket_batch(cfg)
+    mask[1, 1] = 0.0                    # an interior hole, not a packed row
+    packing = pack(mask)
+    h = Tensor(np.random.default_rng(7).normal(size=(packing.rows, cfg.hidden_dim)))
+    _, weights = multi_head_attention(h, packing, params.scope("layers.0."),
+                                      cfg.num_heads, return_weights=True)
+    b, t = mask.shape
+    assert weights.shape == (b, cfg.num_heads, t, t)
+    for bucket in packing.buckets:
+        for s in bucket.seqs:
+            w = weights.data[s]
+            assert np.all(w[:, :, mask[s] == 0.0] == 0.0)
+            assert np.all(w[:, :, bucket.length:] == 0.0)
+    assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_all_zero_mask_row_attends_over_its_bucket():
+    # Its one packed row (position 0) has no unmasked key, so the -1e9
+    # offsets cancel and it attends over every slot of its bucket: its own
+    # key, and a zero key (score 0) at each slot it does not fill. Its
+    # output stays finite but depends on the bucket it joins, as it
+    # depended on the batch's T when every sequence ran at T.
+    cfg = toy_config(max_seq_len=64)
+    lp = init_params(cfg, Rng(23)).scope("layers.0.")
+    ids, mask = three_bucket_batch(cfg)
+    mask[0] = 0.0
+    packing = pack(mask)
+    (bucket,) = [bk for bk in packing.buckets if 0 in bk.seqs]
+    assert bucket.length > 1
+    r = encode(ids, mask, init_params(cfg, Rng(23)), cfg)
+    assert np.all(np.isfinite(r.sequence.data)) and np.all(np.isfinite(r.pooled.data))
+    h = Tensor(np.random.default_rng(8).normal(size=(packing.rows, cfg.hidden_dim)))
+    _, weights = multi_head_attention(h, packing, lp, cfg.num_heads, return_weights=True)
+    hd = cfg.hidden_dim // cfg.num_heads
+    q = h.data[0] @ lp["attn.wq"].data + lp["attn.bq"].data     # row 0: sequence 0
+    k = h.data[0] @ lp["attn.wk"].data + lp["attn.bk"].data
+    for head in range(cfg.num_heads):
+        sl = slice(head * hd, (head + 1) * hd)
+        scores = np.zeros(bucket.length)
+        scores[0] = q[sl] @ k[sl] / np.sqrt(hd)
+        expected = np.exp(scores) / np.exp(scores).sum()
+        assert np.allclose(weights.data[0, head, 0, :bucket.length], expected, atol=1e-6)
+    assert np.all(weights.data[0, :, 0, bucket.length:] == 0.0)
