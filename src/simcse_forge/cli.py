@@ -1,4 +1,4 @@
-"""Command-line surface: train / eval / embed / synth.
+"""Command-line surface: train / eval / embed / synth / experiment.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 3 checkpoint integrity problem. Training writes a per-run directory
@@ -30,6 +30,8 @@ from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,
                    write_tsv)
 from .encoder import encode
 from .evaluation import MetricReport, emit_report, similarity_heatmap
+from .experiments import (EXPERIMENTS, add_experiment_args,
+                          experiment_config_from_args)
 from .rng import Rng
 from .training import (TASKS, TrainConfig, dropout_alignment, evaluate_task,
                        predict, run_two_tier, train_multitask,
@@ -99,6 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("out", help="output TSV path")
     p_synth.add_argument("--seed", type=int, default=None)
     p_synth.set_defaults(func=cmd_synth)
+
+    p_xp = sub.add_parser("experiment", help="run a toy-scale comparison")
+    p_xp.add_argument("name", choices=EXPERIMENTS)
+    add_experiment_args(p_xp)
+    p_xp.add_argument("--out", help="also write the report as TSV")
+    p_xp.set_defaults(func=cmd_experiment)
     return parser
 
 
@@ -148,12 +156,18 @@ def _load_source_checkpoint(config: RunConfig) -> Checkpoint:
     return load_checkpoint(path)
 
 
-def _single_datasets(config: RunConfig, task: str, vocab: Vocab | None = None):
+def _single_datasets(config: RunConfig, task: str,
+                     source: Checkpoint | None = None):
+    """Train and dev examples, tokenized with the source checkpoint's
+    vocabulary and length when there is one, else the run config's."""
     schema = TASK_SCHEMAS[task]
     rows = read_rows(_require(config.data.train, "train"), schema)
-    if vocab is None:
+    if source is None:
         vocab = _resolve_vocab(config, texts_of_rows(rows, schema))
-    max_len = config.encoder.max_seq_len
+        max_len = config.encoder.max_seq_len
+    else:
+        vocab = Vocab.from_tokens(source.vocab_tokens)
+        max_len = source.config.max_seq_len
     train = examples_from_rows(rows, schema, vocab, max_len)
     dev = (load_tsv(config.data.dev, schema, vocab, max_len)
            if config.data.dev else [])
@@ -216,7 +230,7 @@ def _train_unsup(config: RunConfig):
     source = _load_source_checkpoint(config)
     vocab = Vocab.from_tokens(source.vocab_tokens)
     lines = _read_sentence_file(_require(config.data.sentences, "sentences"))
-    max_len = config.encoder.max_seq_len
+    max_len = source.config.max_seq_len
     pool = [tokenize(s, vocab, max_len) for s in lines]
     tc = config.train_config(task="sts", dropout_p=0.1)
     ck = train_unsup_simcse(tc, source.config, vocab, pool, source.params)
@@ -226,7 +240,7 @@ def _train_unsup(config: RunConfig):
 def _train_sup(config: RunConfig):
     source = _load_source_checkpoint(config)
     vocab = Vocab.from_tokens(source.vocab_tokens)
-    max_len = config.encoder.max_seq_len
+    max_len = source.config.max_seq_len
     triplets = load_tsv(_require(config.data.nli, "nli"), "triplet", vocab,
                         max_len)
     tc = config.train_config(task="sts", dropout_p=0.1)
@@ -254,9 +268,8 @@ def _train_two_tier(config: RunConfig):
 
 def _train_transfer(config: RunConfig):
     source = _load_source_checkpoint(config)
-    vocab = Vocab.from_tokens(source.vocab_tokens)
     task = config.train.task
-    _, train, dev = _single_datasets(config, task, vocab=vocab)
+    vocab, train, dev = _single_datasets(config, task, source)
     ck = transfer_finetune(source, task, config.train_config(), train, dev)
     return vocab, ck, _final_report("transfer", task, ck, config, dev)
 
@@ -376,6 +389,16 @@ def cmd_synth(args, overrides) -> int:
     rows = synth_toy_corpus(args.kind, args.size, Rng(seed))
     write_tsv(args.out, SYNTH_SCHEMAS[args.kind], rows)
     logger.info("%d rows written to %s", len(rows), args.out)
+    return EXIT_OK
+
+
+def cmd_experiment(args, overrides) -> int:
+    if overrides:
+        raise UsageError(f"experiment takes no overrides: {overrides[0][0]}")
+    reports = EXPERIMENTS[args.name](experiment_config_from_args(args))
+    print(emit_report(reports, format="pretty"), end="")
+    if args.out:
+        Path(args.out).write_text(emit_report(reports), encoding="utf-8")
     return EXIT_OK
 
 

@@ -2,7 +2,10 @@
 
 The file is a nested object with sections (encoder, dropout, optim, train,
 data, two_tier) plus top-level seed/out. Every key is checked against the
-section's fields, so typos fail loudly before any work starts. Overrides
+section's fields, so typos fail loudly before any work starts. Every
+section but data takes its keys and defaults from the runtime dataclass it
+builds (EncoderConfig, DropoutPolicy, AdamWConfig, TrainConfig,
+TwoTierConfig), so a default is set in one place. Overrides
 use dotted paths (``--optim.lr 3e-5``); values parse as JSON with a string
 fallback. Seed precedence: --seed flag > config file > SIMCSE_FORGE_SEED
 environment variable > 0.
@@ -10,15 +13,15 @@ environment variable > 0.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig
+from .optim import AdamWConfig
 from .training import TrainConfig, TwoTierConfig
 
 ENV_SEED = "SIMCSE_FORGE_SEED"
@@ -28,36 +31,30 @@ class ConfigError(ValueError):
     """Unparseable, unknown-key, or invalid-value configuration."""
 
 
-@dataclass
-class EncoderSettings:
-    hidden_dim: int = 32
-    num_layers: int = 4
-    num_heads: int = 4
-    ffn_dim: int = 128
-    max_seq_len: int = 64
-    pooling: str = "cls_tanh"
-    para_features: str = "rich"
+def _section(name: str, runtime, drop=(), extra=()):
+    """A JSON section class: ``extra`` (name, type, default) triples, then
+    the fields and defaults of the ``runtime`` dataclass minus ``drop``.
+    It checks no value itself; ``RunConfig.validate`` builds the runtime
+    configs, which do."""
+    specs = [*extra, *((f.name, f.type, f.default) for f in fields(runtime)
+                       if f.name not in drop)]
+    return make_dataclass(name, [(n, t, field(default=d)) for n, t, d in specs])
 
 
-@dataclass
-class OptimSettings:
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    clip_norm: float | None = None
+_STAGES = ("stage2", "stage3")
+_STAGE_KEYS = ("epochs", "batch_size", "lr", "dropout_p")
 
-
-@dataclass
-class TrainSettings:
-    task: str = "sst"
-    epochs: int = 10
-    batch_size: int = 8
-    sts_head: str = "cos_sigmoid"
-    sst_loss: str = "bce"
-    tau: float = 0.05
-    eval_every: int = 0
+EncoderSection = _section("EncoderSection", EncoderConfig,
+                          drop=("vocab_size", "dropout"))
+TrainSection = _section("TrainSection", TrainConfig, drop=(
+    *(f.name for f in fields(AdamWConfig)), "dropout_p", "seed"))
+# two_tier.stage{2,3}_<key> sets TwoTierConfig.stage{2,3}.<key>; stage 1 is
+# the train section at task "sts".
+TwoTierSection = _section(
+    "TwoTierSection", TwoTierConfig, drop=("stage1", *_STAGES),
+    extra=[(f"{stage}_{key}", TrainConfig.__annotations__[key],
+            getattr(getattr(TwoTierConfig(), stage), key))
+           for stage in _STAGES for key in _STAGE_KEYS])
 
 
 @dataclass
@@ -78,66 +75,33 @@ class DataSettings:
 
 
 @dataclass
-class TwoTierSettings:
-    stage2_epochs: int = 1
-    stage2_batch_size: int = 64
-    stage2_lr: float = 3e-5
-    stage2_dropout_p: float = 0.1
-    stage3_epochs: int = 5
-    stage3_batch_size: int = 24
-    stage3_lr: float = 5e-5
-    stage3_dropout_p: float = 0.1
-    skip_unsup: bool = False
-    extra_sts_finetune: bool = False
-
-
-@dataclass
 class RunConfig:
     seed: int = 0
     out: str | None = None
-    encoder: EncoderSettings = field(default_factory=EncoderSettings)
-    dropout: DropoutPolicy = field(
-        default_factory=lambda: DropoutPolicy(kind="standard", p=0.3))
-    optim: OptimSettings = field(default_factory=OptimSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    encoder: EncoderSection = field(default_factory=EncoderSection)
+    dropout: DropoutPolicy = field(default_factory=DropoutPolicy)
+    optim: AdamWConfig = field(default_factory=AdamWConfig)
+    train: TrainSection = field(default_factory=TrainSection)
     data: DataSettings = field(default_factory=DataSettings)
-    two_tier: TwoTierSettings = field(default_factory=TwoTierSettings)
+    two_tier: TwoTierSection = field(default_factory=TwoTierSection)
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        e = self.encoder
-        return EncoderConfig(vocab_size=vocab_size, hidden_dim=e.hidden_dim,
-                             num_layers=e.num_layers, num_heads=e.num_heads,
-                             ffn_dim=e.ffn_dim, max_seq_len=e.max_seq_len,
-                             dropout=self.dropout, pooling=e.pooling,
-                             para_features=e.para_features)
+        return EncoderConfig(vocab_size=vocab_size, dropout=self.dropout,
+                             **asdict(self.encoder))
 
     def train_config(self, **kw) -> TrainConfig:
-        o, t = self.optim, self.train
-        base = dict(task=t.task, epochs=t.epochs, batch_size=t.batch_size,
-                    lr=o.lr, beta1=o.beta1, beta2=o.beta2, eps=o.eps,
-                    weight_decay=o.weight_decay, clip_norm=o.clip_norm,
-                    sts_head=t.sts_head, sst_loss=t.sst_loss, tau=t.tau,
-                    eval_every=t.eval_every, seed=self.seed)
-        base.update(kw)
-        return TrainConfig(**base)
+        return TrainConfig(**{**asdict(self.train), **asdict(self.optim),
+                              "seed": self.seed, **kw})
 
     def two_tier_config(self) -> TwoTierConfig:
-        tt = self.two_tier
-        return TwoTierConfig(
-            stage1=self.train_config(task="sts"),
-            stage2=self.train_config(task="sts", epochs=tt.stage2_epochs,
-                                     batch_size=tt.stage2_batch_size,
-                                     lr=tt.stage2_lr,
-                                     dropout_p=tt.stage2_dropout_p),
-            stage3=self.train_config(task="sts", epochs=tt.stage3_epochs,
-                                     batch_size=tt.stage3_batch_size,
-                                     lr=tt.stage3_lr,
-                                     dropout_p=tt.stage3_dropout_p),
-            skip_unsup=tt.skip_unsup,
-            extra_sts_finetune=tt.extra_sts_finetune)
+        tt = asdict(self.two_tier)
+        stages = {stage: self.train_config(
+            task="sts", **{key: tt.pop(f"{stage}_{key}") for key in _STAGE_KEYS})
+            for stage in _STAGES}
+        return TwoTierConfig(stage1=self.train_config(task="sts"), **stages, **tt)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return asdict(self)
 
     def validate(self) -> "RunConfig":
         """Force every derived config's own validation before any work."""
@@ -152,9 +116,9 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {"encoder": EncoderSettings, "dropout": DropoutPolicy,
-             "optim": OptimSettings, "train": TrainSettings,
-             "data": DataSettings, "two_tier": TwoTierSettings}
+_SECTIONS = {"encoder": EncoderSection, "dropout": DropoutPolicy,
+             "optim": AdamWConfig, "train": TrainSection,
+             "data": DataSettings, "two_tier": TwoTierSection}
 
 
 def _build_section(cls, raw: dict, where: str):

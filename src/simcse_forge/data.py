@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,8 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .rng import Rng
-
-logger = logging.getLogger("simcse_forge.data")
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]")
@@ -198,7 +195,7 @@ def _parse_row(schema: str, row: tuple[str, ...], vocab: Vocab, max_len: int):
     return Triplet(a, b, c, tok(a), tok(b), tok(c))
 
 
-def read_rows(path, schema: str, strict: bool = True) -> list[tuple[str, ...]]:
+def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     """Raw TSV rows (header validated and dropped)."""
     if schema not in SCHEMAS:
         raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
@@ -215,28 +212,20 @@ def read_rows(path, schema: str, strict: bool = True) -> list[tuple[str, ...]]:
             f"{p}: expected header {list(columns)}, got {header}")
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(columns):
-            msg = (f"{p}:{line_no}: expected {len(columns)} columns, "
-                   f"got {len(row)}")
-            if strict:
-                raise DataError(msg)
-            logger.warning("%s (row skipped)", msg)
-            continue
+            raise DataError(f"{p}:{line_no}: expected {len(columns)} columns, "
+                            f"got {len(row)}")
         rows.append(tuple(row))
     return rows
 
 
-def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64,
-             strict: bool = True) -> list:
+def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64) -> list:
     """Parse and tokenize a dataset file into Example objects."""
     examples = []
-    for line_no, row in enumerate(read_rows(path, schema, strict), start=2):
+    for line_no, row in enumerate(read_rows(path, schema), start=2):
         try:
             examples.append(_parse_row(schema, row, vocab, max_len))
         except (DataError, ValueError) as exc:
-            msg = f"{Path(path)}:{line_no}: {exc}"
-            if strict:
-                raise DataError(msg) from None
-            logger.warning("%s (row skipped)", msg)
+            raise DataError(f"{Path(path)}:{line_no}: {exc}") from None
     return examples
 
 

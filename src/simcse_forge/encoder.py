@@ -49,6 +49,10 @@ from .rng import Rng
 POOLING_MODES = ("cls_tanh", "mean")
 
 
+class EmptySequenceError(ValueError):
+    """Mean pooling over a sequence whose mask has no real token."""
+
+
 @dataclass
 class EncoderConfig:
     vocab_size: int
@@ -391,6 +395,12 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     packing = pack(mask)
+    if config.pooling == "mean":
+        empty = np.flatnonzero(packing.mask.sum(axis=1) == 0)
+        if len(empty):
+            raise EmptySequenceError(
+                f"mean pooling needs a real token in every sequence; row "
+                f"{int(empty[0])} has an all-zero mask")
     h = embed(token_ids, params, config, mode=mode, step=step, rng=rng, packing=packing)
 
     def site(x):

@@ -99,6 +99,7 @@ def run_single_vs_multitask(xc: ExperimentConfig) -> list[MetricReport]:
 def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
     """One multitask model per dropout regime, same data and seed."""
     vocab, datasets = _task_datasets(xc)
+    tc = xc.train_config("sst")       # checks batch_size before it divides
     rounds = math.ceil(xc.train_size / xc.batch_size)
     total_steps = max(1, xc.epochs * rounds * len(TASKS))
     policies = {
@@ -110,7 +111,6 @@ def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
     reports = []
     for kind, policy in policies.items():
         config = xc.encoder_config(vocab, dropout=policy)
-        tc = xc.train_config("sst")
         ck = train_multitask(tc, config, vocab, datasets)
         for task in TASKS:
             name, value, n = evaluate_task(task, ck.params, config,
@@ -167,6 +167,13 @@ def run_two_tier_stages(xc: ExperimentConfig) -> list[MetricReport]:
     _, reports = run_two_tier(tt, config, vocab, sts[:xc.train_size],
                               sts[xc.train_size:], nli)
     return reports
+
+
+# the names `simcse-forge experiment` takes
+EXPERIMENTS = {"single-vs-multitask": run_single_vs_multitask,
+               "dropout": run_dropout_comparison,
+               "transfer": run_transfer_ablation,
+               "two-tier-stages": run_two_tier_stages}
 
 
 def add_experiment_args(parser) -> None:

@@ -8,7 +8,8 @@ import pytest
 from simcse_forge.cli import main
 from simcse_forge.checkpoint import load_checkpoint
 from simcse_forge.data import SCHEMAS, read_rows
-from simcse_forge.evaluation import parse_report_tsv
+from simcse_forge.evaluation import emit_report, parse_report_tsv
+from simcse_forge.experiments import EXPERIMENTS, ExperimentConfig
 
 ENCODER = {"hidden_dim": 8, "num_layers": 1, "num_heads": 2,
            "ffn_dim": 16, "max_seq_len": 12}
@@ -205,6 +206,26 @@ def test_train_from_nan_weights_exit_1_without_checkpoint(sst_run, capsys):
     assert not (run / "checkpoint.ckpt").exists()
 
 
+@pytest.mark.parametrize("variant", ["unsup-simcse", "sup-simcse", "transfer"])
+def test_checkpoint_variants_tokenize_at_the_checkpoint_length(tmp_path, variant):
+    # the source trains at max_seq_len 6; the run config keeps its 12, and
+    # every synthetic sentence has five words, i.e. seven tokens
+    train = synth(tmp_path, "sst", 16, "train.tsv", seed=1)
+    config = write_config(tmp_path, data={"train": train})
+    source = tmp_path / "source"
+    assert main(["train", "single", "--config", config, "--out", str(source),
+                 "--encoder.max_seq_len", "6"]) == 0
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("the dog and the cat\nmoon over the quiet harbor\n")
+    data = {"checkpoint": str(source / "checkpoint.ckpt"),
+            "sentences": str(sentences), "train": train,
+            "nli": synth(tmp_path, "nli", 8, "nli.tsv", seed=2)}
+    config = write_config(tmp_path, data=data)
+    out = tmp_path / "run"
+    assert main(["train", variant, "--config", config, "--out", str(out)]) == 0
+    assert load_checkpoint(out / "checkpoint.ckpt").config.max_seq_len == 6
+
+
 # -- eval / embed -----------------------------------------------------------------
 
 def test_eval_reproduces_recorded_dev_metric(sst_run, tmp_path, capsys):
@@ -350,3 +371,21 @@ def test_batch_size_below_one_is_a_usage_error(sst_run, capsys, size):
         assert main(argv + ["--batch-size", size]) == 1
         err = capsys.readouterr().err
         assert "--batch-size" in err and f"must be at least 1, got {size}" in err
+
+
+# -- experiment -------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_matches_its_harness(tmp_path, capsys, name):
+    flags = ["--train-size", "8", "--dev-size", "4", "--epochs", "1"]
+    out = tmp_path / "report.tsv"
+    capsys.readouterr()
+    assert main(["experiment", name, *flags, "--out", str(out)]) == 0
+    reports = EXPERIMENTS[name](ExperimentConfig(train_size=8, dev_size=4,
+                                                 epochs=1))
+    assert out.read_text(encoding="utf-8") == emit_report(reports)
+    assert capsys.readouterr().out == emit_report(reports, format="pretty")
+    assert main(["experiment", name, *flags, "--optim.lr", "1e-3"]) == 1
+    assert "takes no overrides" in capsys.readouterr().err
+    assert main(["experiment", name, "--batch-size", "0"]) == 1
+    assert "batch_size must be >= 1" in capsys.readouterr().err

@@ -37,6 +37,40 @@ def test_unknown_keys_rejected_everywhere():
         run_config_from_dict({"encoder": {"hiden_dim": 32}})
     with pytest.raises(ConfigError, match="object"):
         run_config_from_dict({"train": 7})
+    # runtime fields the sections leave out
+    for section, key in [("encoder", "vocab_size"), ("encoder", "dropout"),
+                         ("train", "lr"), ("train", "seed"),
+                         ("train", "dropout_p"), ("two_tier", "stage1_lr"),
+                         ("two_tier", "stage2_tau")]:
+        with pytest.raises(ConfigError, match=rf"'{section}': \['{key}'\]"):
+            run_config_from_dict({section: {key: 1}})
+
+
+def test_default_config_dict_is_pinned():
+    # config_hash and run-directory names are functions of this dict
+    assert RunConfig().to_dict() == {
+        "seed": 0, "out": None,
+        "encoder": {"hidden_dim": 32, "num_layers": 4, "num_heads": 4,
+                    "ffn_dim": 128, "max_seq_len": 64, "pooling": "cls_tanh",
+                    "para_features": "rich"},
+        "dropout": {"kind": "standard", "p": 0.3, "gamma": 5.0, "alpha": 0.0,
+                    "beta": 0.0, "total_steps": 1000},
+        "optim": {"lr": 1e-05, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
+                  "weight_decay": 0.0, "clip_norm": None},
+        "train": {"task": "sst", "epochs": 10, "batch_size": 8,
+                  "sts_head": "cos_sigmoid", "sst_loss": "bce", "tau": 0.05,
+                  "eval_every": 0},
+        "data": {"train": None, "dev": None, "sst_train": None,
+                 "sst_dev": None, "para_train": None, "para_dev": None,
+                 "sts_train": None, "sts_dev": None, "nli": None,
+                 "sentences": None, "vocab": None, "checkpoint": None,
+                 "min_count": 1},
+        "two_tier": {"stage2_epochs": 1, "stage2_batch_size": 64,
+                     "stage2_lr": 3e-05, "stage2_dropout_p": 0.1,
+                     "stage3_epochs": 5, "stage3_batch_size": 24,
+                     "stage3_lr": 5e-05, "stage3_dropout_p": 0.1,
+                     "skip_unsup": False, "extra_sts_finetune": False}}
+    assert config_hash(RunConfig()) == "dfc21d67"
 
 
 def test_load_from_file_with_sections(tmp_path):

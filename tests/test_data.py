@@ -127,8 +127,6 @@ def test_load_tsv_wrong_columns(tmp_path, vocab):
     p.write_text("id\tsentence\tlabel\nonly-two\tcolumns\n")
     with pytest.raises(DataError, match="columns"):
         load_tsv(p, "classification", vocab)
-    lenient = load_tsv(p, "classification", vocab, strict=False)
-    assert lenient == []
 
 
 def test_load_tsv_missing_file_and_header(tmp_path, vocab):

@@ -4,8 +4,8 @@ import pytest
 from simcse_forge import autograd as ag
 from simcse_forge.autograd import Tensor
 from simcse_forge.dropout import DropoutPolicy
-from simcse_forge.encoder import (_BUCKET_COST, EncoderConfig, EncodeResult, ModelParams, embed,
-                                  encode, init_params, multi_head_attention,
+from simcse_forge.encoder import (_BUCKET_COST, EmptySequenceError, EncoderConfig,
+                                  EncodeResult, ModelParams, embed, encode, init_params, multi_head_attention,
                                   pack, parameter_count)
 from simcse_forge.rng import Rng
 
@@ -292,6 +292,17 @@ def test_encode_mean_pooling_formula():
     r = encode(ids, mask, params, cfg)
     manual = r.sequence.data[0, :3].mean(axis=0)
     assert np.allclose(r.pooled.data[0], manual, atol=1e-12)
+
+
+def test_mean_pooling_rejects_an_all_zero_mask_row():
+    ids = np.array([[1, 5, 6, 2], [1, 7, 2, 0]])
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    cfg = toy_config(pooling="mean")
+    with pytest.raises(EmptySequenceError, match="row 1"):
+        encode(ids, mask, init_params(cfg, Rng(11)), cfg)
+    cfg = toy_config()
+    pooled = encode(ids, mask, init_params(cfg, Rng(11)), cfg).pooled.data
+    assert np.isfinite(pooled).all()
 
 
 def test_encode_cls_pooling_formula():
