@@ -44,8 +44,10 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTEGRITY = 0, 1, 2, 3
 
 TRAIN_VARIANTS = ("single", "multitask", "unsup-simcse", "sup-simcse",
                   "two-tier", "transfer")
-TASK_SCHEMAS = {"sst": "classification", "paraphrase": "pair_labeled",
-                "sts": "pair_scored"}
+# task -> the data keys of its train and dev files in multitask runs
+_MULTITASK_DATA = {"sst": ("sst_train", "sst_dev"),
+                   "paraphrase": ("para_train", "para_dev"),
+                   "sts": ("sts_train", "sts_dev")}
 
 
 class UsageError(ValueError):
@@ -131,7 +133,8 @@ def parse_dotted_overrides(extras) -> list[tuple[str, str]]:
 
 # -- train -------------------------------------------------------------------------
 
-def _require(value, name: str) -> str:
+def _require(config: RunConfig, name: str) -> str:
+    value = getattr(config.data, name)
     if not value:
         raise UsageError(f"this variant needs data.{name} (set it in the "
                          f"config file or via --data.{name})")
@@ -152,16 +155,15 @@ def _resolve_vocab(config: RunConfig, fallback_texts) -> Vocab:
 
 
 def _load_source_checkpoint(config: RunConfig) -> Checkpoint:
-    path = _require(config.data.checkpoint, "checkpoint")
-    return load_checkpoint(path)
+    return load_checkpoint(_require(config, "checkpoint"))
 
 
 def _single_datasets(config: RunConfig, task: str,
                      source: Checkpoint | None = None):
     """Train and dev examples, tokenized with the source checkpoint's
     vocabulary and length when there is one, else the run config's."""
-    schema = TASK_SCHEMAS[task]
-    rows = read_rows(_require(config.data.train, "train"), schema)
+    schema = SYNTH_SCHEMAS[task]
+    rows = read_rows(_require(config, "train"), schema)
     if source is None:
         vocab = _resolve_vocab(config, texts_of_rows(rows, schema))
         max_len = config.encoder.max_seq_len
@@ -191,25 +193,19 @@ def _train_single(config: RunConfig):
 
 
 def _train_multitask(config: RunConfig):
-    paths = {"sst": (config.data.sst_train, config.data.sst_dev),
-             "paraphrase": (config.data.para_train, config.data.para_dev),
-             "sts": (config.data.sts_train, config.data.sts_dev)}
-    names = {"sst": ("sst_train", "sst_dev"),
-             "paraphrase": ("para_train", "para_dev"),
-             "sts": ("sts_train", "sts_dev")}
     rows = {}
     texts = []
     for task in TASKS:
-        schema = TASK_SCHEMAS[task]
-        rows[task] = read_rows(_require(paths[task][0], names[task][0]), schema)
+        schema = SYNTH_SCHEMAS[task]
+        rows[task] = read_rows(_require(config, _MULTITASK_DATA[task][0]), schema)
         texts.extend(texts_of_rows(rows[task], schema))
     vocab = _resolve_vocab(config, texts)
     max_len = config.encoder.max_seq_len
     datasets = {}
     for task in TASKS:
-        schema = TASK_SCHEMAS[task]
+        schema = SYNTH_SCHEMAS[task]
         train = examples_from_rows(rows[task], schema, vocab, max_len)
-        dev = load_tsv(_require(paths[task][1], names[task][1]), schema,
+        dev = load_tsv(_require(config, _MULTITASK_DATA[task][1]), schema,
                        vocab, max_len)
         datasets[task] = (train, dev)
     ck = train_multitask(config.train_config(), config.encoder_config(len(vocab)),
@@ -229,7 +225,7 @@ def _alignment_report(model: str, ck, config: RunConfig, pool):
 def _train_unsup(config: RunConfig):
     source = _load_source_checkpoint(config)
     vocab = Vocab.from_tokens(source.vocab_tokens)
-    lines = _read_sentence_file(_require(config.data.sentences, "sentences"))
+    lines = _read_sentence_file(_require(config, "sentences"))
     max_len = source.config.max_seq_len
     pool = [tokenize(s, vocab, max_len) for s in lines]
     tc = config.train_config(task="sts", dropout_p=0.1)
@@ -241,8 +237,7 @@ def _train_sup(config: RunConfig):
     source = _load_source_checkpoint(config)
     vocab = Vocab.from_tokens(source.vocab_tokens)
     max_len = source.config.max_seq_len
-    triplets = load_tsv(_require(config.data.nli, "nli"), "triplet", vocab,
-                        max_len)
+    triplets = load_tsv(_require(config, "nli"), "triplet", vocab, max_len)
     tc = config.train_config(task="sts", dropout_p=0.1)
     ck = train_sup_simcse(tc, source.config, vocab, triplets, source.params)
     pool = [tokenize(s, vocab, max_len) for s in sentences_of(triplets)]
@@ -250,15 +245,14 @@ def _train_sup(config: RunConfig):
 
 
 def _train_two_tier(config: RunConfig):
-    schema = TASK_SCHEMAS["sts"]
-    sts_rows = read_rows(_require(config.data.sts_train, "sts_train"), schema)
-    nli_rows = read_rows(_require(config.data.nli, "nli"), "triplet")
+    schema = SYNTH_SCHEMAS["sts"]
+    sts_rows = read_rows(_require(config, "sts_train"), schema)
+    nli_rows = read_rows(_require(config, "nli"), "triplet")
     vocab = _resolve_vocab(config, texts_of_rows(sts_rows, schema)
                            + texts_of_rows(nli_rows, "triplet"))
     max_len = config.encoder.max_seq_len
     sts_train = examples_from_rows(sts_rows, schema, vocab, max_len)
-    sts_dev = load_tsv(_require(config.data.sts_dev, "sts_dev"), schema,
-                       vocab, max_len)
+    sts_dev = load_tsv(_require(config, "sts_dev"), schema, vocab, max_len)
     triplets = examples_from_rows(nli_rows, "triplet", vocab, max_len)
     ck, reports = run_two_tier(config.two_tier_config(),
                                config.encoder_config(len(vocab)), vocab,
@@ -330,7 +324,7 @@ def cmd_eval(args, overrides) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(ckpt)
     task = args.task
-    data = load_tsv(args.data, TASK_SCHEMAS[task], vocab,
+    data = load_tsv(args.data, SYNTH_SCHEMAS[task], vocab,
                     ckpt.config.max_seq_len)
     tc = TrainConfig(task=task, batch_size=args.batch_size,
                      sts_head=args.sts_head)
@@ -342,7 +336,7 @@ def cmd_eval(args, overrides) -> int:
         for batch in make_batches(data, args.batch_size):
             preds.extend(predict(task, batch, ckpt.params, ckpt.config,
                                  tc).tolist())
-            golds.extend(batch.scores.tolist())
+            golds.extend(batch.target.tolist())
         _, csv_text = similarity_heatmap(golds, preds)
         out = Path(args.out) if args.out else Path(".")
         out.mkdir(parents=True, exist_ok=True)

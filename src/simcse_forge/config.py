@@ -111,9 +111,21 @@ class RunConfig:
             self.encoder_config(vocab_size=8)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        paths = {f"data.{name}": value for name, value in asdict(self.data).items()
+                 if name != "min_count"}
+        for key, value in {"out": self.out, **paths}.items():
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key} must be a path string or null, got {value!r}")
+        if not _is_int(self.data.min_count):
+            raise ConfigError(
+                f"data.min_count must be an integer, got {self.data.min_count!r}")
         return self
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _SECTIONS = {"encoder": EncoderSection, "dropout": DropoutPolicy,

@@ -2,8 +2,13 @@
 
 Four dataset shapes, one per task family: classification (sentence, 5-way
 label), labeled pairs (duplicate yes/no), scored pairs (0-5 similarity), and
-triplets (sentence, paraphrase, contradiction). Files are UTF-8 TSV with a
-header row; embedded tabs/newlines survive via standard csv quoting.
+triplets (sentence, paraphrase, contradiction). One table, ``SCHEMAS``,
+holds each shape's columns, which of them are sentences, and the rule that
+parses and range-checks its target; every row of every shape becomes one
+record, ``Example`` (schema, guid, sentence texts, their token ids, target),
+and ``SYNTH_SCHEMAS`` maps a task or corpus kind to its schema. Files are
+UTF-8 TSV with a header row; embedded tabs, newlines and carriage returns
+survive via csv quoting.
 
 The synthetic corpora are built from small word pools so that every label is
 a known function of the text (class = marker-word pool, similarity = content
@@ -19,6 +24,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -26,13 +32,6 @@ from .rng import Rng
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("[PAD]", "[CLS]", "[SEP]", "[UNK]")
-
-SCHEMAS = {
-    "classification": ("id", "sentence", "label"),
-    "pair_labeled": ("id", "sentence1", "sentence2", "is_duplicate"),
-    "pair_scored": ("id", "sentence1", "sentence2", "similarity"),
-    "triplet": ("sent0", "sent1", "hard_neg"),
-}
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -109,100 +108,84 @@ def tokenize(text: str, vocab: Vocab, max_len: int = 64) -> list[int]:
 # -- examples -------------------------------------------------------------------
 
 @dataclass
-class Classification:
-    guid: str
-    text: str
-    tokens: list[int]
-    label: int
+class Example:
+    """One dataset row: its schema, guid (None for triplets), sentence texts
+    with their token ids, and its parsed target (None for triplets)."""
 
-    def __post_init__(self):
-        if not 0 <= self.label <= 4:
-            raise DataError(f"label {self.label} outside 0..4")
-
-    def to_row(self) -> tuple[str, ...]:
-        return (self.guid, self.text, str(self.label))
-
-
-@dataclass
-class PairLabeled:
-    guid: str
-    text_a: str
-    text_b: str
-    tokens_a: list[int]
-    tokens_b: list[int]
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise DataError(f"is_duplicate {self.label} not in {{0, 1}}")
+    schema: str
+    guid: str | None
+    texts: tuple[str, ...]
+    tokens: list[list[int]]
+    target: int | float | None = None
 
     def to_row(self) -> tuple[str, ...]:
-        return (self.guid, self.text_a, self.text_b, str(self.label))
+        guid = () if self.guid is None else (self.guid,)
+        target = () if self.target is None else (repr(self.target),)
+        return guid + self.texts + target
 
 
-@dataclass
-class PairScored:
-    guid: str
-    text_a: str
-    text_b: str
-    tokens_a: list[int]
-    tokens_b: list[int]
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 5.0:
-            raise DataError(f"similarity {self.score} outside [0, 5]")
-
-    def to_row(self) -> tuple[str, ...]:
-        return (self.guid, self.text_a, self.text_b, repr(self.score))
+def _target(parse, ok, message: str):
+    """A target rule: parse the column text, then check the value's range."""
+    def rule(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise DataError(message.format(value))
+        return value
+    return rule
 
 
-@dataclass
-class Triplet:
-    text: str
-    text_pos: str
-    text_neg: str
-    tokens: list[int]
-    tokens_pos: list[int]
-    tokens_neg: list[int]
+@dataclass(frozen=True)
+class Schema:
+    """One TSV layout. An "id" first column is the guid; a target rule
+    parses the last column."""
 
-    def to_row(self) -> tuple[str, ...]:
-        return (self.text, self.text_pos, self.text_neg)
+    columns: tuple[str, ...]
+    sentences: slice                 # the sentence columns
+    target: Callable[[str], int | float] | None = None
 
 
-EXAMPLE_TYPES = {
-    "classification": Classification,
-    "pair_labeled": PairLabeled,
-    "pair_scored": PairScored,
-    "triplet": Triplet,
+SCHEMAS = {
+    "classification": Schema(
+        ("id", "sentence", "label"), slice(1, 2),
+        _target(int, lambda v: 0 <= v <= 4, "label {} outside 0..4")),
+    "pair_labeled": Schema(
+        ("id", "sentence1", "sentence2", "is_duplicate"), slice(1, 3),
+        _target(int, lambda v: v in (0, 1), "is_duplicate {} not in {{0, 1}}")),
+    "pair_scored": Schema(
+        ("id", "sentence1", "sentence2", "similarity"), slice(1, 3),
+        _target(float, lambda v: 0.0 <= v <= 5.0, "similarity {} outside [0, 5]")),
+    "triplet": Schema(("sent0", "sent1", "hard_neg"), slice(0, 3)),
 }
 
+# A task or synthetic corpus kind -> the schema of its rows; each task shares
+# its name with the corpus kind that feeds it.
+SYNTH_SCHEMAS = {"sst": "classification", "sts": "pair_scored",
+                 "paraphrase": "pair_labeled", "nli": "triplet"}
 
-def _parse_row(schema: str, row: tuple[str, ...], vocab: Vocab, max_len: int):
-    def tok(s):
-        return tokenize(s, vocab, max_len)
 
-    if schema == "classification":
-        guid, text, label = row
-        return Classification(guid, text, tok(text), int(label))
-    if schema == "pair_labeled":
-        guid, a, b, dup = row
-        return PairLabeled(guid, a, b, tok(a), tok(b), int(dup))
-    if schema == "pair_scored":
-        guid, a, b, score = row
-        return PairScored(guid, a, b, tok(a), tok(b), float(score))
-    a, b, c = row
-    return Triplet(a, b, c, tok(a), tok(b), tok(c))
+def _schema(name: str) -> Schema:
+    if name not in SCHEMAS:
+        raise DataError(f"unknown schema {name!r}, expected one of {sorted(SCHEMAS)}")
+    return SCHEMAS[name]
+
+
+def _parse_row(schema: str, row: tuple[str, ...], vocab: Vocab,
+               max_len: int) -> Example:
+    s = SCHEMAS[schema]
+    if len(row) != len(s.columns):
+        raise DataError(f"expected {len(s.columns)} columns, got {len(row)}")
+    texts = tuple(row[s.sentences])
+    return Example(schema, row[0] if s.columns[0] == "id" else None, texts,
+                   [tokenize(t, vocab, max_len) for t in texts],
+                   s.target(row[-1]) if s.target else None)
 
 
 def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     """Raw TSV rows (header validated and dropped)."""
-    if schema not in SCHEMAS:
-        raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
+    columns = _schema(schema).columns
     p = Path(path)
     if not p.exists():
         raise DataError(f"dataset file not found: {p}")
-    columns = SCHEMAS[schema]
     rows: list[tuple[str, ...]] = []
     reader = csv.reader(io.StringIO(read_text(p), newline=""), delimiter="\t",
                         quotechar='"')
@@ -218,68 +201,59 @@ def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     return rows
 
 
-def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64) -> list:
-    """Parse and tokenize a dataset file into Example objects."""
+def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64) -> list[Example]:
+    """Parse and tokenize a dataset file into Examples."""
     examples = []
     for line_no, row in enumerate(read_rows(path, schema), start=2):
         try:
             examples.append(_parse_row(schema, row, vocab, max_len))
-        except (DataError, ValueError) as exc:
+        except ValueError as exc:
             raise DataError(f"{Path(path)}:{line_no}: {exc}") from None
     return examples
 
 
 def write_tsv(path, schema: str, rows) -> None:
-    """Write rows (tuples of strings) under the schema's header."""
-    if schema not in SCHEMAS:
-        raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
+    """Write rows (tuples of strings) under the schema's header.
+
+    The csv writer quotes a field holding a tab, a quote or a newline, but
+    not a bare carriage return, which the reader would take for a line end;
+    a row with one is written with every field quoted, so read_rows gives
+    back any text exactly.
+    """
+    columns = _schema(schema).columns
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter="\t", quotechar='"', lineterminator="\n")
-        writer.writerow(SCHEMAS[schema])
-        writer.writerows(rows)
+        quoted = csv.writer(fh, delimiter="\t", quotechar='"', lineterminator="\n",
+                            quoting=csv.QUOTE_ALL)
+        writer.writerow(columns)
+        for row in rows:
+            (quoted if any("\r" in f for f in row) else writer).writerow(row)
 
 
-def examples_from_rows(rows, schema: str, vocab: Vocab, max_len: int = 64) -> list:
+def examples_from_rows(rows, schema: str, vocab: Vocab,
+                       max_len: int = 64) -> list[Example]:
     """Tokenize already-parsed rows (e.g. synth_toy_corpus output) in memory."""
-    if schema not in SCHEMAS:
-        raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
+    _schema(schema)
     return [_parse_row(schema, tuple(row), vocab, max_len) for row in rows]
 
 
 def texts_of_rows(rows, schema: str) -> list[str]:
-    """The text columns of raw rows, flattened (for vocabulary building)."""
-    if schema == "classification":
-        return [r[1] for r in rows]
-    if schema in ("pair_labeled", "pair_scored"):
-        return [t for r in rows for t in (r[1], r[2])]
-    if schema == "triplet":
-        return [t for r in rows for t in r]
-    raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
+    """The sentence columns of raw rows, flattened (for vocabulary building)."""
+    sentences = _schema(schema).sentences
+    return [t for r in rows for t in r[sentences]]
 
 
 def sentences_of(examples) -> list[str]:
     """Every sentence string occurring in the examples, in order, deduplicated."""
-    out, seen = [], set()
-    for ex in examples:
-        if isinstance(ex, Classification):
-            texts = (ex.text,)
-        elif isinstance(ex, (PairLabeled, PairScored)):
-            texts = (ex.text_a, ex.text_b)
-        else:
-            texts = (ex.text, ex.text_pos, ex.text_neg)
-        for t in texts:
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+    return list(dict.fromkeys(t for ex in examples for t in ex.texts))
 
 
 # -- batching -------------------------------------------------------------------
 
 @dataclass
 class Batch:
-    """One padded mini-batch; optional second/third sequence groups and
-    labels/scores depending on the example variant."""
+    """One padded mini-batch: one ids/mask pair per sentence column (b_* and
+    c_* stay None when the schema has fewer) and the targets, if any."""
 
     token_ids: np.ndarray            # [B, T]
     mask: np.ndarray                 # [B, T]
@@ -287,9 +261,8 @@ class Batch:
     b_mask: np.ndarray | None = None
     c_ids: np.ndarray | None = None
     c_mask: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    scores: np.ndarray | None = None
-    guids: tuple[str, ...] = ()
+    target: np.ndarray | None = None
+    guids: tuple[str | None, ...] = ()
 
     @property
     def size(self) -> int:
@@ -312,15 +285,15 @@ def make_batches(examples, batch_size: int, rng: Rng | None = None,
                  shuffle: bool = False) -> list[Batch]:
     """Chunk examples into padded batches; optional Fisher-Yates shuffle first.
 
-    The last batch may be short. All examples must share one variant.
+    The last batch may be short. All examples must share one schema.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not examples:
         return []
-    kind = type(examples[0])
-    if any(type(e) is not kind for e in examples):
-        raise DataError("mixed example variants in one dataset")
+    schema = examples[0].schema
+    if any(e.schema != schema for e in examples):
+        raise DataError("mixed example schemas in one dataset")
     order = list(examples)
     if shuffle:
         if rng is None:
@@ -330,28 +303,13 @@ def make_batches(examples, batch_size: int, rng: Rng | None = None,
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        if kind is Classification:
-            ids, mask = pad_batch([e.tokens for e in chunk])
-            batches.append(Batch(ids, mask,
-                                 labels=np.array([e.label for e in chunk]),
-                                 guids=tuple(e.guid for e in chunk)))
-        elif kind is PairLabeled:
-            ids, mask = pad_batch([e.tokens_a for e in chunk])
-            b_ids, b_mask = pad_batch([e.tokens_b for e in chunk])
-            batches.append(Batch(ids, mask, b_ids, b_mask,
-                                 labels=np.array([e.label for e in chunk]),
-                                 guids=tuple(e.guid for e in chunk)))
-        elif kind is PairScored:
-            ids, mask = pad_batch([e.tokens_a for e in chunk])
-            b_ids, b_mask = pad_batch([e.tokens_b for e in chunk])
-            batches.append(Batch(ids, mask, b_ids, b_mask,
-                                 scores=np.array([e.score for e in chunk]),
-                                 guids=tuple(e.guid for e in chunk)))
-        else:
-            ids, mask = pad_batch([e.tokens for e in chunk])
-            b_ids, b_mask = pad_batch([e.tokens_pos for e in chunk])
-            c_ids, c_mask = pad_batch([e.tokens_neg for e in chunk])
-            batches.append(Batch(ids, mask, b_ids, b_mask, c_ids, c_mask))
+        # ids then mask for each sentence column, in Batch's field order
+        padded = [a for column in zip(*(e.tokens for e in chunk))
+                  for a in pad_batch(column)]
+        target = (None if chunk[0].target is None
+                  else np.array([e.target for e in chunk]))
+        batches.append(Batch(*padded, target=target,
+                             guids=tuple(e.guid for e in chunk)))
     return batches
 
 
@@ -443,6 +401,3 @@ def synth_toy_corpus(kind: str, size: int, rng: Rng) -> list[tuple[str, ...]]:
                          "expected sst | sts | paraphrase | nli")
     return rows
 
-
-SYNTH_SCHEMAS = {"sst": "classification", "sts": "pair_scored",
-                 "paraphrase": "pair_labeled", "nli": "triplet"}

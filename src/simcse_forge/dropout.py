@@ -40,6 +40,13 @@ class DropoutPolicy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dropout kind {self.kind!r}, expected one of {KINDS}")
+        for name in ("p", "gamma", "alpha", "beta"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"dropout {name} must be a number, got {value!r}")
+        if not isinstance(self.total_steps, int) or isinstance(self.total_steps, bool):
+            raise ValueError(
+                f"dropout total_steps must be an integer, got {self.total_steps!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"dropout p must be in [0, 1), got {self.p}")
         if self.kind == "curriculum":

@@ -68,7 +68,8 @@ class EncoderConfig:
     def __post_init__(self):
         dims = (self.vocab_size, self.hidden_dim, self.num_layers,
                 self.num_heads, self.ffn_dim, self.max_seq_len)
-        if not all(isinstance(v, (int, np.integer)) for v in dims):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in dims):
             raise ValueError("encoder dimensions must be integers")
         if min(self.vocab_size, self.hidden_dim, self.num_layers,
                self.num_heads, self.ffn_dim) < 1:

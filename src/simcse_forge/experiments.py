@@ -57,21 +57,18 @@ class ExperimentConfig:
         return TrainConfig(**base)
 
 
-_SCHEMA_BY_TASK = {"sst": "sst", "paraphrase": "paraphrase", "sts": "sts"}
-
-
 def _task_datasets(xc: ExperimentConfig):
     """One (train, dev) split per task plus the shared vocabulary."""
     rows, texts = {}, []
-    for offset, (task, kind) in enumerate(_SCHEMA_BY_TASK.items()):
-        r = synth_toy_corpus(kind, xc.train_size + xc.dev_size,
-                             Rng(xc.seed * 31 + offset))
-        rows[task] = (SYNTH_SCHEMAS[kind], r)
-        texts.extend(texts_of_rows(r, SYNTH_SCHEMAS[kind]))
+    for offset, task in enumerate(TASKS):
+        rows[task] = synth_toy_corpus(task, xc.train_size + xc.dev_size,
+                                      Rng(xc.seed * 31 + offset))
+        texts.extend(texts_of_rows(rows[task], SYNTH_SCHEMAS[task]))
     vocab = Vocab.build(texts)
     datasets = {}
-    for task, (schema, r) in rows.items():
-        examples = examples_from_rows(r, schema, vocab, xc.max_seq_len)
+    for task, r in rows.items():
+        examples = examples_from_rows(r, SYNTH_SCHEMAS[task], vocab,
+                                      xc.max_seq_len)
         datasets[task] = (examples[:xc.train_size], examples[xc.train_size:])
     return vocab, datasets
 

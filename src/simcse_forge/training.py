@@ -22,8 +22,8 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
-from .data import (Classification, DataError, PairLabeled, PairScored, Triplet,
-                   Vocab, make_batches, pad_batch, sentences_of, tokenize)
+from .data import (SYNTH_SCHEMAS, DataError, Vocab, make_batches, pad_batch,
+                   sentences_of, tokenize)
 from .dropout import DropoutPolicy, curriculum_rate
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
@@ -37,8 +37,6 @@ from .rng import Rng
 logger = logging.getLogger("simcse_forge.training")
 
 TASKS = ("sst", "paraphrase", "sts")
-_VARIANTS = {"sst": Classification, "paraphrase": PairLabeled, "sts": PairScored}
-_METRIC_NAMES = {"sst": "accuracy", "paraphrase": "accuracy", "sts": "pearson"}
 
 
 @dataclass
@@ -83,13 +81,20 @@ class TrainConfig:
                            clip_norm=self.clip_norm)
 
 
-def _check_variant(task: str, examples, which: str) -> None:
-    want = _VARIANTS[task]
+def _check_schema(kind: str, examples, which: str) -> None:
+    """Every example must have the schema of ``kind``, a task or "nli"."""
+    want = SYNTH_SCHEMAS[kind]
     for e in examples:
-        if type(e) is not want:
-            raise ValueError(
-                f"{which} dataset holds {type(e).__name__} examples, "
-                f"but task {task!r} needs {want.__name__}")
+        if e.schema != want:
+            raise ValueError(f"{which} dataset holds {e.schema} examples, "
+                             f"but {kind!r} needs {want}")
+
+
+def _require_train_set(train, what: str) -> None:
+    """A trainer given no examples would take no step and return its
+    starting weights as if trained."""
+    if not train:
+        raise DataError(f"{what}: train set is empty")
 
 
 # -- task forward passes ------------------------------------------------------------
@@ -104,16 +109,16 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
         logits = sst_logits(pooled, params)
         if train_config.sst_loss == "bce":
             onehot = np.zeros((batch.size, 5))
-            onehot[np.arange(batch.size), batch.labels] = 1.0
+            onehot[np.arange(batch.size), batch.target] = 1.0
             return bce_loss(logits, onehot)
-        return ce_loss(logits, batch.labels)
+        return ce_loss(logits, batch.target)
     pooled_b = encode(batch.b_ids, batch.b_mask, params, config,
                       mode=mode, step=step, rng=rng).pooled
     if task == "paraphrase":
         logit = paraphrase_logit(pooled, pooled_b, params, config.para_features)
-        return bce_loss(logit, batch.labels.astype(np.float64))
+        return bce_loss(logit, batch.target.astype(np.float64))
     scores = sts_score(pooled, pooled_b, train_config.sts_head, params)
-    return mse_loss(scores, batch.scores)
+    return mse_loss(scores, batch.target)
 
 
 def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
@@ -134,13 +139,13 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
 def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
                   examples, train_config: TrainConfig) -> tuple[str, float, int]:
     """(metric name, value, n) on a dataset; eval mode, insertion order."""
-    _check_variant(task, examples, "eval")
+    _check_schema(task, examples, "eval")
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
     preds, golds = [], []
     for batch in make_batches(examples, train_config.batch_size):
         preds.extend(predict(task, batch, params, config, train_config).tolist())
-        golds.extend((batch.scores if task == "sts" else batch.labels).tolist())
+        golds.extend(batch.target.tolist())
     if task == "sts":
         return "pearson", pearson(preds, golds), len(preds)
     return "accuracy", accuracy(preds, golds), len(preds)
@@ -226,9 +231,10 @@ def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
     """Epoch loop with shuffled batches; returns the best-dev-epoch weights
     (final weights when no dev set is given)."""
     task = train_config.task
-    _check_variant(task, train_examples, "train")
+    _check_schema(task, train_examples, "train")
     if dev_examples:
-        _check_variant(task, dev_examples, "dev")
+        _check_schema(task, dev_examples, "dev")
+    _require_train_set(train_examples, f"task {task!r}")
 
     def batches(rng, step):
         return ((task, b) for b in make_batches(
@@ -265,10 +271,9 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
             raise ValueError(f"unknown task {t!r}")
         if t not in datasets:
             raise ValueError(f"missing dataset for task {t!r}")
-        _check_variant(t, datasets[t][0], f"{t} train")
-        _check_variant(t, datasets[t][1], f"{t} dev")
-        if not datasets[t][0]:
-            raise DataError(f"task {t!r} is enabled but its train set is empty")
+        _check_schema(t, datasets[t][0], f"{t} train")
+        _check_schema(t, datasets[t][1], f"{t} dev")
+        _require_train_set(datasets[t][0], f"task {t!r} is enabled")
 
     def rounds(rng, step):
         streams = [make_batches(datasets[t][0], train_config.batch_size,
@@ -347,6 +352,7 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     if params is None:
         raise ValueError("unsupervised contrastive training fine-tunes "
                          "existing weights; params is required")
+    _require_train_set(token_lists, "unsup_simcse")
     size = train_config.batch_size
     warned = False
 
@@ -391,9 +397,8 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     if params is None:
         raise ValueError("supervised contrastive training fine-tunes "
                          "existing weights; params is required")
-    for e in triplets:
-        if type(e) is not Triplet:
-            raise ValueError(f"triplet dataset holds {type(e).__name__} examples")
+    _check_schema("nli", triplets, "triplet")
+    _require_train_set(triplets, "sup_simcse")
 
     def batches(rng, step):
         return make_batches(triplets, train_config.batch_size, rng, shuffle=True)
@@ -437,8 +442,8 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     stage's epochs plus per-stage summaries with weight hashes) and the
     stage-by-stage metric reports.
     """
-    _check_variant("sts", sts_train, "sts train")
-    _check_variant("sts", sts_dev, "sts dev")
+    _check_schema("sts", sts_train, "sts train")
+    _check_schema("sts", sts_dev, "sts dev")
     reports: list[MetricReport] = []
     history: list[dict] = []
 

@@ -239,3 +239,20 @@ def test_embed_rejects_crc_valid_bad_header_with_exit_3(tmp_path, capsys, mutate
     path.write_bytes(repack(path.read_bytes(), mutate))
     assert main(args) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("gamma", None), ("total_steps", {}),
+                                        ("p", False)])
+def test_embed_rejects_mistyped_dropout_header_with_exit_3(tmp_path, capsys,
+                                                            key, value):
+    # the CRC covers only the body, so a rewritten header still loads as far
+    # as the config checks
+    from simcse_forge.cli import main
+
+    path, sentences = tmp_path / "model.ckpt", tmp_path / "s.txt"
+    save_checkpoint(toy_checkpoint(), path)
+    sentences.write_text("alpha beta\n")
+    path.write_bytes(repack(path.read_bytes(),
+                            _set(key, value, "config", "dropout")))
+    assert main(["embed", str(path), str(sentences), "--out", str(tmp_path)]) == 3
+    assert f"dropout {key}" in capsys.readouterr().err

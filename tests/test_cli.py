@@ -158,7 +158,7 @@ def test_train_missing_data_path_exit_2(tmp_path, capsys):
 
 def test_train_multitask_header_only_train_tsv_exit_2(tmp_path, capsys):
     sst_train = tmp_path / "sst_train.tsv"
-    sst_train.write_text("\t".join(SCHEMAS["classification"]) + "\n")
+    sst_train.write_text("\t".join(SCHEMAS["classification"].columns) + "\n")
     data = {"sst_train": str(sst_train),
             "sst_dev": synth(tmp_path, "sst", 6, "sst_dev.tsv", seed=1),
             "para_train": synth(tmp_path, "paraphrase", 8, "para_train.tsv", seed=2),
@@ -173,6 +173,52 @@ def test_train_multitask_header_only_train_tsv_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and "'sst'" in err
     assert "Traceback" not in err
     assert not (run / "checkpoint.ckpt").exists()
+
+
+def _header_only(tmp_path, schema):
+    path = tmp_path / f"{schema}_empty.tsv"
+    path.write_text("\t".join(SCHEMAS[schema].columns) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["single", "transfer", "two-tier"])
+def test_header_only_train_tsv_exit_2(tmp_path, capsys, variant):
+    data = {"train": _header_only(tmp_path, "classification"),
+            "sts_train": _header_only(tmp_path, "pair_scored"),
+            "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=1),
+            "nli": synth(tmp_path, "nli", 4, "nli.tsv", seed=2)}
+    if variant == "transfer":
+        source = tmp_path / "source"
+        config = write_config(tmp_path, data={
+            "train": synth(tmp_path, "sst", 8, "sst.tsv", seed=3)})
+        assert main(["train", "single", "--config", config,
+                     "--out", str(source)]) == 0
+        data["checkpoint"] = str(source / "checkpoint.ckpt")
+    config = write_config(tmp_path, data=data)
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", variant, "--config", config, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "train set is empty" in err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
+def test_experiment_with_no_train_examples_exit_2(capsys):
+    assert main(["experiment", "transfer", "--train-size", "0"]) == 2
+    assert "train set is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, extra, args", [
+    ("out", {"out": 5}, []),
+    ("data.train", {}, ["--data.train", "5"]),
+    ("data.min_count", {}, ["--data.min_count", "x"]),
+])
+def test_mistyped_run_config_value_exit_1(tmp_path, capsys, key, extra, args):
+    train = synth(tmp_path, "sst", 8, "train.tsv", seed=1)
+    config = write_config(tmp_path, data={"train": train}, **extra)
+    capsys.readouterr()
+    assert main(["train", "single", "--config", config, *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
 
 
 def test_train_usage_errors(tmp_path):

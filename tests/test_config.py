@@ -135,6 +135,19 @@ def test_invalid_values_fail_at_load_time(tmp_path):
         load_run_config(write_config(tmp_path, {"seed": "twelve"}))
 
 
+@pytest.mark.parametrize("section, values", [
+    ("dropout", {"gamma": None}),
+    ("dropout", {"total_steps": 2.5}),
+    ("dropout", {"total_steps": {}}),
+    ("dropout", {"p": False}),
+    ("dropout", {"kind": "adaptive", "alpha": None}),
+    ("encoder", {"num_layers": True}),
+])
+def test_mistyped_section_values_fail_at_load_time(tmp_path, section, values):
+    with pytest.raises(ConfigError, match=section):
+        load_run_config(write_config(tmp_path, {section: values}))
+
+
 def test_seed_precedence(tmp_path):
     env = {"SIMCSE_FORGE_SEED": "99"}
     assert load_run_config(None, env=env).seed == 99

@@ -1,14 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simcse_forge.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Batch,
-                               Classification, DataError, PairLabeled,
-                               PairScored, Triplet, Vocab, load_tsv,
-                               make_batches, pad_batch, read_rows,
+                               DataError, Example, Vocab, examples_from_rows,
+                               load_tsv, make_batches, pad_batch, read_rows,
                                sentences_of, split_words, synth_toy_corpus,
-                               SYNTH_SCHEMAS, tokenize, write_tsv)
+                               SCHEMAS, SYNTH_SCHEMAS, tokenize, write_tsv)
 from simcse_forge.rng import Rng
 
 
@@ -88,11 +90,11 @@ def test_vocab_duplicate_tokens_rejected():
 
 def test_example_validation(vocab):
     with pytest.raises(DataError, match="0..4"):
-        Classification("x", "hi", [1, 2], 7)
+        examples_from_rows([("x", "hi", "7")], "classification", vocab)
     with pytest.raises(DataError, match="0, 1"):
-        PairLabeled("x", "a", "b", [1, 2], [1, 2], 2)
+        examples_from_rows([("x", "a", "b", "2")], "pair_labeled", vocab)
     with pytest.raises(DataError, match=r"\[0, 5\]"):
-        PairScored("x", "a", "b", [1, 2], [1, 2], 5.5)
+        examples_from_rows([("x", "a", "b", "5.5")], "pair_scored", vocab)
 
 
 def test_load_tsv_classification(tmp_path, vocab):
@@ -101,8 +103,8 @@ def test_load_tsv_classification(tmp_path, vocab):
                                     ("b", "a cat", "0"),
                                     ("c", "bird sings", "4")])
     examples = load_tsv(p, "classification", vocab)
-    assert [e.label for e in examples] == [3, 0, 4]
-    assert examples[0].tokens[0] == CLS_ID
+    assert [e.target for e in examples] == [3, 0, 4]
+    assert examples[0].tokens[0][0] == CLS_ID
     assert examples[0].guid == "a"
 
 
@@ -111,8 +113,8 @@ def test_load_tsv_score_precision(tmp_path, vocab):
     write_tsv(p, "pair_scored", [("a", "x", "y", "2.5"),
                                  ("b", "x", "y", repr(1.0 / 3.0))])
     examples = load_tsv(p, "pair_scored", vocab)
-    assert examples[0].score == 2.5
-    assert examples[1].score == 1.0 / 3.0
+    assert examples[0].target == 2.5
+    assert examples[1].target == 1.0 / 3.0
 
 
 def test_load_tsv_bad_label_names_line(tmp_path, vocab):
@@ -140,13 +142,19 @@ def test_load_tsv_missing_file_and_header(tmp_path, vocab):
         load_tsv(p, "quads", vocab)
 
 
+def test_examples_from_rows_checks_the_column_count(vocab):
+    for row in [("a", "x", "y", "1"), ("a", "1")]:
+        with pytest.raises(DataError, match="expected 3 columns"):
+            examples_from_rows([row], "classification", vocab)
+
+
 def test_tsv_quoting_roundtrip(tmp_path, vocab):
     rows = [("a", 'has\ttab and "quotes"', "newline\nin text", "1")]
     p = tmp_path / "q.tsv"
     write_tsv(p, "pair_labeled", rows)
     examples = load_tsv(p, "pair_labeled", vocab)
-    assert examples[0].text_a == 'has\ttab and "quotes"'
-    assert examples[0].text_b == "newline\nin text"
+    assert examples[0].texts[0] == 'has\ttab and "quotes"'
+    assert examples[0].texts[1] == "newline\nin text"
     # write back from the parsed examples: identical rows
     write_tsv(tmp_path / "q2.tsv", "pair_labeled", [e.to_row() for e in examples])
     assert read_rows(tmp_path / "q2.tsv", "pair_labeled") == rows
@@ -161,9 +169,33 @@ def test_roundtrip_all_schemas(tmp_path, vocab):
         assert [e.to_row() for e in examples] == rows
 
 
+# any text, with the characters a TSV reader could take for structure drawn often
+_FIELD = st.text(st.one_of(st.sampled_from('\t"\n\r\x00\x1c\x85\u2028\u00e9 '),
+                           st.characters(exclude_categories=("Cs",))),
+                 max_size=10)
+# each schema's targets in canonical form (what to_row writes)
+_TARGET = {"classification": st.integers(0, 4).map(str),
+           "pair_labeled": st.sampled_from(["0", "1"]),
+           "pair_scored": st.floats(0.0, 5.0).map(repr)}
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_any_text_roundtrips_through_tsv(schema, data):
+    target = [_TARGET[schema]] if schema in _TARGET else []
+    fields = [_FIELD] * (len(SCHEMAS[schema].columns) - len(target)) + target
+    rows = data.draw(st.lists(st.tuples(*fields), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.tsv"
+        write_tsv(path, schema, rows)
+        examples = load_tsv(path, schema, Vocab.build(["a b"]))
+    assert [e.to_row() for e in examples] == rows
+
+
 def test_sentences_of_dedup(vocab):
-    examples = [PairScored("a", "x y", "z", [1, 2], [1, 2], 1.0),
-                PairScored("b", "z", "x y", [1, 2], [1, 2], 2.0)]
+    examples = [Example("pair_scored", "a", ("x y", "z"), [[1, 2], [1, 2]], 1.0),
+                Example("pair_scored", "b", ("z", "x y"), [[1, 2], [1, 2]], 2.0)]
     assert sentences_of(examples) == ["x y", "z"]
 
 
@@ -177,17 +209,19 @@ def test_pad_batch_shapes_and_mask():
 
 
 def test_make_batches_sizes(vocab):
-    examples = [Classification(str(i), "the dog", tokenize("the dog", vocab), i % 5)
+    examples = [Example("classification", str(i), ("the dog",),
+                        [tokenize("the dog", vocab)], i % 5)
                 for i in range(10)]
     batches = make_batches(examples, 4)
     assert [b.size for b in batches] == [4, 4, 2]
     assert all(isinstance(b, Batch) for b in batches)
-    total = [lbl for b in batches for lbl in b.labels.tolist()]
-    assert sorted(total) == sorted(e.label for e in examples)
+    total = [lbl for b in batches for lbl in b.target.tolist()]
+    assert sorted(total) == sorted(e.target for e in examples)
 
 
 def test_make_batches_shuffle_deterministic(vocab):
-    examples = [Classification(str(i), "a", [CLS_ID, SEP_ID], 0) for i in range(20)]
+    examples = [Example("classification", str(i), ("a",), [[CLS_ID, SEP_ID]], 0)
+                for i in range(20)]
     b1 = make_batches(examples, 6, Rng(3), shuffle=True)
     b2 = make_batches(examples, 6, Rng(3), shuffle=True)
     assert [b.guids for b in b1] == [b.guids for b in b2]
@@ -196,17 +230,18 @@ def test_make_batches_shuffle_deterministic(vocab):
 
 
 def test_make_batches_no_loss_no_duplication(vocab):
-    examples = [Classification(str(i), "a", [CLS_ID, SEP_ID], 0) for i in range(17)]
+    examples = [Example("classification", str(i), ("a",), [[CLS_ID, SEP_ID]], 0)
+                for i in range(17)]
     batches = make_batches(examples, 5, Rng(0), shuffle=True)
     seen = [g for b in batches for g in b.guids]
     assert sorted(seen) == sorted(str(i) for i in range(17))
 
 
 def test_make_batches_variants(vocab):
-    pairs = [PairScored("a", "x", "y", [1, 4, 2], [1, 2], 3.0)]
+    pairs = [Example("pair_scored", "a", ("x", "y"), [[1, 4, 2], [1, 2]], 3.0)]
     (b,) = make_batches(pairs, 2)
-    assert b.b_ids is not None and b.scores is not None and b.labels is None
-    trip = [Triplet("x", "y", "z", [1, 2], [1, 5, 2], [1, 2])]
+    assert b.b_ids is not None and b.target is not None
+    trip = [Example("triplet", None, ("x", "y", "z"), [[1, 2], [1, 5, 2], [1, 2]])]
     (t,) = make_batches(trip, 1)
     assert t.c_ids is not None and t.c_ids.shape == (1, 2)
     with pytest.raises(DataError, match="mixed"):
@@ -233,7 +268,7 @@ def test_synth_sizes_and_schemas():
 
 def len_schema(schema):
     from simcse_forge.data import SCHEMAS
-    return len(SCHEMAS[schema])
+    return len(SCHEMAS[schema].columns)
 
 
 def test_synth_deterministic():

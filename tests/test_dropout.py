@@ -24,6 +24,15 @@ def test_policy_validation():
         DropoutPolicy(kind="curriculum", total_steps=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"gamma": None}, {"total_steps": 2.5}, {"total_steps": {}}, {"p": False},
+    {"alpha": "1"}, {"beta": None}, {"total_steps": True},
+])
+def test_policy_rejects_mistyped_fields(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        DropoutPolicy(**fields)
+
+
 # -- standard ------------------------------------------------------------------
 
 def test_standard_p0_is_identity_both_modes():

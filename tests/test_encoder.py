@@ -46,6 +46,11 @@ def test_config_validation():
         toy_config(para_features="bilinear")
 
 
+def test_config_rejects_bool_dimensions():
+    with pytest.raises(ValueError, match="integers"):
+        EncoderConfig(vocab_size=10, num_layers=True)
+
+
 # -- init ------------------------------------------------------------------------
 
 def test_parameter_count_closed_form():

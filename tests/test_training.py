@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from simcse_forge.checkpoint import params_hash, save_checkpoint
-from simcse_forge.data import (SYNTH_SCHEMAS, Vocab, examples_from_rows,
-                               sentences_of, synth_toy_corpus, texts_of_rows,
-                               tokenize)
+from simcse_forge.data import (SYNTH_SCHEMAS, DataError, Vocab,
+                               examples_from_rows, sentences_of,
+                               synth_toy_corpus, texts_of_rows, tokenize)
 from simcse_forge.dropout import DropoutPolicy
 from simcse_forge.encoder import EncoderConfig, init_params
 from simcse_forge.rng import Rng
@@ -134,11 +134,11 @@ def test_task_dataset_variant_mismatch():
     sts, vocab = corpus("sts", 6, seed=9)
     sst, _ = corpus("sst", 6, seed=9, vocab=vocab)
     config = toy_encoder_config(vocab)
-    with pytest.raises(ValueError, match="needs Classification"):
+    with pytest.raises(ValueError, match="needs classification"):
         train_single_task(TrainConfig(task="sst", epochs=1), config, vocab,
                           sts, [])
     params = init_params(config, Rng(0))
-    with pytest.raises(ValueError, match="needs PairScored"):
+    with pytest.raises(ValueError, match="needs pair_scored"):
         evaluate_task("sts", params, config, sst, TrainConfig(task="sts"))
     with pytest.raises(ValueError, match="empty"):
         evaluate_task("sts", params, config, [], TrainConfig(task="sts"))
@@ -204,6 +204,26 @@ def test_multitask_empty_train_set_names_the_task():
     datasets["sst"] = ([], datasets["sst"][1])
     with pytest.raises(ValueError, match="task 'sst' .* train set is empty"):
         train_multitask(TrainConfig(epochs=1, batch_size=4), config, vocab, datasets)
+
+
+def test_every_trainer_rejects_an_empty_train_set():
+    # with no examples a trainer would take no step and return its
+    # starting weights as if trained
+    from simcse_forge.checkpoint import Checkpoint
+    sts, vocab = corpus("sts", 4, seed=24)
+    config = toy_encoder_config(vocab)
+    params = init_params(config, Rng(0))
+    tc = TrainConfig(task="sts", epochs=1, batch_size=2)
+    ckpt = Checkpoint(config=config, params=params, stage="baseline",
+                      history=[], vocab_tokens=vocab.tokens())
+    with pytest.raises(DataError, match="task 'sts': train set is empty"):
+        train_single_task(tc, config, vocab, [], sts)
+    with pytest.raises(DataError, match="task 'sts': train set is empty"):
+        transfer_finetune(ckpt, "sts", tc, [], sts)
+    with pytest.raises(DataError, match="^unsup_simcse: train set is empty"):
+        train_unsup_simcse(tc, config, vocab, [], params)
+    with pytest.raises(DataError, match="^sup_simcse: train set is empty"):
+        train_sup_simcse(tc, config, vocab, [], params)
 
 
 def test_multitask_single_stream_degenerates_to_single_task():
@@ -381,7 +401,7 @@ def test_sup_simcse_rejects_wrong_variant():
     sts, vocab = corpus("sts", 4, seed=41)
     config = toy_encoder_config(vocab)
     params = init_params(config, Rng(0))
-    with pytest.raises(ValueError, match="PairScored"):
+    with pytest.raises(ValueError, match="pair_scored"):
         train_sup_simcse(TrainConfig(epochs=1), config, vocab, sts, params)
 
 
