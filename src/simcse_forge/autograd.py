@@ -3,8 +3,17 @@
 A Tensor wraps a C-contiguous numpy float64 array plus an optional node in
 the computation graph (parent tensors and a backward rule). Calling
 ``backward()`` on a scalar loss walks the graph in reverse topological order
-and accumulates gradients additively into every reachable tensor that
-requires them.
+and accumulates gradients additively into every reachable leaf that requires
+them.
+
+The walk releases the graph as it goes, as PyTorch does by default
+(``retain_graph=False``). Leaf tensors (no node: parameters, inputs) keep
+their ``.grad``. Intermediates do not: before a node's rule runs, the walk
+takes the tensor's gradient and node, sets ``.grad`` to None and ``.node`` to
+``RELEASED``, so each rule's saved arrays are freed once it has run. A graph
+can therefore be walked only once. A second ``backward()`` on the same loss,
+or on a new loss built on a walked intermediate, raises
+``GraphReleasedError`` before any rule runs, so no gradient is half-written.
 
 Everything is float64: the test suite rests on central finite differences,
 which are not trustworthy at single precision.
@@ -17,6 +26,7 @@ an operand's ``.data`` or an incoming gradient ``g``.
 Broadcasting in elementwise binary ops follows numpy semantics; the backward
 pass sum-reduces gradients over broadcast axes. The rest of the op set is the
 minimum a small transformer needs: matmul (2-D, batched, and N-D by 2-D),
+the affine map ``linear`` (x @ w + b as one node),
 softmax over the last axis, layer norm, GELU, elementwise functions,
 reductions, reshapes, concatenation, basic slicing, embedding lookup, the
 gather/scatter of unique rows that moves packed token rows in and out of a
@@ -34,6 +44,10 @@ import numpy as np
 
 class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
+
+
+class GraphReleasedError(RuntimeError):
+    """backward() reached a tensor whose graph an earlier walk released."""
 
 
 _grad_enabled = True
@@ -61,6 +75,11 @@ class Node:
         self.parents = parents
         self.backward_fn = backward_fn
         self.op = op
+
+
+# The node of every intermediate a backward walk has passed: no parents, no
+# rule, so the walked graph can be freed while the tensor lives on.
+RELEASED = Node((), None, "released")
 
 
 class Tensor:
@@ -111,7 +130,8 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self) -> None:
-        """Populate .grad on every reachable requires_grad tensor.
+        """Populate .grad on every reachable leaf that requires gradients,
+        releasing the graph as the walk passes it (see the module docstring).
 
         The loss must be a scalar. Gradients accumulate additively when a
         tensor feeds several consumers.
@@ -131,6 +151,10 @@ class Tensor:
                 continue
             if id(t) in seen:
                 continue
+            if t.node is RELEASED:
+                raise GraphReleasedError(
+                    "backward() through a graph that an earlier backward() released; "
+                    "rebuild the loss with a fresh forward pass")
             seen.add(id(t))
             stack.append((t, True))
             if t.node is not None:
@@ -139,14 +163,19 @@ class Tensor:
                         stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for t in reversed(order):
-            if t.node is None or t.grad is None:
+        while order:
+            t = order.pop()
+            node = t.node
+            if node is None:
                 continue
-            for p, g in zip(t.node.parents, t.node.backward_fn(t.grad)):
-                if g is None or not p.requires_grad:
+            g, t.grad, t.node = t.grad, None, RELEASED
+            if g is None:
+                continue
+            for p, gp in zip(node.parents, node.backward_fn(g)):
+                if gp is None or not p.requires_grad:
                     continue
                 # never mutate gradient arrays in place: views may be shared
-                p.grad = g if p.grad is None else p.grad + g
+                p.grad = gp if p.grad is None else p.grad + gp
 
     # -- operators ---------------------------------------------------------
 
@@ -332,6 +361,31 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _make(out, (a, b), backward, "matmul")
+
+
+def linear(x, w, b) -> Tensor:
+    """The affine map x @ w + b as one node: [..., k] @ [k, n] + [n].
+
+    Values and gradients are bit-identical to ``matmul(x, w) + b``, but the
+    product is summed into its own fresh array instead of being kept as a
+    separate graph tensor that the bias add's backward never reads.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeMismatchError(f"linear needs [..., k] @ [k, n], got "
+                                 f"{list(x.shape)} @ {list(w.shape)}")
+    k, n = w.shape
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def backward(g):
+        gx = np.matmul(g, w.data.T) if x.requires_grad else None
+        gw = (np.matmul(x.data.reshape(-1, k).T, g.reshape(-1, n))
+              if w.requires_grad else None)
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(out, (x, w, b), backward, "linear")
 
 
 # -- reductions ---------------------------------------------------------------

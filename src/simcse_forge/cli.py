@@ -24,7 +24,9 @@ from .checkpoint import (Checkpoint, IntegrityError, load_checkpoint,
                          params_hash, save_checkpoint)
 from .config import (ENV_SEED, ConfigError, RunConfig, config_hash,
                      load_run_config)
-from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,
+# make_batches is unused here but stays importable as cli.make_batches, a
+# name perfbench/tracing.py patches.
+from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,  # noqa: F401
                    load_tsv, make_batches, pad_batch, read_rows, read_text,
                    sentences_of, synth_toy_corpus, texts_of_rows, tokenize,
                    write_tsv)
@@ -34,8 +36,8 @@ from .experiments import (EXPERIMENTS, add_experiment_args,
                           experiment_config_from_args)
 from .rng import Rng
 from .training import (TASKS, TrainConfig, dropout_alignment, evaluate_task,
-                       predict, run_two_tier, train_multitask,
-                       train_single_task, train_sup_simcse,
+                       predict_dataset, run_two_tier, task_metric,
+                       train_multitask, train_single_task, train_sup_simcse,
                        train_unsup_simcse, transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.cli")
@@ -163,14 +165,15 @@ def _single_datasets(config: RunConfig, task: str,
     """Train and dev examples, tokenized with the source checkpoint's
     vocabulary and length when there is one, else the run config's."""
     schema = SYNTH_SCHEMAS[task]
-    rows = read_rows(_require(config, "train"), schema)
+    path = _require(config, "train")
+    rows = read_rows(path, schema)
     if source is None:
         vocab = _resolve_vocab(config, texts_of_rows(rows, schema))
         max_len = config.encoder.max_seq_len
     else:
         vocab = Vocab.from_tokens(source.vocab_tokens)
         max_len = source.config.max_seq_len
-    train = examples_from_rows(rows, schema, vocab, max_len)
+    train = examples_from_rows(rows, schema, vocab, max_len, path=path)
     dev = (load_tsv(config.data.dev, schema, vocab, max_len)
            if config.data.dev else [])
     return vocab, train, dev
@@ -193,18 +196,19 @@ def _train_single(config: RunConfig):
 
 
 def _train_multitask(config: RunConfig):
-    rows = {}
-    texts = []
+    paths, rows, texts = {}, {}, []
     for task in TASKS:
         schema = SYNTH_SCHEMAS[task]
-        rows[task] = read_rows(_require(config, _MULTITASK_DATA[task][0]), schema)
+        paths[task] = _require(config, _MULTITASK_DATA[task][0])
+        rows[task] = read_rows(paths[task], schema)
         texts.extend(texts_of_rows(rows[task], schema))
     vocab = _resolve_vocab(config, texts)
     max_len = config.encoder.max_seq_len
     datasets = {}
     for task in TASKS:
         schema = SYNTH_SCHEMAS[task]
-        train = examples_from_rows(rows[task], schema, vocab, max_len)
+        train = examples_from_rows(rows[task], schema, vocab, max_len,
+                                   path=paths[task])
         dev = load_tsv(_require(config, _MULTITASK_DATA[task][1]), schema,
                        vocab, max_len)
         datasets[task] = (train, dev)
@@ -246,14 +250,16 @@ def _train_sup(config: RunConfig):
 
 def _train_two_tier(config: RunConfig):
     schema = SYNTH_SCHEMAS["sts"]
-    sts_rows = read_rows(_require(config, "sts_train"), schema)
-    nli_rows = read_rows(_require(config, "nli"), "triplet")
+    sts_path = _require(config, "sts_train")
+    sts_rows = read_rows(sts_path, schema)
+    nli_path = _require(config, "nli")
+    nli_rows = read_rows(nli_path, "triplet")
     vocab = _resolve_vocab(config, texts_of_rows(sts_rows, schema)
                            + texts_of_rows(nli_rows, "triplet"))
     max_len = config.encoder.max_seq_len
-    sts_train = examples_from_rows(sts_rows, schema, vocab, max_len)
+    sts_train = examples_from_rows(sts_rows, schema, vocab, max_len, path=sts_path)
     sts_dev = load_tsv(_require(config, "sts_dev"), schema, vocab, max_len)
-    triplets = examples_from_rows(nli_rows, "triplet", vocab, max_len)
+    triplets = examples_from_rows(nli_rows, "triplet", vocab, max_len, path=nli_path)
     ck, reports = run_two_tier(config.two_tier_config(),
                                config.encoder_config(len(vocab)), vocab,
                                sts_train, sts_dev, triplets)
@@ -328,15 +334,11 @@ def cmd_eval(args, overrides) -> int:
                     ckpt.config.max_seq_len)
     tc = TrainConfig(task=task, batch_size=args.batch_size,
                      sts_head=args.sts_head)
-    name, value, n = evaluate_task(task, ckpt.params, ckpt.config, data, tc)
-    report = MetricReport(ckpt.stage, task, name, value, n, stage=ckpt.stage)
+    preds, golds = predict_dataset(task, ckpt.params, ckpt.config, data, tc)
+    name, value = task_metric(task, preds, golds)
+    report = MetricReport(ckpt.stage, task, name, value, len(preds), stage=ckpt.stage)
     print(emit_report([report], format="pretty"), end="")
     if task == "sts":
-        preds, golds = [], []
-        for batch in make_batches(data, args.batch_size):
-            preds.extend(predict(task, batch, ckpt.params, ckpt.config,
-                                 tc).tolist())
-            golds.extend(batch.target.tolist())
         _, csv_text = similarity_heatmap(golds, preds)
         out = Path(args.out) if args.out else Path(".")
         out.mkdir(parents=True, exist_ok=True)

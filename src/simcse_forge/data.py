@@ -203,13 +203,8 @@ def read_rows(path, schema: str) -> list[tuple[str, ...]]:
 
 def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64) -> list[Example]:
     """Parse and tokenize a dataset file into Examples."""
-    examples = []
-    for line_no, row in enumerate(read_rows(path, schema), start=2):
-        try:
-            examples.append(_parse_row(schema, row, vocab, max_len))
-        except ValueError as exc:
-            raise DataError(f"{Path(path)}:{line_no}: {exc}") from None
-    return examples
+    return examples_from_rows(read_rows(path, schema), schema, vocab, max_len,
+                              path=path)
 
 
 def write_tsv(path, schema: str, rows) -> None:
@@ -230,11 +225,23 @@ def write_tsv(path, schema: str, rows) -> None:
             (quoted if any("\r" in f for f in row) else writer).writerow(row)
 
 
-def examples_from_rows(rows, schema: str, vocab: Vocab,
-                       max_len: int = 64) -> list[Example]:
-    """Tokenize already-parsed rows (e.g. synth_toy_corpus output) in memory."""
+def examples_from_rows(rows, schema: str, vocab: Vocab, max_len: int = 64,
+                       path=None) -> list[Example]:
+    """Tokenize already-parsed rows (e.g. synth_toy_corpus output) in memory.
+
+    Given the path the rows were read from (``read_rows``), a bad row's
+    DataError names it and the row's line, as ``load_tsv`` does.
+    """
     _schema(schema)
-    return [_parse_row(schema, tuple(row), vocab, max_len) for row in rows]
+    examples = []
+    for line_no, row in enumerate(rows, start=2):
+        try:
+            examples.append(_parse_row(schema, tuple(row), vocab, max_len))
+        except ValueError as exc:
+            if path is None:
+                raise
+            raise DataError(f"{Path(path)}:{line_no}: {exc}") from None
+    return examples
 
 
 def texts_of_rows(rows, schema: str) -> list[str]:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, embedding, layer_norm, matmul, softmax
+from .autograd import Tensor, embedding, layer_norm, linear, matmul, softmax
 from .dropout import DropoutPolicy, apply_dropout
 from .objectives import PARA_FEATURE_MODES
 from .rng import Rng
@@ -342,9 +342,9 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
     hd = d // num_heads
-    q = matmul(hidden, layer["attn.wq"]) + layer["attn.bq"]
-    k = matmul(hidden, layer["attn.wk"]) + layer["attn.bk"]
-    v = matmul(hidden, layer["attn.wv"]) + layer["attn.bv"]
+    q = linear(hidden, layer["attn.wq"], layer["attn.bq"])
+    k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
+    v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
 
     contexts, weights = [], []
     for bucket in packing.buckets:
@@ -355,7 +355,7 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
         contexts.append(matmul(w, ag.rows_to_heads(v, bucket.rows, bucket.slots, shape)))
         weights.append(w)
     ctx = ag.heads_to_rows(contexts, [(b.rows, b.slots) for b in packing.buckets], n)
-    out = matmul(ctx, layer["attn.wo"]) + layer["attn.bo"]
+    out = linear(ctx, layer["attn.wo"], layer["attn.bo"])
     if dropout_fn is not None:
         out = dropout_fn(out)
     result = layer_norm(hidden + out, layer["ln1.gamma"], layer["ln1.beta"])
@@ -410,15 +410,15 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     for i in range(config.num_layers):
         lp = params.scope(f"layers.{i}.")
         h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site)
-        f = matmul(ag.gelu(matmul(h, lp["ffn.w1"]) + lp["ffn.b1"]),
-                   lp["ffn.w2"]) + lp["ffn.b2"]
+        f = linear(ag.gelu(linear(h, lp["ffn.w1"], lp["ffn.b1"])),
+                   lp["ffn.w2"], lp["ffn.b2"])
         h = layer_norm(h + site(f), lp["ln2.gamma"], lp["ln2.beta"])
 
     b, t = packing.mask.shape
     if config.pooling == "cls_tanh":
         first = ag.gather_rows(h, np.flatnonzero(packing.positions == 0),
                                (b, config.hidden_dim))
-        pooled = ag.tanh(matmul(first, params["pooler.weight"]) + params["pooler.bias"])
+        pooled = ag.tanh(linear(first, params["pooler.weight"], params["pooler.bias"]))
     else:
         # [B, N]: each row's mask value, in its own sequence's line
         weights = np.zeros((b, packing.rows))

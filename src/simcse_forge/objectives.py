@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor, concat, matmul
+from .autograd import Tensor, concat, linear, matmul
 
 SIMILARITY_HEADS = ("sum_linear", "cos_scale", "cos_sigmoid",
                     "cos_sigmoid_scaled", "cross_attention")
@@ -30,7 +30,7 @@ class ZeroNormError(ValueError):
 
 def sst_logits(pooled: Tensor, params) -> Tensor:
     """[B, d] -> [B, 5] raw logits; the loss owns normalization."""
-    return matmul(pooled, params["heads.sst.weight"]) + params["heads.sst.bias"]
+    return linear(pooled, params["heads.sst.weight"], params["heads.sst.bias"])
 
 
 def paraphrase_logit(pooled_a: Tensor, pooled_b: Tensor, params,
@@ -48,7 +48,7 @@ def paraphrase_logit(pooled_a: Tensor, pooled_b: Tensor, params,
         feats = concat([pooled_a, pooled_b], axis=-1)
     else:
         raise ValueError(f"unknown para feature mode {features!r}")
-    out = matmul(feats, params["heads.para.weight"]) + params["heads.para.bias"]
+    out = linear(feats, params["heads.para.weight"], params["heads.para.bias"])
     return out.reshape(out.shape[0])
 
 
@@ -68,7 +68,7 @@ def sts_score(pooled_a: Tensor, pooled_b: Tensor, kind: str, params) -> Tensor:
     range; the plain linear head is unbounded)."""
     if kind == "sum_linear":
         feats = concat([pooled_a, pooled_b], axis=-1)
-        out = matmul(feats, params["heads.sts.weight"]) + params["heads.sts.bias"]
+        out = linear(feats, params["heads.sts.weight"], params["heads.sts.bias"])
         return out.reshape(out.shape[0])
     if kind == "cos_scale":
         return (cosine(pooled_a, pooled_b) + 1.0) * 2.5

@@ -136,9 +136,9 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
         return sts_score(pooled, pooled_b, train_config.sts_head, params).data
 
 
-def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
-                  examples, train_config: TrainConfig) -> tuple[str, float, int]:
-    """(metric name, value, n) on a dataset; eval mode, insertion order."""
+def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
+                    examples, train_config: TrainConfig) -> tuple[list, list]:
+    """(predictions, gold targets) over a dataset; eval mode, insertion order."""
     _check_schema(task, examples, "eval")
     if not examples:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -146,9 +146,21 @@ def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
     for batch in make_batches(examples, train_config.batch_size):
         preds.extend(predict(task, batch, params, config, train_config).tolist())
         golds.extend(batch.target.tolist())
+    return preds, golds
+
+
+def task_metric(task: str, preds, golds) -> tuple[str, float]:
+    """(metric name, value): Pearson r for sts, accuracy otherwise."""
     if task == "sts":
-        return "pearson", pearson(preds, golds), len(preds)
-    return "accuracy", accuracy(preds, golds), len(preds)
+        return "pearson", pearson(preds, golds)
+    return "accuracy", accuracy(preds, golds)
+
+
+def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
+                  examples, train_config: TrainConfig) -> tuple[str, float, int]:
+    """(metric name, value, n) on a dataset; eval mode, insertion order."""
+    preds, golds = predict_dataset(task, params, config, examples, train_config)
+    return (*task_metric(task, preds, golds), len(preds))
 
 
 # -- the training loop ---------------------------------------------------------------
@@ -344,7 +356,10 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     encoded twice in train mode and the two views are positives.
 
     Fine-tunes given weights (params required); returns the final weights.
-    Batches of size 1 carry no negatives and are skipped with a warning. A
+    In-batch negatives need two sentences in a batch, so a batch_size below 2
+    is a ValueError and a pool below 2 sentences a DataError: either would
+    take no step and return the starting weights as if trained. A trailing
+    batch of size 1 carries no negatives and is skipped with a warning. A
     dropout policy that draws no mask (standard p=0, or curriculum at a step
     where its rate is 0, such as step 0) makes the two views identical; the
     first such step logs one warning.
@@ -352,8 +367,14 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     if params is None:
         raise ValueError("unsupervised contrastive training fine-tunes "
                          "existing weights; params is required")
-    _require_train_set(token_lists, "unsup_simcse")
     size = train_config.batch_size
+    if size < 2:
+        raise ValueError(f"unsup_simcse needs batch_size >= 2 for in-batch "
+                         f"negatives, got {size}")
+    _require_train_set(token_lists, "unsup_simcse")
+    if len(token_lists) < 2:
+        raise DataError("unsup_simcse: in-batch negatives need at least 2 "
+                        "sentences, got 1")
     warned = False
 
     def chunks(rng, step):

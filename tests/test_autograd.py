@@ -57,6 +57,44 @@ def test_matmul_batched_gradients():
     check_grad(lambda t: (matmul(a, t) * 0.1).sum(), w2)
 
 
+# -- linear -------------------------------------------------------------------
+
+def test_linear_gradients_match_finite_differences():
+    rng = Rng(44)
+    x, w, b = rand(rng, 5, 4), rand(rng, 4, 3), rand(rng, 3)
+    proj = Tensor(rng.normal((5, 3)))   # random projection to a scalar
+    check_grad(lambda t: (ag.linear(t, w, b) * proj).sum(), x)
+    check_grad(lambda t: (ag.linear(x, t, b) * proj).sum(), w)
+    check_grad(lambda t: (ag.linear(x, w, t) * proj).sum(), b)
+
+
+@pytest.mark.parametrize("x_grad, b_grad", [(True, True), (False, True), (True, False)])
+def test_linear_is_bit_identical_to_matmul_plus_bias(x_grad, b_grad):
+    rng = Rng(45)
+    arrays = (rng.normal((7, 6)), rng.normal((6, 5)), rng.normal((5,)))
+    proj = rng.normal((7, 5))
+    flags = (x_grad, True, b_grad)
+
+    def run(f):
+        x, w, b = (Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, flags))
+        out = f(x, w, b)
+        (out * Tensor(proj)).sum().backward()
+        return out.data, [t.grad for t in (x, w, b)]
+
+    fused, fused_grads = run(ag.linear)
+    plain, plain_grads = run(lambda x, w, b: matmul(x, w) + b)
+    assert np.array_equal(fused, plain)
+    for got, want, r in zip(fused_grads, plain_grads, flags):
+        assert (got is None) == (not r)
+        if r:
+            assert np.array_equal(got, want)
+
+
+def test_linear_rejects_mismatched_shapes():
+    with pytest.raises(ShapeMismatchError, match=r"\[2, 3\].*\[2, 2\]"):
+        ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+
+
 # -- softmax ------------------------------------------------------------------
 
 def test_softmax_uniform_on_constant():

@@ -272,6 +272,85 @@ def test_checkpoint_variants_tokenize_at_the_checkpoint_length(tmp_path, variant
     assert load_checkpoint(out / "checkpoint.ckpt").config.max_seq_len == 6
 
 
+def _sentences(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def test_unsup_simcse_on_one_sentence_exit_2(sst_run, capsys):
+    tmp_path, _, out = sst_run
+    config = write_config(tmp_path, data={
+        "checkpoint": str(out / "checkpoint.ckpt"),
+        "sentences": _sentences(tmp_path / "one.txt", ["the dog and the cat"])})
+    capsys.readouterr()
+    run = tmp_path / "one_run"
+    assert main(["train", "unsup-simcse", "--config", config, "--out", str(run)]) == 2
+    assert "at least 2 sentences" in capsys.readouterr().err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
+def test_unsup_simcse_batch_size_one_exit_1(sst_run, capsys):
+    tmp_path, _, out = sst_run
+    config = write_config(tmp_path, data={
+        "checkpoint": str(out / "checkpoint.ckpt"),
+        "sentences": _sentences(tmp_path / "three.txt", [
+            "the dog and the cat", "moon over the harbor", "old clock ticks on"])})
+    capsys.readouterr()
+    run = tmp_path / "b1_run"
+    assert main(["train", "unsup-simcse", "--config", config, "--out", str(run),
+                 "--train.batch_size", "1"]) == 1
+    assert "batch_size >= 2" in capsys.readouterr().err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
+def _with_bad_target(tmp_path, kind, name, seed, target):
+    """A synthetic TSV whose second data row (line 3) has the given target."""
+    path = tmp_path / name
+    synth(tmp_path, kind, 4, name, seed)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split("\t")
+    lines[2] = "\t".join(fields[:-1] + [target])
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_bad_target_in_single_train_file_names_file_and_line(tmp_path, capsys):
+    train = _with_bad_target(tmp_path, "sst", "bad.tsv", 1, "7")
+    config = write_config(tmp_path, data={"train": train})
+    capsys.readouterr()
+    assert main(["train", "single", "--config", config,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {train}:3: label 7 outside 0..4\n"
+
+
+def test_bad_target_in_multitask_train_file_names_file_and_line(tmp_path, capsys):
+    data = {"sst_train": synth(tmp_path, "sst", 8, "sst_train.tsv", seed=1),
+            "sst_dev": synth(tmp_path, "sst", 4, "sst_dev.tsv", seed=2),
+            "para_train": _with_bad_target(tmp_path, "paraphrase", "para.tsv", 3, "2"),
+            "para_dev": synth(tmp_path, "paraphrase", 4, "para_dev.tsv", seed=4),
+            "sts_train": synth(tmp_path, "sts", 8, "sts_train.tsv", seed=5),
+            "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=6)}
+    config = write_config(tmp_path, data=data)
+    capsys.readouterr()
+    assert main(["train", "multitask", "--config", config,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data['para_train']}:3: is_duplicate 2 not in {{0, 1}}\n")
+
+
+def test_bad_target_in_two_tier_train_file_names_file_and_line(tmp_path, capsys):
+    data = {"sts_train": _with_bad_target(tmp_path, "sts", "sts.tsv", 1, "7.5"),
+            "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=2),
+            "nli": synth(tmp_path, "nli", 4, "nli.tsv", seed=3)}
+    config = write_config(tmp_path, train={"task": "sts", "epochs": 1, "batch_size": 4},
+                          data=data)
+    capsys.readouterr()
+    assert main(["train", "two-tier", "--config", config,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data['sts_train']}:3: similarity 7.5 outside [0, 5]\n")
+
+
 # -- eval / embed -----------------------------------------------------------------
 
 def test_eval_reproduces_recorded_dev_metric(sst_run, tmp_path, capsys):
@@ -302,6 +381,31 @@ def test_eval_sts_writes_heatmap(tmp_path):
     assert len(lines) == 7
     total = sum(int(v) for line in lines[1:] for v in line.split(",")[1:])
     assert total == 6
+
+
+def test_eval_sts_encodes_each_dev_sentence_once(tmp_path, monkeypatch):
+    from simcse_forge import training
+
+    sts_train = synth(tmp_path, "sts", 8, "t.tsv", seed=1)
+    sts_dev = synth(tmp_path, "sts", 16, "d.tsv", seed=2)
+    config = write_config(tmp_path,
+                          train={"task": "sts", "epochs": 1, "batch_size": 8},
+                          data={"train": sts_train})
+    out = tmp_path / "sts_run"
+    assert main(["train", "single", "--config", config, "--out", str(out)]) == 0
+    rows = []
+    encode = training.encode
+
+    def counted(token_ids, *args, **kwargs):
+        rows.append(len(token_ids))
+        return encode(token_ids, *args, **kwargs)
+
+    monkeypatch.setattr(training, "encode", counted)
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data", sts_dev,
+                 "--task", "sts", "--batch-size", "5",
+                 "--out", str(tmp_path / "eval_out")]) == 0
+    assert sum(rows) == 32       # 16 pairs, two sentences each
+    assert (tmp_path / "eval_out" / "heatmap.csv").exists()
 
 
 def test_eval_corrupt_checkpoint_exit_3(sst_run, tmp_path):
