@@ -28,10 +28,11 @@ pass sum-reduces gradients over broadcast axes. The rest of the op set is the
 minimum a small transformer needs: matmul (2-D, batched, and N-D by 2-D),
 the affine map ``linear`` (x @ w + b as one node),
 softmax over the last axis, layer norm, GELU, elementwise functions,
-reductions, reshapes, concatenation, basic slicing, embedding lookup, the
-gather/scatter of unique rows that moves packed token rows in and out of a
-padded [B, T, ...] layout, and the placement of packed rows into per-head
-attention blocks and back.
+reductions, reshapes, concatenation, basic slicing, embedding lookup, and
+the gather/scatter of unique rows that moves packed token rows in and out of
+a padded [B, T, ...] layout. Ops with a hand-written backward that belong to
+one model, such as the encoder's attention core, live with the model and
+build their nodes with ``_make``.
 """
 
 from __future__ import annotations
@@ -511,77 +512,6 @@ def scatter_rows(a, index, shape) -> Tensor:
         return (g[index].reshape(a.shape),)
 
     return _make(out, (a,), backward, "scatter_rows")
-
-
-# Per-head layouts of a [n, T, H, hd] block: queries/values, and keys.
-_HEADS = (0, 2, 1, 3)      # [n, H, T, hd]
-_KEYS = (0, 2, 3, 1)       # [n, H, hd, T]
-
-
-def rows_to_heads(a, rows, slots, shape, keys: bool = False) -> Tensor:
-    """Packed [N, H*hd] rows placed per head: ``a[rows]`` written at the
-    (sequence, position) ``slots`` of a zero [n, T, H, hd] block of the given
-    shape, returned as [n, H, T, hd], or [n, H, hd, T] when keys, so that
-    q @ k needs no further transpose. The result is a strided view of that
-    block, which matmul reads as it is.
-
-    rows None takes every row of a in order; slots None fills every slot in
-    order, and with rows None too the result is a view of a itself: no copy.
-    Each slot is named at most once, so backward is a plain gather.
-    """
-    a = as_tensor(a)
-    axes = _KEYS if keys else _HEADS
-    if slots is None:
-        block = (a.data if rows is None else a.data[rows]).reshape(shape)
-    else:
-        block = np.zeros(shape)
-        block[slots] = (a.data if rows is None else a.data[rows]).reshape(-1, *shape[2:])
-    inverse = np.argsort(axes)
-
-    def backward(g):
-        picked = g.transpose(inverse)
-        picked = (picked.reshape(-1, a.shape[1]) if slots is None
-                  else picked[slots].reshape(-1, a.shape[1]))
-        if rows is None:
-            return (picked,)
-        ga = np.zeros_like(a.data)
-        ga[rows] = picked
-        return (ga,)
-
-    return _make(block.transpose(axes), (a,), backward, "rows_to_heads")
-
-
-def heads_to_rows(parts: Sequence, placements, num_rows: int) -> Tensor:
-    """The inverse of rows_to_heads over several blocks at once: one
-    [num_rows, H*hd] array holding, for each [n, H, T, hd] part and its
-    (rows, slots) placement, the part's slots at its rows. The placements
-    must name every row exactly once between them."""
-    parts = [as_tensor(p) for p in parts]
-    width = parts[0].shape[1] * parts[0].shape[3]
-    if len(parts) == 1 and placements[0][0] is None:
-        picked = parts[0].data.transpose(_HEADS)
-        slots = placements[0][1]
-        out = (picked.reshape(num_rows, width) if slots is None
-               else picked[slots].reshape(num_rows, width))
-    else:
-        out = np.empty((num_rows, width))
-        for p, (rows, slots) in zip(parts, placements):
-            out[rows] = p.data.transpose(_HEADS)[slots].reshape(-1, width)
-
-    def backward(g):
-        grads = []
-        for p, (rows, slots) in zip(parts, placements):
-            n, h, t, hd = p.shape
-            own = g if rows is None else g[rows]
-            if slots is None:
-                block = own.reshape(n, t, h, hd)
-            else:
-                block = np.zeros((n, t, h, hd))
-                block[slots] = own.reshape(-1, h, hd)
-            grads.append(block.transpose(_HEADS))
-        return tuple(grads)
-
-    return _make(out, tuple(parts), backward, "heads_to_rows")
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:

@@ -160,6 +160,17 @@ def _load_source_checkpoint(config: RunConfig) -> Checkpoint:
     return load_checkpoint(_require(config, "checkpoint"))
 
 
+def _load_dev(path, task: str, vocab: Vocab, max_len: int):
+    """A dev set the run will score, checked before training starts: it
+    needs one example, and two for sts, whose Pearson r needs two points."""
+    dev = load_tsv(path, SYNTH_SCHEMAS[task], vocab, max_len)
+    need = 2 if task == "sts" else 1
+    if len(dev) < need:
+        raise DataError(f"{path}: {task} dev set has {len(dev)} example(s), "
+                        f"scoring it needs at least {need}")
+    return dev
+
+
 def _single_datasets(config: RunConfig, task: str,
                      source: Checkpoint | None = None):
     """Train and dev examples, tokenized with the source checkpoint's
@@ -174,8 +185,7 @@ def _single_datasets(config: RunConfig, task: str,
         vocab = Vocab.from_tokens(source.vocab_tokens)
         max_len = source.config.max_seq_len
     train = examples_from_rows(rows, schema, vocab, max_len, path=path)
-    dev = (load_tsv(config.data.dev, schema, vocab, max_len)
-           if config.data.dev else [])
+    dev = _load_dev(config.data.dev, task, vocab, max_len) if config.data.dev else []
     return vocab, train, dev
 
 
@@ -209,8 +219,8 @@ def _train_multitask(config: RunConfig):
         schema = SYNTH_SCHEMAS[task]
         train = examples_from_rows(rows[task], schema, vocab, max_len,
                                    path=paths[task])
-        dev = load_tsv(_require(config, _MULTITASK_DATA[task][1]), schema,
-                       vocab, max_len)
+        dev = _load_dev(_require(config, _MULTITASK_DATA[task][1]), task,
+                        vocab, max_len)
         datasets[task] = (train, dev)
     ck = train_multitask(config.train_config(), config.encoder_config(len(vocab)),
                          vocab, datasets)
@@ -258,7 +268,7 @@ def _train_two_tier(config: RunConfig):
                            + texts_of_rows(nli_rows, "triplet"))
     max_len = config.encoder.max_seq_len
     sts_train = examples_from_rows(sts_rows, schema, vocab, max_len, path=sts_path)
-    sts_dev = load_tsv(_require(config, "sts_dev"), schema, vocab, max_len)
+    sts_dev = _load_dev(_require(config, "sts_dev"), "sts", vocab, max_len)
     triplets = examples_from_rows(nli_rows, "triplet", vocab, max_len, path=nli_path)
     ck, reports = run_two_tier(config.two_tier_config(),
                                config.encoder_config(len(vocab)), vocab,

@@ -10,7 +10,7 @@ the data augmentation the unsupervised contrastive objective relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,20 +56,7 @@ class DropoutPolicy:
                 raise ValueError("curriculum total_steps must be positive")
 
 
-@dataclass
-class MaskRecord:
-    """One sampled mask, kept around so tests can inspect what was dropped."""
-
-    mask: np.ndarray
-    keep_prob_per_unit: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        assert self.mask.shape == self.keep_prob_per_unit.shape
-
-
-def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
-                     recorder: list | None = None, step: int = 0) -> Tensor:
+def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
     by 1/(1-p) so the expected output equals the input. Identity in eval mode.
     """
@@ -81,9 +68,6 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
     mask = rng.bernoulli(keep, x.shape)
-    if recorder is not None:
-        recorder.append(MaskRecord(mask.reshape(-1).copy(),
-                                   np.full(x.size, keep), step))
     return x * Tensor(mask / keep)
 
 
@@ -97,16 +81,9 @@ def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
     return policy.p * (1.0 - float(np.exp(-policy.gamma * step / policy.total_steps)))
 
 
-def curriculum_dropout(x: Tensor, step: int, policy: DropoutPolicy, mode: str,
-                       rng: Rng | None, recorder: list | None = None) -> Tensor:
-    return standard_dropout(x, curriculum_rate(step, policy), mode, rng,
-                            recorder=recorder, step=step)
-
-
 def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
                      mode: str, rng: Rng | None,
-                     alpha: Tensor | None = None, beta: Tensor | None = None,
-                     recorder: list | None = None, step: int = 0) -> Tensor:
+                     alpha: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Standout-style dropout: keep probability pi_j = sigmoid(alpha*a_j + beta)
     per unit, from that unit's pre-dropout activation a_j.
 
@@ -126,20 +103,16 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     mask = rng.bernoulli(pi.data, x.shape)
-    if recorder is not None:
-        recorder.append(MaskRecord(mask.reshape(-1).copy(),
-                                   pi.data.reshape(-1).copy(), step))
     # value: x*mask; gradient: as if the op were x*pi (the mask's expectation)
     return x * Tensor(mask) + x * (pi - pi.detach())
 
 
 def apply_dropout(x: Tensor, policy: DropoutPolicy, mode: str, step: int,
                   rng: Rng | None, alpha: Tensor | None = None,
-                  beta: Tensor | None = None, recorder: list | None = None) -> Tensor:
+                  beta: Tensor | None = None) -> Tensor:
     """Dispatch one dropout site through the configured regime."""
     if policy.kind == "standard":
-        return standard_dropout(x, policy.p, mode, rng, recorder=recorder, step=step)
+        return standard_dropout(x, policy.p, mode, rng)
     if policy.kind == "curriculum":
-        return curriculum_dropout(x, step, policy, mode, rng, recorder=recorder)
-    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta,
-                            recorder=recorder, step=step)
+        return standard_dropout(x, curriculum_rate(step, policy), mode, rng)
+    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta)

@@ -21,11 +21,12 @@ buckets. A sequence's extent is its last packed position + 1; sorted by
 extent (stable), the sequences are cut into contiguous buckets that
 minimise sum(n_g * T_g^2) + C * G, the score entries the buckets compute
 plus a per-bucket cost C measured in score entries (``_BUCKET_COST``), by a
-DP over the distinct extents. The masked T x T scores, softmax and context
-then run per bucket at [n_g, H, T_g, T_g], with Q/K/V rows placed straight
-into each bucket's per-head layout and one node merging the contexts back
-into rows. A batch with no padding is one bucket at the full T whose
-placements are views, not copies.
+DP over the distinct extents. ``attention_core`` then runs the masked
+T x T scores, softmax and context of every bucket at [n_g, H, T_g, T_g] as
+one graph node per layer: it places the Q/K/V rows into each bucket's
+per-head blocks, and its backward writes each row's gradient once. A batch
+with no padding is one bucket at the full T whose blocks are views of the
+rows, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
@@ -177,10 +178,9 @@ def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
 # all heads): its fixed Python, graph and numpy-call cost over the cost of one
 # more entry. Measured at the default encoder (4 heads of 8) on a 2-vCPU Xeon
 # VM with one BLAS thread, eval mode: about 70 us per bucket and layer against
-# 0.05 us per entry, so the fits read 1300-1900. Backward adds three full
-# [N, d] gradient arrays per bucket, which favours fewer buckets in training,
-# but training epochs and eval passes over batches of 7-47-token sentences
-# read flat (within run noise) for constants between 750 and 6000.
+# 0.05 us per entry, so the fits read 1300-1900. Training epochs and eval
+# passes over batches of 7-47-token sentences read flat (within run noise)
+# for constants between 750 and 6000.
 _BUCKET_COST = 2000
 
 
@@ -320,17 +320,85 @@ def embed(token_ids, params: ModelParams, config: EncoderConfig,
     return _site_dropout(h, params, config, mode, step, rng)
 
 
+def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
+    """A bucket's packed [N, H*hd] rows placed per head: [n, H, T_g, hd],
+    zero at the slots no row fills. With no padding (rows and slots None) it
+    is a view of rows, not a copy."""
+    shape = (len(bucket.seqs), bucket.length, num_heads, rows.shape[1] // num_heads)
+    picked = rows if bucket.rows is None else rows[bucket.rows]
+    if bucket.slots is None:
+        block = picked.reshape(shape)
+    else:
+        block = np.zeros(shape)
+        block[bucket.slots] = picked.reshape(-1, *shape[2:])
+    return block.transpose(0, 2, 1, 3)
+
+
+def _to_rows(blocks, packing: Packing) -> np.ndarray:
+    """The inverse of ``_to_heads`` over every bucket: one [N, H*hd] array
+    holding each bucket's filled slots at its rows, each row written once."""
+    out = None
+    for bucket, block in zip(packing.buckets, blocks):
+        width = block.shape[1] * block.shape[3]
+        picked = block.transpose(0, 2, 1, 3)
+        if bucket.slots is not None:
+            picked = picked[bucket.slots]
+        picked = picked.reshape(-1, width)
+        if bucket.rows is None:             # the one bucket holds every row
+            return picked
+        if out is None:
+            out = np.empty((packing.rows, width))
+        out[bucket.rows] = picked
+    return out
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
+                   num_heads: int) -> tuple[Tensor, list[np.ndarray]]:
+    """Masked scaled dot-product attention over packed [N, d] query, key and
+    value rows, as one graph node.
+
+    Each bucket of ``packing`` runs at [n_g, H, T_g, T_g]. Returns the [N, d]
+    context rows and each bucket's weights. The backward computes every
+    bucket's score, softmax and context gradients with the numpy calls and
+    operand layouts of separate matmul and softmax nodes, so its values are
+    theirs bit for bit, and writes each row's q, k and v gradient once.
+    """
+    scale = 1.0 / np.sqrt(q.shape[1] // num_heads)
+    saved = []                  # (qb, kb, vb, w) per bucket, all [n, H, T_g, .]
+    for bucket in packing.buckets:
+        qb, kb, vb = (_to_heads(x.data, bucket, num_heads) for x in (q, k, v))
+        w = softmax(ag._wrap(qb @ kb.swapaxes(-1, -2)), scale=scale, bias=bucket.bias).data
+        saved.append((qb, kb, vb, w))
+    ctx = _to_rows([w @ vb for _, _, vb, w in saved], packing)
+
+    def backward(g):
+        grads = ([], [], [])
+        for bucket, (qb, kb, vb, w) in zip(packing.buckets, saved):
+            gc = _to_heads(g, bucket, num_heads)
+            gw = gc @ vb.swapaxes(-1, -2)
+            gs = gw * w                     # softmax backward, as ag.softmax
+            np.subtract(gw, gs.sum(axis=-1, keepdims=True), out=gs)
+            gs *= w
+            gs *= scale
+            grads[0].append(gs @ kb)
+            grads[1].append((qb.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+            grads[2].append(w.swapaxes(-1, -2) @ gc)
+        return tuple(_to_rows(blocks, packing) for blocks in grads)
+
+    return ag._make(ctx, (q, k, v), backward, "attention"), [s[3] for s in saved]
+
+
 def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
                          num_heads: int, dropout_fn=None, return_weights: bool = False):
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
-    ``params.scope("layers.<i>.")``. The T x T scores, softmax and context run
-    once per bucket of ``packing``, at [n_g, H, T_g, T_g]: Q, K and V rows are
-    placed straight into each bucket's per-head layout, and one node writes
-    every bucket's context back to rows before the output projection. Masked
-    key positions get a -1e9 additive score, which underflows to exactly zero
-    attention weight after softmax, so padded slots never reach a real row.
+    ``params.scope("layers.<i>.")``. The Q, K and V projections feed one
+    ``attention_core`` node, which runs the T x T scores, softmax and context
+    per bucket of ``packing`` and returns context rows for the output
+    projection. Masked key positions get a -1e9 additive score, which
+    underflows to exactly zero attention weight after softmax, so padded
+    slots never reach a real row.
 
     With return_weights, also returns the dense [B, H, T, T] attention
     weights as a constant Tensor (see ``_dense_weights``).
@@ -341,20 +409,10 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    hd = d // num_heads
     q = linear(hidden, layer["attn.wq"], layer["attn.bq"])
     k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
     v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
-
-    contexts, weights = [], []
-    for bucket in packing.buckets:
-        shape = (len(bucket.seqs), bucket.length, num_heads, hd)
-        w = softmax(matmul(ag.rows_to_heads(q, bucket.rows, bucket.slots, shape),
-                           ag.rows_to_heads(k, bucket.rows, bucket.slots, shape, keys=True)),
-                    scale=1.0 / np.sqrt(hd), bias=bucket.bias)      # [n_g, H, T_g, T_g]
-        contexts.append(matmul(w, ag.rows_to_heads(v, bucket.rows, bucket.slots, shape)))
-        weights.append(w)
-    ctx = ag.heads_to_rows(contexts, [(b.rows, b.slots) for b in packing.buckets], n)
+    ctx, weights = attention_core(q, k, v, packing, num_heads)
     out = linear(ctx, layer["attn.wo"], layer["attn.bo"])
     if dropout_fn is not None:
         out = dropout_fn(out)
@@ -364,7 +422,7 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     return result
 
 
-def _dense_weights(packing: Packing, weights: list[Tensor], num_heads: int) -> Tensor:
+def _dense_weights(packing: Packing, weights: list[np.ndarray], num_heads: int) -> Tensor:
     """[B, H, T, T] attention weights from the per-bucket ones.
 
     Keys past a sequence's bucket length get exactly zero weight. Query
@@ -376,7 +434,7 @@ def _dense_weights(packing: Packing, weights: list[Tensor], num_heads: int) -> T
     for bucket, w in zip(packing.buckets, weights):
         tg = bucket.length
         block = np.zeros((len(bucket.seqs), num_heads, t, tg))
-        block[:, :, :tg] = w.data
+        block[:, :, :tg] = w
         offsets = (np.zeros((len(bucket.seqs), 1, 1, tg)) if bucket.bias is None
                    else bucket.bias)
         block[:, :, tg:] = ag.softmax(Tensor(offsets)).data

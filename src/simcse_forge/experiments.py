@@ -41,6 +41,12 @@ class ExperimentConfig:
     max_seq_len: int = 16
     dropout_p: float = 0.1
 
+    def __post_init__(self):
+        # a negative size would slice its split from the end of the corpus
+        for name in ("train_size", "dev_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def encoder_config(self, vocab: Vocab,
                        dropout: DropoutPolicy | None = None) -> EncoderConfig:
         if dropout is None:

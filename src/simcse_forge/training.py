@@ -141,7 +141,7 @@ def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
     """(predictions, gold targets) over a dataset; eval mode, insertion order."""
     _check_schema(task, examples, "eval")
     if not examples:
-        raise ValueError("cannot evaluate on an empty dataset")
+        raise DataError("cannot evaluate on an empty dataset")
     preds, golds = [], []
     for batch in make_batches(examples, train_config.batch_size):
         preds.extend(predict(task, batch, params, config, train_config).tolist())

@@ -382,59 +382,6 @@ def test_embedding_bincount_backward_matches_add_at():
     assert np.all(table.grad == 0.0)
 
 
-def _placements(lengths):
-    """The (sequence, position) slots of sequences of the given lengths."""
-    seqs = np.concatenate([np.full(n, i) for i, n in enumerate(lengths)])
-    positions = np.concatenate([np.arange(n) for n in lengths])
-    return seqs, positions
-
-
-def test_rows_to_heads_and_back_are_inverse_placements():
-    rng = Rng(18)
-    n_rows, heads, hd, t = 9, 2, 3, 4
-    x = rand(rng, n_rows, heads * hd)
-    # two blocks: rows 0, 2, 5, 8 as sequences of length 3 and 1; the rest
-    # as sequences of length 4 and 1
-    rows = [np.array([0, 2, 5, 8]), np.array([1, 3, 4, 6, 7])]
-    slots = [_placements((3, 1)), _placements((4, 1))]
-    shapes = [(2, 3, heads, hd), (2, t, heads, hd)]
-    blocks = [ag.rows_to_heads(x, r, s, shape) for r, s, shape in zip(rows, slots, shapes)]
-    keys = ag.rows_to_heads(x, rows[0], slots[0], shapes[0], keys=True)
-    assert blocks[0].shape == (2, heads, 3, hd) and keys.shape == (2, heads, hd, 3)
-    assert np.array_equal(keys.data, np.swapaxes(blocks[0].data, -1, -2))
-    # sequence 0 of block 0, position 1, head 1 is row 2's second head
-    assert np.array_equal(blocks[0].data[0, 1, 1], x.data[2, hd:])
-    assert np.all(blocks[0].data[1, :, 1:] == 0.0)      # unfilled slots are zero
-    back = ag.heads_to_rows(blocks, list(zip(rows, slots)), n_rows)
-    assert np.array_equal(back.data, x.data)
-
-    w = Tensor(rng.normal((2, heads, 3, hd)))
-    check_grad(lambda a: (ag.rows_to_heads(a, rows[0], slots[0], shapes[0]) * w).sum(), x)
-    wk = Tensor(rng.normal((2, heads, hd, 3)))
-    check_grad(lambda a: (ag.rows_to_heads(a, rows[0], slots[0], shapes[0], keys=True)
-                          * wk).sum(), x)
-    v = Tensor(rng.normal((n_rows, heads * hd)))
-    b0, b1 = rand(rng, 2, heads, 3, hd), rand(rng, 2, heads, t, hd)
-    for i, part in enumerate((b0, b1)):
-        def loss(p, i=i):
-            parts = [b0, b1]
-            parts[i] = p
-            return (ag.heads_to_rows(parts, list(zip(rows, slots)), n_rows) * v).sum()
-        check_grad(loss, part)
-
-
-def test_rows_to_heads_without_slots_is_a_view():
-    x = Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True)
-    q = ag.rows_to_heads(x, None, None, (2, 3, 2, 2))
-    k = ag.rows_to_heads(x, None, None, (2, 3, 2, 2), keys=True)
-    assert np.shares_memory(q.data, x.data) and np.shares_memory(k.data, x.data)
-    assert np.array_equal(q.data[1, 0, 2], x.data[5, :2])
-    back = ag.heads_to_rows([q], [(None, None)], 6)
-    assert np.array_equal(back.data, x.data)
-    (back * 2.0).sum().backward()
-    assert np.array_equal(x.grad, np.full((6, 4), 2.0))
-
-
 @settings(max_examples=30, deadline=None)
 @given(arrays(np.float64, (4, 3), elements=st.floats(-10, 10)))
 def test_tensor_invariants(x):

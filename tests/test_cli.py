@@ -1,10 +1,12 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from simcse_forge import experiments, training
 from simcse_forge.cli import main
 from simcse_forge.checkpoint import load_checkpoint
 from simcse_forge.data import SCHEMAS, read_rows
@@ -203,9 +205,61 @@ def test_header_only_train_tsv_exit_2(tmp_path, capsys, variant):
     assert not (run / "checkpoint.ckpt").exists()
 
 
+_DEV_SCHEMA = {"dev": "classification", "sst_dev": "classification",
+               "para_dev": "pair_labeled", "sts_dev": "pair_scored"}
+
+
+@pytest.mark.parametrize("variant, key, rows", [
+    ("multitask", "sst_dev", 0), ("multitask", "para_dev", 0),
+    ("multitask", "sts_dev", 1), ("two-tier", "sts_dev", 0),
+    ("two-tier", "sts_dev", 1), ("single", "dev", 0), ("transfer", "dev", 0)])
+def test_too_small_dev_set_exit_2_before_training(tmp_path, capsys, monkeypatch,
+                                                  variant, key, rows):
+    small = (synth(tmp_path, "sts", rows, "small_dev.tsv", seed=9) if rows
+             else _header_only(tmp_path, _DEV_SCHEMA[key]))
+    data = {"train": synth(tmp_path, "sst", 8, "sst.tsv", seed=1),
+            "sst_train": synth(tmp_path, "sst", 8, "sst.tsv", seed=1),
+            "sst_dev": synth(tmp_path, "sst", 4, "sst_dev.tsv", seed=2),
+            "para_train": synth(tmp_path, "paraphrase", 8, "para.tsv", seed=3),
+            "para_dev": synth(tmp_path, "paraphrase", 4, "para_dev.tsv", seed=4),
+            "sts_train": synth(tmp_path, "sts", 8, "sts.tsv", seed=5),
+            "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=6),
+            "nli": synth(tmp_path, "nli", 4, "nli.tsv", seed=7)}
+    if variant == "transfer":
+        source = tmp_path / "source"
+        assert main(["train", "single", "--config", write_config(tmp_path, data=data),
+                     "--out", str(source)]) == 0
+        data["checkpoint"] = str(source / "checkpoint.ckpt")
+    data[key] = small
+    config = write_config(tmp_path, data=data)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an optimizer step ran before the dev set was checked")
+
+    monkeypatch.setattr(training, "adamw_step", no_step)
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", variant, "--config", config, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and Path(small).name in err
+    assert f"has {rows} example(s)" in err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
 def test_experiment_with_no_train_examples_exit_2(capsys):
     assert main(["experiment", "transfer", "--train-size", "0"]) == 2
     assert "train set is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--train-size", "--dev-size"])
+def test_experiment_negative_size_exit_1_before_any_corpus(capsys, monkeypatch, flag):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was drawn for a negative size")
+
+    monkeypatch.setattr(experiments, "synth_toy_corpus", no_corpus)
+    capsys.readouterr()
+    assert main(["experiment", "single-vs-multitask", flag, "-5"]) == 1
+    assert "must be >= 0, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, extra, args", [
@@ -420,6 +474,14 @@ def test_eval_missing_data_exit_2(sst_run):
     _, _, out = sst_run
     assert main(["eval", str(out / "checkpoint.ckpt"),
                  "--data", str(out.parent / "ghost.tsv"), "--task", "sst"]) == 2
+
+
+def test_eval_header_only_data_exit_2(sst_run, capsys):
+    tmp_path, _, out = sst_run
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data",
+                 _header_only(tmp_path, "classification"), "--task", "sst"]) == 2
+    assert "empty dataset" in capsys.readouterr().err
 
 
 def test_embed_rows_and_duplicates(sst_run, tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from simcse_forge import autograd as ag
 from simcse_forge.autograd import Tensor
 from simcse_forge.dropout import (DropoutPolicy, adaptive_dropout, apply_dropout,
-                                  curriculum_dropout, curriculum_rate,
-                                  standard_dropout)
+                                  curriculum_rate, standard_dropout)
 from simcse_forge.rng import Rng
 
 
@@ -92,16 +91,6 @@ def test_standard_mask_reproducible_and_fresh():
     assert not np.array_equal(c, d)
 
 
-def test_standard_recorder():
-    rec = []
-    x = Tensor(np.ones(64))
-    standard_dropout(x, 0.4, "train", Rng(5), recorder=rec, step=7)
-    assert len(rec) == 1
-    assert rec[0].step == 7
-    assert set(np.unique(rec[0].mask)) <= {0.0, 1.0}
-    assert np.allclose(rec[0].keep_prob_per_unit, 0.6)
-
-
 def test_standard_gradient_only_through_kept_units():
     x = Tensor(np.ones(100), requires_grad=True)
     out = standard_dropout(x, 0.5, "train", Rng(2))
@@ -140,14 +129,14 @@ def test_curriculum_rate_monotone_bounded(gamma, p):
 def test_curriculum_step0_identity():
     policy = DropoutPolicy(kind="curriculum", p=0.5)
     x = Tensor(np.ones(10))
-    assert curriculum_dropout(x, 0, policy, "train", Rng(0)) is x
+    assert apply_dropout(x, policy, "train", 0, Rng(0)) is x
 
 
 def test_curriculum_matches_standard_at_scheduled_rate():
     policy = DropoutPolicy(kind="curriculum", p=0.4, gamma=2.0, total_steps=100)
     x = Tensor(np.ones(512))
     rate = curriculum_rate(60, policy)
-    a = curriculum_dropout(x, 60, policy, "train", Rng(9)).data
+    a = apply_dropout(x, policy, "train", 60, Rng(9)).data
     b = standard_dropout(x, rate, "train", Rng(9)).data
     assert np.array_equal(a, b)
 
@@ -224,16 +213,6 @@ def test_adaptive_eval_gradient_matches_finite_difference():
 
     fd = ag.finite_diff_grad(f, Tensor(x0)).data
     assert np.max(np.abs(x.grad - fd) / np.maximum(1.0, np.abs(fd))) < 1e-4
-
-
-def test_adaptive_mask_recorded_with_per_unit_probs():
-    rec = []
-    policy = DropoutPolicy(kind="adaptive", alpha=1.0, beta=0.0)
-    x = Tensor(np.array([-2.0, 0.0, 2.0]))
-    adaptive_dropout(x, x, policy, "train", Rng(8), recorder=rec)
-    (record,) = rec
-    expected_pi = 1.0 / (1.0 + np.exp(-x.data))
-    assert np.allclose(record.keep_prob_per_unit, expected_pi)
 
 
 # -- dispatcher ----------------------------------------------------------------

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from simcse_forge import autograd as ag
+from simcse_forge import training
 from simcse_forge.autograd import Tensor
+from simcse_forge.data import Vocab, pad_batch, tokenize
 from simcse_forge.dropout import DropoutPolicy
 from simcse_forge.encoder import (_BUCKET_COST, EmptySequenceError, EncoderConfig,
-                                  EncodeResult, ModelParams, embed, encode, init_params, multi_head_attention,
-                                  pack, parameter_count)
+                                  EncodeResult, ModelParams, _dense_weights, _to_heads,
+                                  _to_rows, attention_core, embed, encode, init_params,
+                                  multi_head_attention, pack, parameter_count)
 from simcse_forge.rng import Rng
+from conftest import check_grad
 
 
 def toy_config(**overrides):
@@ -553,9 +557,36 @@ def test_unpadded_batch_is_one_bucket_without_a_row_copy():
     (bucket,) = packing.buckets
     assert np.array_equal(bucket.seqs, np.arange(3)) and bucket.length == 7
     assert bucket.rows is None and bucket.slots is None and bucket.bias is None
-    x = Tensor(np.random.default_rng(0).normal(size=(21, 8)))
-    heads = ag.rows_to_heads(x, bucket.rows, bucket.slots, (3, 7, 2, 4))
-    assert np.shares_memory(heads.data, x.data)
+    x = np.random.default_rng(0).normal(size=(21, 8))
+    heads = _to_heads(x, bucket, 2)
+    assert heads.shape == (3, 2, 7, 4) and np.shares_memory(heads, x)
+    assert np.array_equal(heads[1, 1, 2], x[7 + 2, 4:])    # sequence 1, position 2, head 1
+    assert np.array_equal(_to_rows([heads], packing), x)
+
+
+def test_to_heads_and_to_rows_are_inverse_placements():
+    mask = np.zeros((5, 60))
+    for i, n in enumerate((60, 2, 50, 1, 2)):
+        mask[i, :n] = 1.0
+    mask[3, 0] = 0.0                    # an all-zero mask row keeps its position 0
+    mask[0, 4] = 0.0                    # an interior hole is not a packed row
+    for m in (mask, mask[[0, 2]], np.ones((2, 4))):
+        packing = pack(m)
+        x = np.random.default_rng(1).normal(size=(packing.rows, 6))
+        blocks = [_to_heads(x, bk, 3) for bk in packing.buckets]
+        for bk, block in zip(packing.buckets, blocks):
+            assert block.shape == (len(bk.seqs), 3, bk.length, 2)
+            filled = np.zeros((len(bk.seqs), bk.length), dtype=bool)
+            filled[slice(None) if bk.slots is None else bk.slots] = True
+            assert np.all(block.transpose(0, 2, 1, 3)[~filled] == 0.0)
+        assert np.array_equal(_to_rows(blocks, packing), x)
+    packing = pack(mask)
+    assert len(packing.buckets) == 2
+    # sequence 0 sits in the long bucket; its position 5 is packed row 4 (the
+    # hole at 4 is skipped), and head 1 holds that row's columns 2:4
+    (long,) = [bk for bk in packing.buckets if 0 in bk.seqs]
+    block = _to_heads(np.arange(packing.rows * 6.0).reshape(-1, 6), long, 3)
+    assert np.array_equal(block[0, 1, 5], [26.0, 27.0])
 
 
 def three_bucket_batch(config, seed=0):
@@ -654,3 +685,97 @@ def test_all_zero_mask_row_attends_over_its_bucket():
         expected = np.exp(scores) / np.exp(scores).sum()
         assert np.allclose(weights.data[0, head, 0, :bucket.length], expected, atol=1e-6)
     assert np.all(weights.data[0, :, 0, bucket.length:] == 0.0)
+
+
+# -- the attention core node --------------------------------------------------------
+
+def dense_attention(q, k, v, mask, num_heads):
+    """Plain-numpy masked attention of packed q/k/v rows, run on the padded
+    [B, H, T, T] layout: the context at the packed rows, and the weights."""
+    packing = pack(mask)
+    b, t = mask.shape
+    hd = q.shape[1] // num_heads
+
+    def padded(rows):
+        out = np.zeros((b, t, q.shape[1]))
+        out[packing.seqs, packing.positions] = rows
+        return out.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+
+    scores = padded(q) @ padded(k).transpose(0, 1, 3, 2) / np.sqrt(hd)
+    scores = scores + (mask[:, None, None, :] - 1.0) * 1e9
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    ctx = (weights @ padded(v)).transpose(0, 2, 1, 3).reshape(b, t, -1)
+    return ctx[packing.seqs, packing.positions], weights
+
+
+def test_attention_core_matches_a_dense_padded_oracle():
+    cfg = toy_config(max_seq_len=64)
+    _, mask = three_bucket_batch(cfg)
+    mask[4, 10] = 0.0                   # an interior hole
+    packing = pack(mask)
+    assert len(packing.buckets) >= 3
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.normal(size=(packing.rows, cfg.hidden_dim)) for _ in range(3))
+    ctx, weights = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
+    want_ctx, want_weights = dense_attention(q, k, v, mask, cfg.num_heads)
+    assert np.max(np.abs(ctx.data - want_ctx)) < 1e-12
+    dense = _dense_weights(packing, weights, cfg.num_heads).data
+    assert np.max(np.abs(dense - want_weights)) < 1e-12
+
+
+def test_attention_core_gradient_check():
+    cfg = toy_config(hidden_dim=4, max_seq_len=64)
+    _, mask = three_bucket_batch(cfg, seed=1)
+    mask[4, 10] = 0.0                   # an interior hole
+    mask[0] = 0.0                       # an all-zero mask row: one packed row
+    packing = pack(mask)
+    assert len(packing.buckets) >= 3
+    rng = np.random.default_rng(10)
+    q, k, v = (Tensor(rng.normal(size=(packing.rows, 4)), requires_grad=True)
+               for _ in range(3))
+    # The all-zero row's own output is left out of the loss: its scores sit
+    # on -1e9 offsets, where float64 resolves steps of about 1e-7, too coarse
+    # for central differences. Its q, k and v must then get zero gradient.
+    probe = Tensor(rng.normal(size=(packing.rows, 4)) * (packing.seqs != 0)[:, None])
+    for i in range(3):
+        def loss(x, i=i):
+            args = [q, k, v]
+            args[i] = x
+            return (attention_core(*args, packing, 2)[0] * probe).sum()
+        check_grad(loss, (q, k, v)[i], tol=1e-7)
+        assert np.all((q, k, v)[i].grad[0] == 0.0)
+
+
+def test_one_attention_node_per_layer_and_encode(monkeypatch):
+    sentences = ["a", "the dog ran home", "a cat sat", "birds sing",
+                 " ".join(["word"] * 30), "the river is cold today and tomorrow"]
+    vocab = Vocab.build(sentences)
+    cfg = EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=3, num_heads=2,
+                        ffn_dim=16, max_seq_len=40,
+                        dropout=DropoutPolicy(kind="standard", p=0.1))
+    pool = [tokenize(s, vocab, cfg.max_seq_len) for s in sentences]
+    assert len(pack(pad_batch(pool)[1]).buckets) >= 2
+
+    def attention_nodes(loss):
+        seen, stack, n = set(), [loss], 0
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or t.node is None:
+                continue
+            seen.add(id(t))
+            n += t.node.op == "attention"
+            stack.extend(p for p in t.node.parents if p.requires_grad)
+        return n
+
+    counts = []
+    backward = ag.Tensor.backward
+
+    def counted(loss):
+        counts.append(attention_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(ag.Tensor, "backward", counted)
+    tc = training.TrainConfig(task="sts", epochs=1, batch_size=len(pool), lr=1e-3)
+    training.train_unsup_simcse(tc, cfg, vocab, pool, init_params(cfg, Rng(0)))
+    assert counts == [2 * cfg.num_layers]       # two encodes per contrastive step
