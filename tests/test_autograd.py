@@ -11,6 +11,7 @@ from simcse_forge.autograd import (
     ShapeMismatchError, Tensor, concat, embedding, finite_diff_grad, gelu,
     layer_norm, matmul, softmax,
 )
+from simcse_forge.encoder import _to_heads, _to_rows, pack
 from simcse_forge.rng import Rng
 
 from conftest import check_grad, rel_grad_error
@@ -380,6 +381,19 @@ def test_embedding_bincount_backward_matches_add_at():
     table.grad = None
     embedding(table, np.zeros((0,), dtype=np.int64)).sum().backward()
     assert np.all(table.grad == 0.0)
+
+
+# -- per-head placement of packed rows (encoder._to_heads / _to_rows) --------------
+
+def test_rows_to_heads_without_slots_is_a_view():
+    x = np.arange(24.0).reshape(6, 4)
+    packing = pack(np.ones((2, 3)))
+    (bucket,) = packing.buckets
+    heads = _to_heads(x, bucket, 2)
+    assert heads.shape == (2, 2, 3, 2) and np.shares_memory(heads, x)
+    assert np.array_equal(heads[1, 0, 2], x[5, :2])
+    back = _to_rows([heads], packing)
+    assert np.array_equal(back, x) and np.shares_memory(back, x)
 
 
 @settings(max_examples=30, deadline=None)
