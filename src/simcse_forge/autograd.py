@@ -1,19 +1,30 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-A Tensor wraps a C-contiguous numpy float64 array plus an optional node in
-the computation graph (parent tensors and a backward rule). Calling
-``backward()`` on a scalar loss walks the graph in reverse topological order
-and accumulates gradients additively into every reachable leaf that requires
-them.
+A Tensor wraps a C-contiguous numpy float64 array plus, for an op's output
+that needs a gradient, a ``Handle``: its place in the computation graph,
+holding its node (parent entries and a backward rule) and its gradient slot,
+but not its array. Calling ``backward()`` on a scalar loss walks the graph in
+reverse topological order and accumulates gradients additively into every
+reachable leaf that requires them.
+
+The graph holds only what backward reads. A node's parents are the
+operands' handles; a leaf (no node: parameters, inputs) stands for itself.
+Each rule's closure captures only the arrays, shapes and flags it reads,
+never an operand Tensor: ``add`` keeps shapes, ``mul`` keeps the other
+operand only if this side needs a gradient, ``layer_norm`` keeps ``xhat``,
+``inv_sigma`` and ``gamma``. An intermediate whose array no rule reads is
+therefore freed as soon as the caller drops the Tensor, though the graph
+built on it lives until the walk.
 
 The walk releases the graph as it goes, as PyTorch does by default
-(``retain_graph=False``). Leaf tensors (no node: parameters, inputs) keep
-their ``.grad``. Intermediates do not: before a node's rule runs, the walk
-takes the tensor's gradient and node, sets ``.grad`` to None and ``.node`` to
-``RELEASED``, so each rule's saved arrays are freed once it has run. A graph
-can therefore be walked only once. A second ``backward()`` on the same loss,
-or on a new loss built on a walked intermediate, raises
-``GraphReleasedError`` before any rule runs, so no gradient is half-written.
+(``retain_graph=False``). Leaf tensors keep their ``.grad``. Intermediates
+do not: before a node's rule runs, the walk takes the handle's gradient and
+node, sets its gradient to None and its node to ``RELEASED``, so each rule's
+saved arrays are freed once it has run; the Tensor reads ``.grad`` and
+``.node`` through its handle, so it shows the release too. A graph can
+therefore be walked only once. A second ``backward()`` on the same loss, or
+on a new loss built on a walked intermediate, raises ``GraphReleasedError``
+before any rule runs, so no gradient is half-written.
 
 Everything is float64: the test suite rests on central finite differences,
 which are not trustworthy at single precision.
@@ -31,8 +42,8 @@ softmax over the last axis, layer norm, GELU, elementwise functions,
 reductions, reshapes, concatenation, basic slicing, embedding lookup, and
 the gather/scatter of unique rows that moves packed token rows in and out of
 a padded [B, T, ...] layout. Ops with a hand-written backward that belong to
-one model, such as the encoder's attention core, live with the model and
-build their nodes with ``_make``.
+one model, such as the encoder's attention core and dropout, live with the
+model and build their nodes with ``_make``.
 """
 
 from __future__ import annotations
@@ -83,16 +94,45 @@ class Node:
 RELEASED = Node((), None, "released")
 
 
-class Tensor:
-    """Dense float64 array with optional gradient and graph back-reference."""
+class Handle:
+    """An intermediate's graph entry: its node and gradient slot, not its
+    array. Node.parents hold it in place of the Tensor, so the array lives
+    only as long as the caller or a rule that reads it keeps it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node")
+    __slots__ = ("node", "grad")
+    requires_grad = True        # only an output that needs a gradient has one
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.grad: np.ndarray | None = None
+
+
+class Tensor:
+    """Dense float64 array with optional gradient and graph handle."""
+
+    __slots__ = ("data", "requires_grad", "_grad", "_handle")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.node: Node | None = None
+        self._grad: np.ndarray | None = None
+        self._handle: Handle | None = None
+
+    @property
+    def node(self) -> Node | None:
+        """The op that made this tensor; None for a leaf."""
+        return None if self._handle is None else self._handle.node
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad if self._handle is None else self._handle.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._handle is None:
+            self._grad = value
+        else:
+            self._handle.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,12 +153,7 @@ class Tensor:
         return self.data
 
     def detach(self) -> "Tensor":
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        t.node = None
-        return t
+        return _wrap(self.data)
 
     def copy(self, requires_grad: bool | None = None) -> "Tensor":
         return Tensor(self.data.copy(),
@@ -142,9 +177,11 @@ class Tensor:
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no gradient path")
 
-        order: list[Tensor] = []
+        # graph entries: the handles of intermediates, leaves as themselves
+        root = self if self._handle is None else self._handle
+        order: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             t, expanded = stack.pop()
             if expanded:
@@ -163,7 +200,7 @@ class Tensor:
                     if p.requires_grad and id(p) not in seen:
                         stack.append((p, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while order:
             t = order.pop()
             node = t.node
@@ -237,18 +274,23 @@ def as_tensor(x) -> Tensor:
 def _wrap(data: np.ndarray) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.data = data
-    t.grad = None
     t.requires_grad = False
-    t.node = None
+    t._grad = None
+    t._handle = None
     return t
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable, op: str = "") -> Tensor:
+    """The output tensor of an op. When grad mode is on and an operand needs
+    a gradient, it gets a handle whose node holds the operands' graph
+    entries and backward_fn, which must capture no operand Tensor (see the
+    module docstring) and returns one gradient or None per operand."""
     out = _wrap(np.asarray(data, dtype=np.float64))
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.node = Node(tuple(parents), backward_fn, op)
+        entries = tuple(p if p._handle is None else p._handle for p in parents)
+        out._handle = Handle(Node(entries, backward_fn, op))
     return out
 
 
@@ -265,13 +307,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- elementwise binary ops -------------------------------------------------
 
+# A rule saves what it reads for a side only when that side needs a gradient;
+# None marks a side that gets none.
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, sa) if sa is not None else None
+        gb = _unbroadcast(g, sb) if sb is not None else None
         return ga, gb
 
     return _make(out, (a, b), backward, "add")
@@ -280,10 +327,12 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, sa) if sa is not None else None
+        gb = _unbroadcast(-g, sb) if sb is not None else None
         return ga, gb
 
     return _make(out, (a, b), backward, "sub")
@@ -292,10 +341,13 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None    # a's gradient reads b
+    ad = a.data if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * bd, sa) if bd is not None else None
+        gb = _unbroadcast(g * ad, sb) if ad is not None else None
         return ga, gb
 
     return _make(out, (a, b), backward, "mul")
@@ -304,10 +356,13 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
+    sa, sb, bd = a.shape, b.shape, b.data
+    ra = a.requires_grad
+    ad = a.data if b.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / bd, sa) if ra else None
+        gb = _unbroadcast(-g * ad / (bd * bd), sb) if ad is not None else None
         return ga, gb
 
     return _make(out, (a, b), backward, "div")
@@ -322,10 +377,11 @@ def powc(a, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     a = as_tensor(a)
     c = float(exponent)
-    out = a.data ** c
+    x = a.data
+    out = x ** c
 
     def backward(g):
-        return (g * c * a.data ** (c - 1.0),)
+        return (g * c * x ** (c - 1.0),)
 
     return _make(out, (a,), backward, "pow")
 
@@ -348,17 +404,19 @@ def matmul(a, b) -> Tensor:
     if b.ndim > 2 and sa[:-2] != sb[:-2]:
         raise ShapeMismatchError(f"matmul batch dims disagree: {list(sa)} @ {list(sb)}")
     out = np.matmul(a.data, b.data)
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.ndim == 2:
+        if bd is not None:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        if ad is not None:
+            if len(sb) == 2:
                 k, n = sb
-                gb = np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))
+                gb = np.matmul(ad.reshape(-1, k).T, g.reshape(-1, n))
             else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         return ga, gb
 
     return _make(out, (a, b), backward, "matmul")
@@ -378,12 +436,15 @@ def linear(x, w, b) -> Tensor:
     k, n = w.shape
     out = np.matmul(x.data, w.data)
     out += b.data
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def backward(g):
-        gx = np.matmul(g, w.data.T) if x.requires_grad else None
-        gw = (np.matmul(x.data.reshape(-1, k).T, g.reshape(-1, n))
-              if w.requires_grad else None)
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        gx = np.matmul(g, wd.T) if wd is not None else None
+        gw = (np.matmul(xd.reshape(-1, k).T, g.reshape(-1, n))
+              if xd is not None else None)
+        gb = _unbroadcast(g, sb) if sb is not None else None
         return gx, gw, gb
 
     return _make(out, (x, w, b), backward, "linear")
@@ -406,9 +467,10 @@ def _restore_axes(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def backward(g):
-        return (_restore_axes(g, a.shape, axis, keepdims).copy(),)
+        return (_restore_axes(g, shape, axis, keepdims).copy(),)
 
     return _make(out, (a,), backward, "sum")
 
@@ -417,9 +479,10 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / max(out.size, 1)
+    shape = a.shape
 
     def backward(g):
-        return (_restore_axes(g, a.shape, axis, keepdims) / count,)
+        return (_restore_axes(g, shape, axis, keepdims) / count,)
 
     return _make(out, (a,), backward, "mean")
 
@@ -431,9 +494,10 @@ def reshape(a, *shape) -> Tensor:
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
     out = a.data.reshape(shape)
+    original = a.shape
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(original),)
 
     return _make(out, (a,), backward, "reshape")
 
@@ -470,9 +534,10 @@ def take(a, index) -> Tensor:
     scatter-add backward: a position read k times gets k gradients."""
     a = as_tensor(a)
     out = a.data[index]
+    shape = a.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.add.at(ga, index, g)
         return (ga,)
 
@@ -488,10 +553,11 @@ def gather_rows(a, index, shape) -> Tensor:
         return reshape(a, shape)
     a = as_tensor(a)
     picked = a.data[index]
+    source, rows = a.shape, picked.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[index] = g.reshape(picked.shape)
+        ga = np.zeros(source)
+        ga[index] = g.reshape(rows)
         return (ga,)
 
     return _make(picked.reshape(shape), (a,), backward, "gather_rows")
@@ -507,9 +573,10 @@ def scatter_rows(a, index, shape) -> Tensor:
     out = np.zeros(shape)
     lead = len(index) if isinstance(index, tuple) else 1
     out[index] = a.data.reshape(-1, *shape[lead:])
+    rows = a.shape
 
     def backward(g):
-        return (g[index].reshape(a.shape),)
+        return (g[index].reshape(rows),)
 
     return _make(out, (a,), backward, "scatter_rows")
 
@@ -523,15 +590,14 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     table = as_tensor(table)
     ids = np.asarray(ids)
     out = table.data[ids]
+    shape = table.shape
 
     def backward(g):
-        if not table.requires_grad:
-            return (None,)
-        width = math.prod(table.shape[1:])
+        width = math.prod(shape[1:])
         bins = ids.reshape(-1, 1) * width + np.arange(width)
         gt = np.bincount(bins.reshape(-1), weights=g.reshape(-1),
-                         minlength=table.data.size)
-        return (gt.reshape(table.shape),)
+                         minlength=math.prod(shape))
+        return (gt.reshape(shape),)
 
     return _make(out, (table,), backward, "embedding")
 
@@ -546,7 +612,8 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
+    x = a.data
+    return _make(np.log(x), (a,), lambda g: (g / x,), "log")
 
 
 def sqrt(a) -> Tensor:
@@ -577,7 +644,8 @@ def sigmoid(a) -> Tensor:
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
-    return _make(out, (a,), lambda g: (g * (a.data > 0),), "relu")
+    positive = a.data > 0
+    return _make(out, (a,), lambda g: (g * positive,), "relu")
 
 
 def softplus(a) -> Tensor:
@@ -598,7 +666,8 @@ def softplus(a) -> Tensor:
 
 def tabs(a) -> Tensor:
     a = as_tensor(a)
-    return _make(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs")
+    x = a.data
+    return _make(np.abs(x), (a,), lambda g: (g * np.sign(x),), "abs")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -683,16 +752,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv_sigma = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_sigma
     out = gamma.data * xhat + beta.data
+    scale = gamma.data if x.requires_grad else None
+    rg, rb = gamma.requires_grad, beta.requires_grad
 
     def backward(g):
         gx = ggamma = gbeta = None
         lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
+        if rg:
             ggamma = (g * xhat).sum(axis=lead)
-        if beta.requires_grad:
+        if rb:
             gbeta = g.sum(axis=lead)
-        if x.requires_grad:
-            gxhat = g * gamma.data
+        if scale is not None:
+            gxhat = g * scale
             gx = inv_sigma * (gxhat
                               - gxhat.mean(axis=-1, keepdims=True)
                               - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))

@@ -15,8 +15,9 @@ The JSON header is written with sorted keys and fixed separators, so a
 checkpoint's bytes are a pure function of its contents — two identically
 seeded runs produce identical files. The CRC covers the body only; the
 loader checks the header's fields, types, stage, config and manifest against
-the parameter table (``encoder.param_spec``) instead, and reports every
-mismatch as an IntegrityError.
+the parameter table (``encoder.param_spec``) instead, checks that the
+vocabulary has no duplicate token and fits the config's ``vocab_size``, and
+reports every mismatch as an IntegrityError.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
+from .data import RESERVED_TOKENS
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig, ModelParams, param_spec
 
@@ -152,6 +154,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{p}: body checksum mismatch")
 
     config = config_from_dict(header["config"])
+    vocab, seen = header["vocab"], set()
+    for token in vocab:
+        if token in seen:
+            raise IntegrityError(f"{p}: duplicate vocabulary token {token!r}")
+        seen.add(token)
+    room = config.vocab_size - len(RESERVED_TOKENS)
+    if len(vocab) > room:
+        raise IntegrityError(f"{p}: vocabulary has {len(vocab)} tokens, but config "
+                             f"vocab_size {config.vocab_size} holds {room}")
     shapes = {name: shape for name, shape, _ in param_spec(config)}
     arrays = {}
     for entry in header["arrays"]:
@@ -174,5 +185,5 @@ def load_checkpoint(path) -> Checkpoint:
     params = ModelParams((name, Tensor(arrays[name], requires_grad=True))
                          for name in shapes)
     return Checkpoint(config=config, params=params, stage=header["stage"],
-                      history=header["history"], vocab_tokens=header["vocab"],
+                      history=header["history"], vocab_tokens=vocab,
                       version=version)

@@ -59,6 +59,11 @@ class DropoutPolicy:
 def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
     by 1/(1-p) so the expected output equals the input. Identity in eval mode.
+
+    One graph node that saves a bool mask (one byte per unit) and the scalar
+    1/(1-p); it rebuilds the float scale when used, so values and gradients
+    are bit-identical to ``x * Tensor(mask / (1 - p))`` with the 0/1 mask,
+    signed zeros included.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
@@ -67,8 +72,13 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None) -> Tensor:
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
-    mask = rng.bernoulli(keep, x.shape)
-    return x * Tensor(mask / keep)
+    kept = rng.bernoulli(keep, x.shape, dtype=bool)
+    inv = 1.0 / keep
+
+    def backward(g):
+        return (g * np.where(kept, inv, 0.0),)
+
+    return ag._make(x.data * np.where(kept, inv, 0.0), (x,), backward, "dropout")
 
 
 def curriculum_rate(step: int, policy: DropoutPolicy) -> float:

@@ -362,6 +362,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
     bucket's score, softmax and context gradients with the numpy calls and
     operand layouts of separate matmul and softmax nodes, so its values are
     theirs bit for bit, and writes each row's q, k and v gradient once.
+
+    The backward reads only the per-bucket blocks it saves. In a padded
+    batch they are copies, so the q, k and v rows are freed once the caller
+    drops them; without padding the blocks are views that keep the rows.
     """
     scale = 1.0 / np.sqrt(q.shape[1] // num_heads)
     saved = []                  # (qb, kb, vb, w) per bucket, all [n, H, T_g, .]

@@ -46,6 +46,9 @@ class ExperimentConfig:
         for name in ("train_size", "dev_size"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # every harness scores STS Pearson on the dev split, which needs two points
+        if self.dev_size < 2:
+            raise ValueError(f"dev_size must be >= 2, got {self.dev_size}")
 
     def encoder_config(self, vocab: Vocab,
                        dropout: DropoutPolicy | None = None) -> EncoderConfig:

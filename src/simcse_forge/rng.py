@@ -74,14 +74,15 @@ class Rng:
         z = mean + std * z
         return z.reshape(shape) if shape else z[0]
 
-    def bernoulli(self, keep_prob, shape=()) -> np.ndarray:
-        """0/1 mask; entry is 1 with probability keep_prob (scalar or array)."""
+    def bernoulli(self, keep_prob, shape=(), dtype=np.float64) -> np.ndarray:
+        """0/1 mask; entry is 1 with probability keep_prob (scalar or array).
+        dtype=bool returns the comparison itself, one byte per entry."""
         keep = np.asarray(keep_prob, dtype=np.float64)
         # k * 2**-53 < keep  <=>  k < keep * 2**53: both scalings by 2**53 are
         # exact and k < 2**53 converts to float64 exactly, so the mask equals
         # uniform() < keep without building the uniform array.
         k = self._bits53(shape if shape else keep.shape)
-        return (k < keep * 2.0**53).astype(np.float64)
+        return (k < keep * 2.0**53).astype(dtype, copy=False)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

@@ -224,7 +224,26 @@ BAD_HEADERS = {
     "heads-do-not-divide-width": _set("num_heads", 3, "config"),
     "float-width": _set("hidden_dim", 8.0, "config"),
     "unknown-stage": _set("stage", "pretrain"),
+    # toy_config's 19 ids hold 15 tokens after the 4 reserved ones
+    "vocab-overflows-config": _set("vocab", [f"w{i}" for i in range(13)]
+                                   + ["alpha", "beta", "gamma"]),
+    "duplicate-vocab-token": _set("vocab", ["alpha", "beta", "gamma", "beta"]),
 }
+
+
+@pytest.mark.parametrize("vocab, message", [
+    ([f"w{i}" for i in range(16)], "16 tokens, but config vocab_size 19 holds 15"),
+    (["alpha", "beta", "alpha"], "duplicate vocabulary token 'alpha'"),
+], ids=["overflow", "duplicate"])
+def test_load_rejects_a_vocabulary_the_config_cannot_hold(tmp_path, vocab, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(toy_checkpoint(), path)
+    path.write_bytes(repack(path.read_bytes(), _set("vocab", vocab)))
+    with pytest.raises(IntegrityError, match=message):
+        load_checkpoint(path)
+    full = [f"w{i}" for i in range(15)]      # exactly fills the 15 ids
+    path.write_bytes(repack(path.read_bytes(), _set("vocab", full)))
+    assert load_checkpoint(path).vocab_tokens == full
 
 
 @pytest.mark.parametrize("mutate", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())

@@ -262,6 +262,22 @@ def test_experiment_negative_size_exit_1_before_any_corpus(capsys, monkeypatch, 
     assert "must be >= 0, got -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_experiment_dev_size_below_2_exit_1_before_training(capsys, monkeypatch,
+                                                           name, size):
+    # every harness scores STS Pearson on the dev split, which needs two points
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached training or a corpus draw")
+
+    for stub in ("synth_toy_corpus", "train_single_task", "train_multitask",
+                 "train_unsup_simcse", "run_two_tier", "transfer_finetune"):
+        monkeypatch.setattr(experiments, stub, unreachable)
+    capsys.readouterr()
+    assert main(["experiment", name, "--dev-size", size]) == 1
+    assert f"dev_size must be >= 2, got {size}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, extra, args", [
     ("out", {"out": 5}, []),
     ("data.train", {}, ["--data.train", "5"]),

@@ -100,6 +100,49 @@ def test_standard_gradient_only_through_kept_units():
     assert np.allclose(x.grad[~kept], 0.0)
 
 
+def float_mask_dropout(x, p, rng):
+    """The product the dropout node replaces: x times a float 0/1 mask / keep."""
+    keep = 1.0 - p
+    return x * Tensor(rng.bernoulli(keep, x.shape) / keep)
+
+
+def signed_zeros(a):
+    return int(np.count_nonzero((a == 0.0) & np.signbit(a)))
+
+
+_CURRICULUM = DropoutPolicy(kind="curriculum", p=0.3, gamma=2.0, total_steps=20)
+
+
+@pytest.mark.parametrize("policy, step", [
+    (DropoutPolicy(kind="standard", p=0.1), 0),
+    (DropoutPolicy(kind="standard", p=0.5), 0),
+    (DropoutPolicy(kind="standard", p=0.9), 0),
+    (_CURRICULUM, 7),
+    (_CURRICULUM, 0),                       # rate 0
+    (DropoutPolicy(kind="standard", p=0.0), 0),
+], ids=["p0.1", "p0.5", "p0.9", "curriculum", "curriculum-step0", "p0"])
+def test_dropout_node_is_bit_identical_to_the_float_mask_product(policy, step):
+    data = Rng(3).normal((16, 8), std=2.0)          # mixed signs
+    g = Rng(4).normal((16, 8))                      # mixed-sign incoming gradient
+    p = curriculum_rate(step, policy) if policy.kind == "curriculum" else policy.p
+    x, xr = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    rng, ref_rng = Rng(11), Rng(11)
+    out = apply_dropout(x, policy, "train", step, rng)
+    ref = float_mask_dropout(xr, p, ref_rng)
+    assert out.data.tobytes() == ref.data.tobytes()
+    if p == 0.0:
+        # no mask is drawn: the input itself, with the stream untouched
+        assert out is x and rng._state == Rng(11)._state
+        return
+    assert rng._state == ref_rng._state
+    assert out.node.op == "dropout"
+    (gx,) = out.node.backward_fn(g)
+    gr, _ = ref.node.backward_fn(g)
+    assert gx.dtype == gr.dtype and gx.tobytes() == gr.tobytes()
+    # negative inputs and gradients at dropped units give -0.0 in both
+    assert signed_zeros(out.data) > 0 and signed_zeros(gx) > 0
+
+
 # -- curriculum ----------------------------------------------------------------
 
 def test_curriculum_rate_boundaries():
