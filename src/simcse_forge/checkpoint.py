@@ -126,7 +126,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{p}: truncated header")
     try:
         header = json.loads(blob[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise IntegrityError(f"{p}: unreadable header ({exc})") from None
 
     if not isinstance(header, dict):

@@ -44,8 +44,6 @@ logger = logging.getLogger("simcse_forge.cli")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTEGRITY = 0, 1, 2, 3
 
-TRAIN_VARIANTS = ("single", "multitask", "unsup-simcse", "sup-simcse",
-                  "two-tier", "transfer")
 # task -> the data keys of its train and dev files in multitask runs
 _MULTITASK_DATA = {"sst": ("sst_train", "sst_dev"),
                    "paraphrase": ("para_train", "para_dev"),
@@ -73,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run a training procedure")
-    p_train.add_argument("variant", choices=TRAIN_VARIANTS)
+    p_train.add_argument("variant", choices=_DISPATCH)
     p_train.add_argument("--config", help="JSON run configuration")
     p_train.add_argument("--seed", type=int, default=None,
                          help="overrides the config file's seed")
@@ -144,20 +142,12 @@ def _require(config: RunConfig, name: str) -> str:
 
 
 def _read_sentence_file(path) -> list[str]:
+    """The non-empty lines of a text file; only \\n, \\r\\n and \\r end a line."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"sentence file not found: {p}")
-    return [line for line in read_text(p).splitlines() if line]
-
-
-def _resolve_vocab(config: RunConfig, fallback_texts) -> Vocab:
-    if config.data.vocab:
-        return Vocab.load(config.data.vocab)
-    return Vocab.build(fallback_texts, min_count=config.data.min_count)
-
-
-def _load_source_checkpoint(config: RunConfig) -> Checkpoint:
-    return load_checkpoint(_require(config, "checkpoint"))
+    text = read_text(p).replace("\r\n", "\n").replace("\r", "\n")
+    return [line for line in text.split("\n") if line]
 
 
 def _load_dev(path, task: str, vocab: Vocab, max_len: int):
@@ -171,22 +161,35 @@ def _load_dev(path, task: str, vocab: Vocab, max_len: int):
     return dev
 
 
-def _single_datasets(config: RunConfig, task: str,
-                     source: Checkpoint | None = None):
-    """Train and dev examples, tokenized with the source checkpoint's
-    vocabulary and length when there is one, else the run config's."""
-    schema = SYNTH_SCHEMAS[task]
-    path = _require(config, "train")
-    rows = read_rows(path, schema)
-    if source is None:
-        vocab = _resolve_vocab(config, texts_of_rows(rows, schema))
-        max_len = config.encoder.max_seq_len
+def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
+    """The vocabulary and the examples of a train run, by data key.
+
+    ``train`` lists (data key, schema) pairs for the train files; a schema
+    of None marks a sentence file, which gives token lists. ``dev`` lists
+    (data key, task) pairs for the dev sets the run scores. With a source
+    checkpoint, its vocabulary (it must carry one) and max_seq_len are used;
+    without, data.vocab or a vocabulary built from the train files'
+    sentences, at the run config's max_seq_len.
+    """
+    paths = {key: _require(config, key) for key, _ in (*train, *dev)}
+    rows = {key: read_rows(paths[key], schema) if schema
+            else _read_sentence_file(paths[key]) for key, schema in train}
+    max_len = config.encoder.max_seq_len
+    if source is not None:
+        vocab, max_len = _checkpoint_vocab(source), source.config.max_seq_len
+    elif config.data.vocab:
+        vocab = Vocab.load(config.data.vocab)
     else:
-        vocab = Vocab.from_tokens(source.vocab_tokens)
-        max_len = source.config.max_seq_len
-    train = examples_from_rows(rows, schema, vocab, max_len, path=path)
-    dev = _load_dev(config.data.dev, task, vocab, max_len) if config.data.dev else []
-    return vocab, train, dev
+        vocab = Vocab.build([text for key, schema in train for text in (
+            texts_of_rows(rows[key], schema) if schema else rows[key])],
+            min_count=config.data.min_count)
+    examples = {key: examples_from_rows(rows[key], schema, vocab, max_len,
+                                        path=paths[key]) if schema
+                else [tokenize(s, vocab, max_len) for s in rows[key]]
+                for key, schema in train}
+    for key, task in dev:
+        examples[key] = _load_dev(paths[key], task, vocab, max_len)
+    return vocab, examples
 
 
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
@@ -199,29 +202,19 @@ def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
 
 def _train_single(config: RunConfig):
     task = config.train.task
-    vocab, train, dev = _single_datasets(config, task)
+    vocab, data = _load(config, [("train", SYNTH_SCHEMAS[task])],
+                        [("dev", task)] if config.data.dev else [])
+    dev = data.get("dev", [])
     ck = train_single_task(config.train_config(), config.encoder_config(len(vocab)),
-                           vocab, train, dev)
+                           vocab, data["train"], dev)
     return vocab, ck, _final_report("single", task, ck, config, dev)
 
 
 def _train_multitask(config: RunConfig):
-    paths, rows, texts = {}, {}, []
-    for task in TASKS:
-        schema = SYNTH_SCHEMAS[task]
-        paths[task] = _require(config, _MULTITASK_DATA[task][0])
-        rows[task] = read_rows(paths[task], schema)
-        texts.extend(texts_of_rows(rows[task], schema))
-    vocab = _resolve_vocab(config, texts)
-    max_len = config.encoder.max_seq_len
-    datasets = {}
-    for task in TASKS:
-        schema = SYNTH_SCHEMAS[task]
-        train = examples_from_rows(rows[task], schema, vocab, max_len,
-                                   path=paths[task])
-        dev = _load_dev(_require(config, _MULTITASK_DATA[task][1]), task,
-                        vocab, max_len)
-        datasets[task] = (train, dev)
+    vocab, data = _load(
+        config, [(_MULTITASK_DATA[t][0], SYNTH_SCHEMAS[t]) for t in TASKS],
+        [(_MULTITASK_DATA[t][1], t) for t in TASKS])
+    datasets = {t: tuple(data[key] for key in _MULTITASK_DATA[t]) for t in TASKS}
     ck = train_multitask(config.train_config(), config.encoder_config(len(vocab)),
                          vocab, datasets)
     reports = []
@@ -237,50 +230,40 @@ def _alignment_report(model: str, ck, config: RunConfig, pool):
 
 
 def _train_unsup(config: RunConfig):
-    source = _load_source_checkpoint(config)
-    vocab = Vocab.from_tokens(source.vocab_tokens)
-    lines = _read_sentence_file(_require(config, "sentences"))
-    max_len = source.config.max_seq_len
-    pool = [tokenize(s, vocab, max_len) for s in lines]
+    source = load_checkpoint(_require(config, "checkpoint"))
+    vocab, data = _load(config, [("sentences", None)], source=source)
+    pool = data["sentences"]
     tc = config.train_config(task="sts", dropout_p=0.1)
     ck = train_unsup_simcse(tc, source.config, vocab, pool, source.params)
     return vocab, ck, _alignment_report("unsup_simcse", ck, config, pool)
 
 
 def _train_sup(config: RunConfig):
-    source = _load_source_checkpoint(config)
-    vocab = Vocab.from_tokens(source.vocab_tokens)
-    max_len = source.config.max_seq_len
-    triplets = load_tsv(_require(config, "nli"), "triplet", vocab, max_len)
+    source = load_checkpoint(_require(config, "checkpoint"))
+    vocab, data = _load(config, [("nli", "triplet")], source=source)
     tc = config.train_config(task="sts", dropout_p=0.1)
-    ck = train_sup_simcse(tc, source.config, vocab, triplets, source.params)
-    pool = [tokenize(s, vocab, max_len) for s in sentences_of(triplets)]
+    ck = train_sup_simcse(tc, source.config, vocab, data["nli"], source.params)
+    pool = [tokenize(s, vocab, source.config.max_seq_len)
+            for s in sentences_of(data["nli"])]
     return vocab, ck, _alignment_report("sup_simcse", ck, config, pool)
 
 
 def _train_two_tier(config: RunConfig):
-    schema = SYNTH_SCHEMAS["sts"]
-    sts_path = _require(config, "sts_train")
-    sts_rows = read_rows(sts_path, schema)
-    nli_path = _require(config, "nli")
-    nli_rows = read_rows(nli_path, "triplet")
-    vocab = _resolve_vocab(config, texts_of_rows(sts_rows, schema)
-                           + texts_of_rows(nli_rows, "triplet"))
-    max_len = config.encoder.max_seq_len
-    sts_train = examples_from_rows(sts_rows, schema, vocab, max_len, path=sts_path)
-    sts_dev = _load_dev(_require(config, "sts_dev"), "sts", vocab, max_len)
-    triplets = examples_from_rows(nli_rows, "triplet", vocab, max_len, path=nli_path)
+    vocab, data = _load(config, [("sts_train", SYNTH_SCHEMAS["sts"]),
+                                 ("nli", "triplet")], [("sts_dev", "sts")])
     ck, reports = run_two_tier(config.two_tier_config(),
                                config.encoder_config(len(vocab)), vocab,
-                               sts_train, sts_dev, triplets)
+                               data["sts_train"], data["sts_dev"], data["nli"])
     return vocab, ck, reports
 
 
 def _train_transfer(config: RunConfig):
-    source = _load_source_checkpoint(config)
+    source = load_checkpoint(_require(config, "checkpoint"))
     task = config.train.task
-    vocab, train, dev = _single_datasets(config, task, source)
-    ck = transfer_finetune(source, task, config.train_config(), train, dev)
+    vocab, data = _load(config, [("train", SYNTH_SCHEMAS[task])],
+                        [("dev", task)] if config.data.dev else [], source)
+    dev = data.get("dev", [])
+    ck = transfer_finetune(source, task, config.train_config(), data["train"], dev)
     return vocab, ck, _final_report("transfer", task, ck, config, dev)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig
-from .optim import AdamWConfig
+from .optim import AdamWConfig, is_int
 from .training import TrainConfig, TwoTierConfig
 
 ENV_SEED = "SIMCSE_FORGE_SEED"
@@ -52,7 +52,7 @@ TrainSection = _section("TrainSection", TrainConfig, drop=(
 # the train section at task "sts".
 TwoTierSection = _section(
     "TwoTierSection", TwoTierConfig, drop=("stage1", *_STAGES),
-    extra=[(f"{stage}_{key}", TrainConfig.__annotations__[key],
+    extra=[(f"{stage}_{key}", {f.name: f.type for f in fields(TrainConfig)}[key],
             getattr(getattr(TwoTierConfig(), stage), key))
            for stage in _STAGES for key in _STAGE_KEYS])
 
@@ -105,27 +105,24 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Force every derived config's own validation before any work."""
-        try:
-            self.train_config().optim()
-            self.two_tier_config()
-            self.encoder_config(vocab_size=8)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for where, build in (("train", self.train_config),
+                             ("two_tier", self.two_tier_config),
+                             ("encoder", lambda: self.encoder_config(vocab_size=8))):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"'{where}': {exc}") from None
         paths = {f"data.{name}": value for name, value in asdict(self.data).items()
                  if name != "min_count"}
         for key, value in {"out": self.out, **paths}.items():
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{key} must be a path string or null, got {value!r}")
-        if not _is_int(self.data.min_count):
+        if not is_int(self.data.min_count):
             raise ConfigError(
                 f"data.min_count must be an integer, got {self.data.min_count!r}")
         return self
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _SECTIONS = {"encoder": EncoderSection, "dropout": DropoutPolicy,
@@ -188,7 +185,7 @@ def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
             raise ConfigError(f"config file not found: {p}")
         try:
             d = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{p}: invalid JSON ({exc})") from None
         if not isinstance(d, dict):
             raise ConfigError(f"{p}: top level must be a JSON object")

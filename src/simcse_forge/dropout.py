@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .optim import is_int, is_number
 from .rng import Rng
 
 KINDS = ("standard", "curriculum", "adaptive")
@@ -42,9 +43,9 @@ class DropoutPolicy:
             raise ValueError(f"unknown dropout kind {self.kind!r}, expected one of {KINDS}")
         for name in ("p", "gamma", "alpha", "beta"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_number(value):
                 raise ValueError(f"dropout {name} must be a number, got {value!r}")
-        if not isinstance(self.total_steps, int) or isinstance(self.total_steps, bool):
+        if not is_int(self.total_steps):
             raise ValueError(
                 f"dropout total_steps must be an integer, got {self.total_steps!r}")
         if not 0.0 <= self.p < 1.0:

@@ -8,11 +8,20 @@ only matrices and embedding tables shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autograd import Tensor
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool (JSON's true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_int(value) or isinstance(value, float)
 
 
 @dataclass
@@ -25,6 +34,10 @@ class AdamWConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
+        for f in fields(AdamWConfig):
+            value = getattr(self, f.name)
+            if not (is_number(value) or f.name == "clip_norm" and value is None):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -31,7 +31,7 @@ from .evaluation import MetricReport, accuracy, pearson
 from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, mse_loss,
                          paraphrase_logit, sst_logits, sts_score,
                          sup_simcse_loss, unsup_simcse_loss)
-from .optim import AdamWConfig, AdamWState, adamw_step
+from .optim import AdamWConfig, AdamWState, adamw_step, is_int
 from .rng import Rng
 
 logger = logging.getLogger("simcse_forge.training")
@@ -40,16 +40,10 @@ TASKS = ("sst", "paraphrase", "sts")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(AdamWConfig):
     task: str = "sst"
     epochs: int = 10
     batch_size: int = 8
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    clip_norm: float | None = None
     dropout_p: float | None = None    # per-stage override of the encoder policy
     sts_head: str = "cos_sigmoid"
     sst_loss: str = "bce"             # bce against one-hot targets, or "ce"
@@ -58,6 +52,11 @@ class TrainConfig:
     eval_every: int = 0               # extra dev evals every k steps; 0 = per epoch
 
     def __post_init__(self):
+        super().__post_init__()
+        for name in ("epochs", "batch_size", "eval_every", "seed"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.epochs < 0:
@@ -74,11 +73,6 @@ class TrainConfig:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
-
-    def optim(self) -> AdamWConfig:
-        return AdamWConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                           eps=self.eps, weight_decay=self.weight_decay,
-                           clip_norm=self.clip_norm)
 
 
 def _check_schema(kind: str, examples, which: str) -> None:
@@ -184,7 +178,6 @@ def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
     rng = Rng(train_config.seed)
     params = params.copy() if params is not None else init_params(config, rng)
     opt_state = AdamWState()
-    opt = train_config.optim()
     tag = {"stage": stage} if task is None else {"stage": stage, "task": task}
 
     history: list[dict] = []
@@ -207,7 +200,7 @@ def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
             if not math.isfinite(value):
                 raise ValueError(f"{stage} stage: non-finite loss at step {step}")
             loss.backward()
-            norm = adamw_step(params.named_parameters(), opt_state, opt)
+            norm = adamw_step(params.named_parameters(), opt_state, train_config)
             if not math.isfinite(norm):
                 raise ValueError(
                     f"{stage} stage: non-finite gradient norm at step {step}")

@@ -8,6 +8,7 @@ step-count check; these tests catch that here instead.
 """
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -94,3 +95,32 @@ def test_traced_unsup_run_draws_masks_over_real_tokens_only():
     real = sum(len(tokenize(s, vocab, config.max_seq_len)) for s in SENTENCES)
     sites = 1 + 2 * config.num_layers      # embeddings, then attention and FFN per layer
     assert drawn == 2 * sites * real * config.hidden_dim
+
+
+def test_traced_two_tier_cli_run_records_load_eval_and_save_spans(tmp_path):
+    # the two-tier-toy workload's path: the loader, the dev evals and the save
+    # must keep calling through the cli names perfbench patches
+    from simcse_forge import cli
+
+    data = {}
+    for key, kind, size, seed in (("sts_train", "sts", 12, 1),
+                                  ("sts_dev", "sts", 4, 2), ("nli", "nli", 6, 3)):
+        data[key] = str(tmp_path / f"{key}.tsv")
+        assert cli.main(["synth", kind, str(size), data[key],
+                         "--seed", str(seed)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "encoder": {"hidden_dim": 8, "num_layers": 1, "num_heads": 2,
+                    "ffn_dim": 16, "max_seq_len": 12},
+        "dropout": {"kind": "adaptive", "alpha": 1.0},
+        "train": {"task": "sts", "epochs": 1, "batch_size": 4},
+        "two_tier": {"stage2_epochs": 1, "stage2_batch_size": 4,
+                     "stage3_epochs": 1, "stage3_batch_size": 4},
+        "data": data}))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        code = cli.main(["train", "two-tier", "--config", str(config),
+                         "--out", str(tmp_path / "run")])
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"data.tokenize", "training.eval", "checkpoint.save"} <= names

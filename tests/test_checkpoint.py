@@ -161,6 +161,14 @@ def test_load_garbled_header_json(tmp_path):
         load_checkpoint(path)
 
 
+def test_load_deeply_nested_header_json(tmp_path):
+    path = tmp_path / "deep.ckpt"
+    header = b"[" * 200_000
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(8))
+    with pytest.raises(IntegrityError, match="unreadable header"):
+        load_checkpoint(path)
+
+
 def test_load_version_mismatch(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(toy_checkpoint(), path)

@@ -373,6 +373,45 @@ def test_unsup_simcse_batch_size_one_exit_1(sst_run, capsys):
     assert not (run / "checkpoint.ckpt").exists()
 
 
+@pytest.mark.parametrize("variant", ["unsup-simcse", "sup-simcse", "transfer"])
+def test_checkpoint_variants_refuse_a_source_without_vocabulary(sst_run, capsys,
+                                                                variant):
+    from simcse_forge.checkpoint import save_checkpoint
+
+    tmp_path, _, out = sst_run
+    ck = load_checkpoint(out / "checkpoint.ckpt")
+    ck.vocab_tokens = []
+    save_checkpoint(ck, tmp_path / "bare.ckpt")
+    config = write_config(tmp_path, data={
+        "checkpoint": str(tmp_path / "bare.ckpt"),
+        "sentences": _sentences(tmp_path / "two.txt", [
+            "the dog and the cat", "moon over the harbor"]),
+        "train": str(tmp_path / "train.tsv"),
+        "nli": synth(tmp_path, "nli", 8, "nli.tsv", seed=2)})
+    capsys.readouterr()
+    run = tmp_path / "bare_run"
+    assert main(["train", variant, "--config", config, "--out", str(run)]) == 1
+    assert "checkpoint carries no vocabulary" in capsys.readouterr().err
+    assert not (run / "checkpoint.ckpt").exists()
+
+
+def test_bad_stage_lr_exit_1_before_any_step(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached an optimizer step")
+
+    monkeypatch.setattr(training, "adamw_step", unreachable)
+    config = write_config(tmp_path, train={"task": "sts", "epochs": 1}, data={
+        "sts_train": synth(tmp_path, "sts", 8, "sts_train.tsv", seed=1),
+        "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=2),
+        "nli": synth(tmp_path, "nli", 4, "nli.tsv", seed=3)})
+    capsys.readouterr()
+    run = tmp_path / "tt"
+    assert main(["train", "two-tier", "--config", config, "--out", str(run),
+                 "--two_tier.stage2_lr", "-1"]) == 1
+    assert capsys.readouterr().err == "error: 'two_tier': lr must be positive\n"
+    assert not run.exists()
+
+
 def _with_bad_target(tmp_path, kind, name, seed, target):
     """A synthetic TSV whose second data row (line 3) has the given target."""
     path = tmp_path / name
@@ -513,6 +552,20 @@ def test_embed_rows_and_duplicates(sst_run, tmp_path):
     first = lines[1].split("\t")
     assert len(first) == 1 + 8                  # sentence + hidden_dim floats
     assert lines[1] == lines[3]                 # duplicates embed identically
+
+
+def test_embed_splits_lines_only_at_line_ends(sst_run):
+    _, _, out = sst_run
+    lines = ["the dog\x0cand the cat", "moon\x85over the harbor",
+             "the\u2028river", "old clock"]
+    sentences = out.parent / "breaks.txt"
+    sentences.write_bytes(f"{lines[0]}\n{lines[1]}\r\n{lines[2]}\r{lines[3]}\n"
+                          .encode("utf-8"))
+    embed_dir = out.parent / "emb_breaks"
+    assert main(["embed", str(out / "checkpoint.ckpt"), str(sentences),
+                 "--out", str(embed_dir)]) == 0
+    rows = (embed_dir / "embeddings.tsv").read_bytes().decode("utf-8").split("\n")
+    assert [row.split("\t")[0] for row in rows[1:-1]] == lines
 
 
 def test_embed_cosine_matches_internal_similarity(sst_run):

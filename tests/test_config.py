@@ -99,6 +99,13 @@ def test_bad_json_and_missing_file(tmp_path):
         load_run_config(str(tmp_path / "arr.json"))
 
 
+def test_deeply_nested_json_is_a_config_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_run_config(str(p))
+
+
 def test_override_value_parsing():
     assert parse_override_value("3e-5") == 3e-5
     assert parse_override_value("8") == 8
@@ -142,6 +149,16 @@ def test_invalid_values_fail_at_load_time(tmp_path):
     ("dropout", {"p": False}),
     ("dropout", {"kind": "adaptive", "alpha": None}),
     ("encoder", {"num_layers": True}),
+    ("train", {"epochs": 1.5}),
+    ("train", {"batch_size": 2.5}),
+    ("train", {"batch_size": True}),
+    ("train", {"eval_every": "2"}),
+    ("optim", {"lr": "x"}),
+    ("optim", {"clip_norm": False}),
+    ("two_tier", {"stage2_lr": "x"}),
+    ("two_tier", {"stage2_lr": -1}),
+    ("two_tier", {"stage3_epochs": 1.5}),
+    ("two_tier", {"stage2_batch_size": True}),
 ])
 def test_mistyped_section_values_fail_at_load_time(tmp_path, section, values):
     with pytest.raises(ConfigError, match=section):
