@@ -725,14 +725,16 @@ def softmax(a, scale: float = 1.0, bias: np.ndarray | None = None) -> Tensor:
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
-    def backward(g):
-        gx = g * out
-        np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
-        gx *= out
-        gx *= scale
-        return (gx,)
+    return _make(out, (a,), lambda g: (softmax_grad(g, out, scale),), "softmax")
 
-    return _make(out, (a,), backward, "softmax")
+
+def softmax_grad(g: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+    """softmax's gradient for ``a`` from its output and output gradient g."""
+    gx = g * out
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= out
+    gx *= scale
+    return gx
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

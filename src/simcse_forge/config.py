@@ -95,9 +95,13 @@ class RunConfig:
 
     def two_tier_config(self) -> TwoTierConfig:
         tt = asdict(self.two_tier)
-        stages = {stage: self.train_config(
-            task="sts", **{key: tt.pop(f"{stage}_{key}") for key in _STAGE_KEYS})
-            for stage in _STAGES}
+        stages = {}
+        for stage in _STAGES:
+            keys = {key: tt.pop(f"{stage}_{key}") for key in _STAGE_KEYS}
+            try:
+                stages[stage] = self.train_config(task="sts", **keys)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"'two_tier' {stage}: {exc}") from None
         return TwoTierConfig(stage1=self.train_config(task="sts"), **stages, **tt)
 
     def to_dict(self) -> dict:
@@ -112,6 +116,8 @@ class RunConfig:
                              ("encoder", lambda: self.encoder_config(vocab_size=8))):
             try:
                 build()
+            except ConfigError:
+                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"'{where}': {exc}") from None
         paths = {f"data.{name}": value for name, value in asdict(self.data).items()

@@ -57,14 +57,27 @@ class DropoutPolicy:
                 raise ValueError("curriculum total_steps must be positive")
 
 
+def _masked(x: Tensor, kept: np.ndarray, scale: float, pi: Tensor | None = None) -> Tensor:
+    """Every regime's train-mode node: ``x * where(kept, scale, 0)``, saving
+    the bool mask, bit-identical to x times the float mask. Given the keep
+    probability ``pi``, it also gives pi the straight-through gradient of
+    ``x * pi``, and saves x's array only when pi needs a gradient."""
+    xs = x.data if pi is not None and pi.requires_grad else None
+    pi_shape = None if pi is None else pi.shape
+
+    def backward(g):
+        gx = g * np.where(kept, scale, 0.0)
+        if pi_shape is None:
+            return (gx,)
+        return gx, None if xs is None else ag._unbroadcast(g * xs, pi_shape)
+
+    parents = (x,) if pi is None else (x, pi)
+    return ag._make(x.data * np.where(kept, scale, 0.0), parents, backward, "dropout")
+
+
 def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
     by 1/(1-p) so the expected output equals the input. Identity in eval mode.
-
-    One graph node that saves a bool mask (one byte per unit) and the scalar
-    1/(1-p); it rebuilds the float scale when used, so values and gradients
-    are bit-identical to ``x * Tensor(mask / (1 - p))`` with the 0/1 mask,
-    signed zeros included.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
@@ -73,13 +86,7 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None) -> Tensor:
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
-    kept = rng.bernoulli(keep, x.shape, dtype=bool)
-    inv = 1.0 / keep
-
-    def backward(g):
-        return (g * np.where(kept, inv, 0.0),)
-
-    return ag._make(x.data * np.where(kept, inv, 0.0), (x,), backward, "dropout")
+    return _masked(x, rng.bernoulli(keep, x.shape, dtype=bool), 1.0 / keep)
 
 
 def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
@@ -101,8 +108,8 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
     Train mode samples Bernoulli(pi) masks with no 1/pi rescaling. Eval mode
     multiplies by pi, the mask's expectation, because pi is input-dependent
     and there is no single rescaling constant. alpha and beta are learnable;
-    in train mode they receive straight-through gradients, i.e. the backward
-    pass treats the op as x*pi while the forward value uses the sampled mask.
+    in train mode they receive straight-through gradients: pi gets that of
+    x*pi, while the value and x's gradient use the sampled mask.
     """
     if alpha is None:
         alpha = Tensor(policy.alpha)
@@ -113,9 +120,7 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
         return x * pi
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    mask = rng.bernoulli(pi.data, x.shape)
-    # value: x*mask; gradient: as if the op were x*pi (the mask's expectation)
-    return x * Tensor(mask) + x * (pi - pi.detach())
+    return _masked(x, rng.bernoulli(pi.data, x.shape, dtype=bool), 1.0, pi)
 
 
 def apply_dropout(x: Tensor, policy: DropoutPolicy, mode: str, step: int,

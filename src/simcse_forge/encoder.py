@@ -45,6 +45,7 @@ from . import autograd as ag
 from .autograd import Tensor, embedding, layer_norm, linear, matmul, softmax
 from .dropout import DropoutPolicy, apply_dropout
 from .objectives import PARA_FEATURE_MODES
+from .optim import is_int
 from .rng import Rng
 
 POOLING_MODES = ("cls_tanh", "mean")
@@ -69,8 +70,7 @@ class EncoderConfig:
     def __post_init__(self):
         dims = (self.vocab_size, self.hidden_dim, self.num_layers,
                 self.num_heads, self.ffn_dim, self.max_seq_len)
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in dims):
+        if not all(is_int(v) for v in dims):
             raise ValueError("encoder dimensions must be integers")
         if min(self.vocab_size, self.hidden_dim, self.num_layers,
                self.num_heads, self.ffn_dim) < 1:
@@ -380,10 +380,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
         for bucket, (qb, kb, vb, w) in zip(packing.buckets, saved):
             gc = _to_heads(g, bucket, num_heads)
             gw = gc @ vb.swapaxes(-1, -2)
-            gs = gw * w                     # softmax backward, as ag.softmax
-            np.subtract(gw, gs.sum(axis=-1, keepdims=True), out=gs)
-            gs *= w
-            gs *= scale
+            gs = ag.softmax_grad(gw, w, scale)
             grads[0].append(gs @ kb)
             grads[1].append((qb.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
             grads[2].append(w.swapaxes(-1, -2) @ gc)

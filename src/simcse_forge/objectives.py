@@ -141,6 +141,18 @@ def _normalize_rows(h: Tensor) -> Tensor:
 
 # -- contrastive losses -----------------------------------------------------------
 
+def _info_nce(h: Tensor, candidates, tau: float) -> Tensor:
+    """Mean InfoNCE over cosine similarities / tau: row i's positive is row
+    i of the first candidate batch, every other candidate row a negative."""
+    n = h.shape[0]
+    hn = _normalize_rows(h)
+    sims = [matmul(hn, ag.transpose(_normalize_rows(c))) * (1.0 / tau)
+            for c in candidates]
+    sim = sims[0] if len(sims) == 1 else concat(sims, axis=1)
+    diag = sims[0][np.arange(n), np.arange(n)]
+    return (_logsumexp_rows(sim) - diag).mean()
+
+
 def unsup_simcse_loss(h: Tensor, h_plus: Tensor, tau: float = 0.05) -> Tensor:
     """In-batch contrastive loss over cosine similarities.
 
@@ -150,12 +162,9 @@ def unsup_simcse_loss(h: Tensor, h_plus: Tensor, tau: float = 0.05) -> Tensor:
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    n = h.shape[0]
-    if n < 2:
+    if h.shape[0] < 2:
         raise ValueError("in-batch contrastive loss needs N >= 2 (no negatives otherwise)")
-    sim = matmul(_normalize_rows(h), ag.transpose(_normalize_rows(h_plus))) * (1.0 / tau)
-    diag = sim[np.arange(n), np.arange(n)]
-    return (_logsumexp_rows(sim) - diag).mean()
+    return _info_nce(h, (h_plus,), tau)
 
 
 def sup_simcse_loss(h: Tensor, h_plus: Tensor, h_minus: Tensor, tau: float = 0.05) -> Tensor:
@@ -164,9 +173,4 @@ def sup_simcse_loss(h: Tensor, h_plus: Tensor, h_minus: Tensor, tau: float = 0.0
     """
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    n = h.shape[0]
-    hn = _normalize_rows(h)
-    sim_pos = matmul(hn, ag.transpose(_normalize_rows(h_plus))) * (1.0 / tau)
-    sim_neg = matmul(hn, ag.transpose(_normalize_rows(h_minus))) * (1.0 / tau)
-    diag = sim_pos[np.arange(n), np.arange(n)]
-    return (_logsumexp_rows(concat([sim_pos, sim_neg], axis=1)) - diag).mean()
+    return _info_nce(h, (h_plus, h_minus), tau)

@@ -16,8 +16,9 @@ from .autograd import Tensor
 
 
 def is_int(value) -> bool:
-    """An int that is not a bool (JSON's true/false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy int that is not a bool (JSON's true/false load as
+    bools)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:

@@ -24,14 +24,13 @@ from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
 from .data import (SYNTH_SCHEMAS, DataError, Vocab, make_batches, pad_batch,
                    sentences_of, tokenize)
-from .dropout import DropoutPolicy, curriculum_rate
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
 from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, mse_loss,
                          paraphrase_logit, sst_logits, sts_score,
                          sup_simcse_loss, unsup_simcse_loss)
-from .optim import AdamWConfig, AdamWState, adamw_step, is_int
+from .optim import AdamWConfig, AdamWState, adamw_step, is_int, is_number
 from .rng import Rng
 
 logger = logging.getLogger("simcse_forge.training")
@@ -69,6 +68,8 @@ class TrainConfig(AdamWConfig):
             raise ValueError("sst_loss must be 'bce' or 'ce'")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.dropout_p is not None and not is_number(self.dropout_p):
+            raise ValueError(f"dropout_p must be a number or null, got {self.dropout_p!r}")
         if self.dropout_p is not None and not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.eval_every < 0:
@@ -333,15 +334,6 @@ def _alignment_fields(dev_token_lists, seed: int):
     return dev_fields
 
 
-def _identical_views(policy: DropoutPolicy, step: int) -> bool:
-    """Whether train-mode dropout is the identity at this step."""
-    if policy.kind == "standard":
-        return policy.p == 0.0
-    if policy.kind == "curriculum":
-        return curriculum_rate(step, policy) == 0.0
-    return False
-
-
 def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                        vocab: Vocab | None, token_lists, params: ModelParams,
                        dev_token_lists=None) -> Checkpoint:
@@ -352,10 +344,10 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     In-batch negatives need two sentences in a batch, so a batch_size below 2
     is a ValueError and a pool below 2 sentences a DataError: either would
     take no step and return the starting weights as if trained. A trailing
-    batch of size 1 carries no negatives and is skipped with a warning. A
-    dropout policy that draws no mask (standard p=0, or curriculum at a step
-    where its rate is 0, such as step 0) makes the two views identical; the
-    first such step logs one warning.
+    batch of size 1 carries no negatives and is skipped with a warning. The
+    first step whose two pooled views are bitwise equal logs one warning:
+    dropout then drew no noise (standard p=0, curriculum at a rate of 0 such
+    as step 0, or adaptive with every keep probability at 1.0).
     """
     if params is None:
         raise ValueError("unsupervised contrastive training fine-tunes "
@@ -384,16 +376,16 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     def loss(batch, params, config, step, rng):
         nonlocal warned
-        if not warned and _identical_views(config.dropout, step):
-            logger.warning("unsup_simcse step %d: %s dropout draws no mask, so both "
-                           "views are identical and carry no contrastive signal",
-                           step, config.dropout.kind)
-            warned = True
         ids, mask = batch
         h = encode(ids, mask, params, config, mode="train",
                    step=step, rng=rng).pooled
         h_plus = encode(ids, mask, params, config, mode="train",
                         step=step, rng=rng).pooled
+        if not warned and np.array_equal(h.data, h_plus.data):
+            logger.warning("unsup_simcse step %d: the two %s dropout views are "
+                           "identical and carry no contrastive signal",
+                           step, config.dropout.kind)
+            warned = True
         return unsup_simcse_loss(h, h_plus, train_config.tau), len(ids)
 
     return _fit("unsup_simcse", train_config, encoder_config, vocab, params,
@@ -445,6 +437,12 @@ class TwoTierConfig:
         task="sts", epochs=5, batch_size=24, lr=5e-5, dropout_p=0.1))
     skip_unsup: bool = False
     extra_sts_finetune: bool = False
+
+    def __post_init__(self):
+        for name in ("skip_unsup", "extra_sts_finetune"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,

@@ -408,7 +408,7 @@ def test_bad_stage_lr_exit_1_before_any_step(tmp_path, capsys, monkeypatch):
     run = tmp_path / "tt"
     assert main(["train", "two-tier", "--config", config, "--out", str(run),
                  "--two_tier.stage2_lr", "-1"]) == 1
-    assert capsys.readouterr().err == "error: 'two_tier': lr must be positive\n"
+    assert capsys.readouterr().err == "error: 'two_tier' stage2: lr must be positive\n"
     assert not run.exists()
 
 

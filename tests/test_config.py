@@ -159,10 +159,19 @@ def test_invalid_values_fail_at_load_time(tmp_path):
     ("two_tier", {"stage2_lr": -1}),
     ("two_tier", {"stage3_epochs": 1.5}),
     ("two_tier", {"stage2_batch_size": True}),
+    ("two_tier", {"skip_unsup": "no"}),
+    ("two_tier", {"extra_sts_finetune": 1}),
+    ("two_tier", {"stage2_dropout_p": False}),
 ])
 def test_mistyped_section_values_fail_at_load_time(tmp_path, section, values):
     with pytest.raises(ConfigError, match=section):
         load_run_config(write_config(tmp_path, {section: values}))
+
+
+@pytest.mark.parametrize("stage", ["stage2", "stage3"])
+def test_a_bad_stage_value_names_its_stage(tmp_path, stage):
+    with pytest.raises(ConfigError, match=f"^'two_tier' {stage}: lr must be positive$"):
+        load_run_config(write_config(tmp_path, {"two_tier": {f"{stage}_lr": -1}}))
 
 
 def test_seed_precedence(tmp_path):

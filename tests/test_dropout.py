@@ -240,6 +240,41 @@ def test_adaptive_train_straight_through_gradients():
     assert beta.grad == pytest.approx(float(np.sum(x.data * dpi)), rel=1e-12)
 
 
+def composite_adaptive_dropout(x, alpha, beta, rng):
+    """The straight-through product the dropout node replaces: value x*mask
+    with a float 0/1 mask, gradient as if the op were x*pi."""
+    pi = ag.sigmoid(alpha * x + beta)
+    return x * Tensor(rng.bernoulli(pi.data, x.shape)) + x * (pi - pi.detach())
+
+
+def node_adaptive_dropout(x, alpha, beta, rng):
+    return adaptive_dropout(x, x, DropoutPolicy(kind="adaptive"), "train", rng,
+                            alpha=alpha, beta=beta)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.7, -0.2)],
+                         ids=["policy-default", "alpha0.7-beta-0.2"])
+def test_adaptive_node_is_bit_identical_to_the_straight_through_composite(a, b):
+    data = Rng(3).normal((16, 8), std=2.0)          # mixed signs
+    g = Rng(4).normal((16, 8))                      # mixed-sign incoming gradient
+    runs = []
+    for build in (node_adaptive_dropout, composite_adaptive_dropout):
+        x = Tensor(data, requires_grad=True)
+        alpha, beta = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        rng = Rng(11)
+        out = build(x, alpha, beta, rng)
+        (out * Tensor(g)).sum().backward()          # out's gradient is g exactly
+        runs.append((out.data, x.grad, alpha.grad, beta.grad, rng._state))
+    (out, gx, ga, gb, state), (ref, rgx, rga, rgb, ref_state) = runs
+    for got, want in ((out, ref), (gx, rgx), (ga, rga), (gb, rgb)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert state == ref_state
+    # negative inputs give -0.0 at dropped units; at alpha 0 the pi path adds
+    # signed zeros to x's gradient, whose sign must survive as well
+    assert signed_zeros(out) > 0
+    assert signed_zeros(gx) > 0 or a != 0.0
+
+
 def test_adaptive_eval_gradient_matches_finite_difference():
     alpha = Tensor(0.3, requires_grad=True)
     beta = Tensor(0.1, requires_grad=True)

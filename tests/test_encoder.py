@@ -53,6 +53,14 @@ def test_config_validation():
 def test_config_rejects_bool_dimensions():
     with pytest.raises(ValueError, match="integers"):
         EncoderConfig(vocab_size=10, num_layers=True)
+    with pytest.raises(ValueError, match="integers"):
+        EncoderConfig(vocab_size=10, num_layers=np.bool_(True))
+
+
+def test_config_accepts_numpy_integer_dimensions():
+    config = EncoderConfig(vocab_size=np.int64(10), hidden_dim=np.int32(8),
+                           num_heads=np.int64(2))
+    assert config.hidden_dim // config.num_heads == 4
 
 
 # -- init ------------------------------------------------------------------------

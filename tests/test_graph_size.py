@@ -15,9 +15,9 @@ import pytest
 from simcse_forge import training
 from simcse_forge import autograd
 from simcse_forge.autograd import Tensor
-from simcse_forge.data import Vocab, tokenize
+from simcse_forge.data import Vocab, pad_batch, tokenize
 from simcse_forge.dropout import DropoutPolicy
-from simcse_forge.encoder import EncoderConfig, init_params
+from simcse_forge.encoder import EncoderConfig, encode, init_params
 from simcse_forge.objectives import unsup_simcse_loss
 from simcse_forge.rng import Rng
 
@@ -79,3 +79,21 @@ def test_unpadded_run_builds_no_more_nodes_than_the_unbucketed_layout(layers, mo
     bound = 2 * unbucketed_nodes_per_encode(layers) + loss_nodes
     assert min(counts) > 0
     assert max(counts) <= bound
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_adaptive_dropout_adds_three_nodes_per_site(layers):
+    # sigmoid(alpha * a + beta) is three nodes; the mask runs through the
+    # same one dropout node as standard dropout's
+    tracing = _load_tracing()
+    vocab = Vocab.build(SENTENCES)
+    ids, mask = pad_batch([tokenize(s, vocab, 12) for s in SENTENCES])
+    counts = []
+    for policy in (DropoutPolicy(kind="standard", p=0.1), DropoutPolicy(kind="adaptive")):
+        config = EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=layers,
+                               num_heads=2, ffn_dim=16, max_seq_len=12, dropout=policy)
+        params = init_params(config, Rng(0))
+        pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1)).pooled
+        counts.append(tracing._graph_nodes(pooled))
+    sites = 1 + 2 * layers
+    assert counts[1] - counts[0] == 3 * sites

@@ -15,7 +15,7 @@ import pytest
 from simcse_forge import autograd as ag
 from simcse_forge import encoder
 from simcse_forge.autograd import Tensor
-from simcse_forge.dropout import DropoutPolicy, standard_dropout
+from simcse_forge.dropout import DropoutPolicy, adaptive_dropout, standard_dropout
 from simcse_forge.encoder import EncoderConfig, encode, init_params
 from simcse_forge.objectives import sup_simcse_loss, unsup_simcse_loss
 from simcse_forge.rng import Rng
@@ -146,10 +146,18 @@ def test_unpadded_batch_keeps_its_qkv_rows_as_the_core_reads_them(monkeypatch):
 
 
 def test_dropout_node_saves_a_one_byte_mask():
+    # adaptive runs the same node; it also keeps x's own array, which the
+    # straight-through gradient of its keep probability reads
     n, d = 37, 8
     x = Tensor(Rng(2).normal((n, d)), requires_grad=True)
-    out = standard_dropout(x, 0.25, "train", Rng(3))
-    assert out.node.op == "dropout"
-    arrays = [v for v in saved(out.node) if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1
-    assert arrays[0].dtype == np.bool_ and arrays[0].nbytes == n * d
+    alpha, beta = Tensor(0.7, requires_grad=True), Tensor(-0.2, requires_grad=True)
+    standard = standard_dropout(x, 0.25, "train", Rng(3))
+    adaptive = adaptive_dropout(x, x, DropoutPolicy(kind="adaptive"), "train", Rng(3),
+                                alpha=alpha, beta=beta)
+    for out, others in ((standard, 0), (adaptive, 1)):
+        assert out.node.op == "dropout"
+        arrays = [v for v in saved(out.node) if isinstance(v, np.ndarray)]
+        masks = [a for a in arrays if a.dtype == np.bool_]
+        assert len(masks) == 1 and masks[0].nbytes == n * d
+        rest = [a for a in arrays if a is not masks[0]]
+        assert len(rest) == others and all(a is x.data for a in rest)

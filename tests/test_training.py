@@ -303,7 +303,16 @@ def test_unsup_simcse_warns_once_at_curriculum_step_zero(caplog):
 
 
 def test_unsup_simcse_positive_dropout_does_not_warn(caplog):
-    assert _identical_view_warnings(caplog, DropoutPolicy(kind="standard", p=0.1)) == []
+    for policy in (DropoutPolicy(kind="standard", p=0.1), DropoutPolicy(kind="adaptive")):
+        assert _identical_view_warnings(caplog, policy) == []
+
+
+def test_unsup_simcse_warns_once_when_adaptive_dropout_keeps_every_unit(caplog):
+    # sigmoid(40) rounds to 1.0, so every mask keeps every unit: the warning
+    # comes from the two views themselves, not from the policy
+    messages = _identical_view_warnings(caplog, DropoutPolicy(kind="adaptive", beta=40.0))
+    assert len(messages) == 1
+    assert "step 0" in messages[0] and "adaptive" in messages[0]
 
 
 def test_unsup_simcse_improves_alignment():
