@@ -71,9 +71,13 @@ def config_to_dict(config: EncoderConfig) -> dict:
 
 def config_from_dict(d: dict) -> EncoderConfig:
     d = dict(d)
-    dropout = d.pop("dropout", {})
-    try:     # an unknown key is a TypeError, a bad value a ValueError
-        return EncoderConfig(dropout=DropoutPolicy(**dropout), **d)
+    # an unknown key is a TypeError, a bad value a ValueError
+    try:
+        dropout = DropoutPolicy(**d.pop("dropout", {}))
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"invalid encoder config: dropout {exc}") from None
+    try:
+        return EncoderConfig(dropout=dropout, **d)
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"invalid encoder config: {exc}") from None
 

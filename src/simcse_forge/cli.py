@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -22,10 +21,9 @@ import numpy as np
 from . import autograd as ag
 from .checkpoint import (Checkpoint, IntegrityError, load_checkpoint,
                          params_hash, save_checkpoint)
-from .config import (ENV_SEED, ConfigError, RunConfig, config_hash,
-                     load_run_config)
-# make_batches is unused here but stays importable as cli.make_batches, a
-# name perfbench/tracing.py patches.
+from .config import ConfigError, RunConfig, config_hash, load_run_config
+# make_batches and evaluate_task are unused here but stay importable as
+# cli.make_batches and cli.evaluate_task, names perfbench/tracing.py patches.
 from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,  # noqa: F401
                    load_tsv, make_batches, pad_batch, read_rows, read_text,
                    sentences_of, synth_toy_corpus, texts_of_rows, tokenize,
@@ -35,10 +33,11 @@ from .evaluation import MetricReport, emit_report, similarity_heatmap
 from .experiments import (EXPERIMENTS, add_experiment_args,
                           experiment_config_from_args)
 from .rng import Rng
-from .training import (TASKS, TrainConfig, dropout_alignment, evaluate_task,
-                       predict_dataset, run_two_tier, task_metric,
-                       train_multitask, train_single_task, train_sup_simcse,
-                       train_unsup_simcse, transfer_finetune)
+from .training import (TASKS, TrainConfig, dropout_alignment,  # noqa: F401
+                       evaluate_task, predict_dataset, report_row,
+                       run_two_tier, task_metric, train_multitask,
+                       train_single_task, train_sup_simcse, train_unsup_simcse,
+                       transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.cli")
 
@@ -143,22 +142,20 @@ def _require(config: RunConfig, name: str) -> str:
 
 def _read_sentence_file(path) -> list[str]:
     """The non-empty lines of a text file; only \\n, \\r\\n and \\r end a line."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"sentence file not found: {p}")
-    text = read_text(p).replace("\r\n", "\n").replace("\r", "\n")
+    text = read_text(path).replace("\r\n", "\n").replace("\r", "\n")
     return [line for line in text.split("\n") if line]
 
 
-def _load_dev(path, task: str, vocab: Vocab, max_len: int):
-    """A dev set the run will score, checked before training starts: it
-    needs one example, and two for sts, whose Pearson r needs two points."""
-    dev = load_tsv(path, SYNTH_SCHEMAS[task], vocab, max_len)
+def _load_scored(path, task: str, vocab: Vocab, max_len: int):
+    """A dataset the command will score, checked before any work: it needs
+    one example, and two for sts, whose Pearson r needs two points."""
+    examples = load_tsv(path, SYNTH_SCHEMAS[task], vocab, max_len)
     need = 2 if task == "sts" else 1
-    if len(dev) < need:
-        raise DataError(f"{path}: {task} dev set has {len(dev)} example(s), "
-                        f"scoring it needs at least {need}")
-    return dev
+    if len(examples) < need:
+        raise DataError(f"{path}: {'empty' if not examples else 'too small a'} "
+                        f"dataset, it has {len(examples)} example(s) and "
+                        f"scoring {task} needs at least {need}")
+    return examples
 
 
 def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
@@ -188,16 +185,14 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
                 else [tokenize(s, vocab, max_len) for s in rows[key]]
                 for key, schema in train}
     for key, task in dev:
-        examples[key] = _load_dev(paths[key], task, vocab, max_len)
+        examples[key] = _load_scored(paths[key], task, vocab, max_len)
     return vocab, examples
 
 
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
     if not dev:
         return []
-    name, value, n = evaluate_task(task, ckpt.params, ckpt.config, dev,
-                                   config.train_config(task=task))
-    return [MetricReport(model, task, name, value, n, stage=ckpt.stage)]
+    return [report_row(model, task, ckpt, dev, config.train_config(task=task))]
 
 
 def _train_single(config: RunConfig):
@@ -282,8 +277,8 @@ def _make_out_dir(config: RunConfig) -> Path:
     return out
 
 
-def cmd_train(args, overrides) -> int:
-    config = load_run_config(args.config, overrides, seed_flag=args.seed)
+def cmd_train(args) -> int:
+    config = load_run_config(args.config, args.overrides, seed_flag=args.seed)
     if args.out:
         config.out = args.out
     started = time.time()
@@ -317,14 +312,11 @@ def _checkpoint_vocab(ckpt: Checkpoint) -> Vocab:
     return Vocab.from_tokens(ckpt.vocab_tokens)
 
 
-def cmd_eval(args, overrides) -> int:
-    if overrides:
-        raise UsageError(f"eval takes no overrides: {overrides[0][0]}")
+def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(ckpt)
     task = args.task
-    data = load_tsv(args.data, SYNTH_SCHEMAS[task], vocab,
-                    ckpt.config.max_seq_len)
+    data = _load_scored(args.data, task, vocab, ckpt.config.max_seq_len)
     tc = TrainConfig(task=task, batch_size=args.batch_size,
                      sts_head=args.sts_head)
     preds, golds = predict_dataset(task, ckpt.params, ckpt.config, data, tc)
@@ -340,9 +332,7 @@ def cmd_eval(args, overrides) -> int:
     return EXIT_OK
 
 
-def cmd_embed(args, overrides) -> int:
-    if overrides:
-        raise UsageError(f"embed takes no overrides: {overrides[0][0]}")
+def cmd_embed(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(ckpt)
     lines = _read_sentence_file(args.sentences)
@@ -368,22 +358,15 @@ def cmd_embed(args, overrides) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args, overrides) -> int:
-    if overrides:
-        raise UsageError(f"synth takes no overrides: {overrides[0][0]}")
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+def cmd_synth(args) -> int:
+    seed = load_run_config(None, seed_flag=args.seed).seed
     rows = synth_toy_corpus(args.kind, args.size, Rng(seed))
     write_tsv(args.out, SYNTH_SCHEMAS[args.kind], rows)
     logger.info("%d rows written to %s", len(rows), args.out)
     return EXIT_OK
 
 
-def cmd_experiment(args, overrides) -> int:
-    if overrides:
-        raise UsageError(f"experiment takes no overrides: {overrides[0][0]}")
+def cmd_experiment(args) -> int:
     reports = EXPERIMENTS[args.name](experiment_config_from_args(args))
     print(emit_report(reports, format="pretty"), end="")
     if args.out:
@@ -403,8 +386,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        overrides = parse_dotted_overrides(extras)
-        return args.func(args, overrides)
+        # dotted overrides set run-config values, which only train reads
+        args.overrides = parse_dotted_overrides(extras)
+        if args.overrides and args.command != "train":
+            raise UsageError(f"{args.command} takes no overrides: "
+                             f"{args.overrides[0][0]}")
+        return args.func(args)
     except IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig
-from .optim import AdamWConfig, is_int
+from .optim import AdamWConfig, check_field_types
 from .training import TrainConfig, TwoTierConfig
 
 ENV_SEED = "SIMCSE_FORGE_SEED"
@@ -109,8 +109,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Force every derived config's own validation before any work."""
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        try:
+            check_field_types(self)
+            check_field_types(self.data, prefix="data.")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for where, build in (("train", self.train_config),
                              ("two_tier", self.two_tier_config),
                              ("encoder", lambda: self.encoder_config(vocab_size=8))):
@@ -120,14 +123,6 @@ class RunConfig:
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"'{where}': {exc}") from None
-        paths = {f"data.{name}": value for name, value in asdict(self.data).items()
-                 if name != "min_count"}
-        for key, value in {"out": self.out, **paths}.items():
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{key} must be a path string or null, got {value!r}")
-        if not is_int(self.data.min_count):
-            raise ConfigError(
-                f"data.min_count must be an integer, got {self.data.min_count!r}")
         return self
 
 

@@ -41,10 +41,12 @@ class DataError(ValueError):
 
 
 def read_text(path) -> str:
-    """The whole of a UTF-8 text file, line endings untranslated; undecodable
-    bytes are a DataError."""
+    """The whole of a UTF-8 text file, line endings untranslated; a missing
+    file or undecodable bytes are a DataError."""
     try:
         return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
 
@@ -184,8 +186,6 @@ def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     """Raw TSV rows (header validated and dropped)."""
     columns = _schema(schema).columns
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"dataset file not found: {p}")
     rows: list[tuple[str, ...]] = []
     reader = csv.reader(io.StringIO(read_text(p), newline=""), delimiter="\t",
                         quotechar='"')

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .optim import is_int, is_number
+from .optim import check_field_types
 from .rng import Rng
 
 KINDS = ("standard", "curriculum", "adaptive")
@@ -39,17 +39,11 @@ class DropoutPolicy:
     total_steps: int = 1000
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in KINDS:
-            raise ValueError(f"unknown dropout kind {self.kind!r}, expected one of {KINDS}")
-        for name in ("p", "gamma", "alpha", "beta"):
-            value = getattr(self, name)
-            if not is_number(value):
-                raise ValueError(f"dropout {name} must be a number, got {value!r}")
-        if not is_int(self.total_steps):
-            raise ValueError(
-                f"dropout total_steps must be an integer, got {self.total_steps!r}")
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {self.p}")
+            raise ValueError(f"p must be in [0, 1), got {self.p}")
         if self.kind == "curriculum":
             if self.gamma <= 0:
                 raise ValueError("curriculum gamma must be positive")

@@ -45,7 +45,7 @@ from . import autograd as ag
 from .autograd import Tensor, embedding, layer_norm, linear, matmul, softmax
 from .dropout import DropoutPolicy, apply_dropout
 from .objectives import PARA_FEATURE_MODES
-from .optim import is_int
+from .optim import check_field_types
 from .rng import Rng
 
 POOLING_MODES = ("cls_tanh", "mean")
@@ -68,10 +68,7 @@ class EncoderConfig:
     para_features: str = "rich"
 
     def __post_init__(self):
-        dims = (self.vocab_size, self.hidden_dim, self.num_layers,
-                self.num_heads, self.ffn_dim, self.max_seq_len)
-        if not all(is_int(v) for v in dims):
-            raise ValueError("encoder dimensions must be integers")
+        check_field_types(self)
         if min(self.vocab_size, self.hidden_dim, self.num_layers,
                self.num_heads, self.ffn_dim) < 1:
             raise ValueError("encoder dimensions must be positive")

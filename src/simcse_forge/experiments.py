@@ -18,8 +18,9 @@ from .data import (SYNTH_SCHEMAS, Vocab, examples_from_rows, sentences_of,
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig, init_params
 from .evaluation import MetricReport
+from .optim import check_field_types
 from .rng import Rng
-from .training import (TASKS, TrainConfig, TwoTierConfig, evaluate_task,
+from .training import (TASKS, TrainConfig, TwoTierConfig, report_row,
                        run_two_tier, train_multitask, train_single_task,
                        train_unsup_simcse, transfer_finetune)
 
@@ -42,6 +43,7 @@ class ExperimentConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         # a negative size would slice its split from the end of the corpus
         for name in ("train_size", "dev_size"):
             if getattr(self, name) < 0:
@@ -49,12 +51,15 @@ class ExperimentConfig:
         # every harness scores STS Pearson on the dev split, which needs two points
         if self.dev_size < 2:
             raise ValueError(f"dev_size must be >= 2, got {self.dev_size}")
+        # the derived configs check their own values before any corpus is drawn
+        self.train_config("sst")
+        self.encoder_config(vocab_size=8)
 
-    def encoder_config(self, vocab: Vocab,
+    def encoder_config(self, vocab_size: int,
                        dropout: DropoutPolicy | None = None) -> EncoderConfig:
         if dropout is None:
             dropout = DropoutPolicy(kind="standard", p=self.dropout_p)
-        return EncoderConfig(vocab_size=len(vocab), hidden_dim=self.hidden_dim,
+        return EncoderConfig(vocab_size=vocab_size, hidden_dim=self.hidden_dim,
                              num_layers=self.num_layers, num_heads=self.num_heads,
                              ffn_dim=self.ffn_dim, max_seq_len=self.max_seq_len,
                              dropout=dropout)
@@ -85,27 +90,21 @@ def _task_datasets(xc: ExperimentConfig):
 def run_single_vs_multitask(xc: ExperimentConfig) -> list[MetricReport]:
     """Per-task single-task models against one shared multitask model."""
     vocab, datasets = _task_datasets(xc)
-    config = xc.encoder_config(vocab)
+    config = xc.encoder_config(len(vocab))
     reports = []
     for task in TASKS:
         tc = xc.train_config(task)
         ck = train_single_task(tc, config, vocab, *datasets[task])
-        name, value, n = evaluate_task(task, ck.params, config,
-                                       datasets[task][1], tc)
-        reports.append(MetricReport("single_task", task, name, value, n))
+        reports.append(report_row("single_task", task, ck, datasets[task][1], tc))
     tc = xc.train_config("sst")
     ck = train_multitask(tc, config, vocab, datasets)
-    for task in TASKS:
-        name, value, n = evaluate_task(task, ck.params, config,
-                                       datasets[task][1], tc)
-        reports.append(MetricReport("multitask", task, name, value, n))
-    return reports
+    return reports + [report_row("multitask", task, ck, datasets[task][1], tc)
+                      for task in TASKS]
 
 
 def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
     """One multitask model per dropout regime, same data and seed."""
     vocab, datasets = _task_datasets(xc)
-    tc = xc.train_config("sst")       # checks batch_size before it divides
     rounds = math.ceil(xc.train_size / xc.batch_size)
     total_steps = max(1, xc.epochs * rounds * len(TASKS))
     policies = {
@@ -114,14 +113,13 @@ def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
                                     gamma=5.0, total_steps=total_steps),
         "adaptive": DropoutPolicy(kind="adaptive", alpha=1.0, beta=0.0),
     }
+    tc = xc.train_config("sst")
     reports = []
     for kind, policy in policies.items():
-        config = xc.encoder_config(vocab, dropout=policy)
+        config = xc.encoder_config(len(vocab), dropout=policy)
         ck = train_multitask(tc, config, vocab, datasets)
-        for task in TASKS:
-            name, value, n = evaluate_task(task, ck.params, config,
-                                           datasets[task][1], tc)
-            reports.append(MetricReport(f"dropout_{kind}", task, name, value, n))
+        reports += [report_row(f"dropout_{kind}", task, ck, datasets[task][1], tc)
+                    for task in TASKS]
     return reports
 
 
@@ -129,7 +127,7 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
     """Fine-tuning from an unsupervised-contrastive checkpoint against
     training from scratch, on the two classification tasks."""
     vocab, datasets = _task_datasets(xc)
-    config = xc.encoder_config(vocab)
+    config = xc.encoder_config(len(vocab))
 
     sentences = []
     for task in TASKS:
@@ -144,14 +142,11 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
     for task in ("sst", "paraphrase"):
         tc = xc.train_config(task)
         scratch = train_single_task(tc, config, vocab, *datasets[task])
-        name, value, n = evaluate_task(task, scratch.params, config,
-                                       datasets[task][1], tc)
-        reports.append(MetricReport("no_transfer", task, name, value, n))
+        reports.append(report_row("no_transfer", task, scratch,
+                                  datasets[task][1], tc))
         moved = transfer_finetune(source_ck, task, tc, *datasets[task])
-        name, value, n = evaluate_task(task, moved.params, config,
-                                       datasets[task][1], tc)
-        reports.append(MetricReport("with_transfer", task, name, value, n,
-                                    stage="transfer"))
+        reports.append(report_row("with_transfer", task, moved,
+                                  datasets[task][1], tc))
     return reports
 
 
@@ -163,7 +158,7 @@ def run_two_tier_stages(xc: ExperimentConfig) -> list[MetricReport]:
                         + texts_of_rows(nli_rows, "triplet"))
     sts = examples_from_rows(sts_rows, "pair_scored", vocab, xc.max_seq_len)
     nli = examples_from_rows(nli_rows, "triplet", vocab, xc.max_seq_len)
-    config = xc.encoder_config(vocab)
+    config = xc.encoder_config(len(vocab))
     tt = TwoTierConfig(
         stage1=xc.train_config("sts"),
         stage2=xc.train_config("sts", epochs=max(1, xc.epochs // 2),

@@ -15,14 +15,38 @@ import numpy as np
 from .autograd import Tensor
 
 
-def is_int(value) -> bool:
+def _is_int(value) -> bool:
     """A Python or numpy int that is not a bool (JSON's true/false load as
     bools)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_number(value) -> bool:
-    return is_int(value) or isinstance(value, float)
+# declared type -> (what the error says a value must be, the test it passes)
+_TYPE_RULES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(obj, prefix: str = "") -> None:
+    """Check each field of the dataclass ``obj`` against its declared type.
+
+    int takes a Python or numpy int but not a bool, float any such int or a
+    float, bool only a bool and str only a str; ``X | None`` also takes None.
+    Fields of any other type (a nested config) are skipped. The types are
+    read as the strings ``from __future__ import annotations`` leaves.
+    """
+    for f in fields(obj):
+        kind, _, rest = f.type.partition(" | ")
+        if kind not in _TYPE_RULES or rest not in ("", "None"):
+            continue
+        what, test = _TYPE_RULES[kind]
+        value = getattr(obj, f.name)
+        if not (test(value) or rest and value is None):
+            raise ValueError(f"{prefix}{f.name} must be {what}"
+                             f"{' or null' if rest else ''}, got {value!r}")
 
 
 @dataclass
@@ -35,10 +59,7 @@ class AdamWConfig:
     clip_norm: float | None = None
 
     def __post_init__(self):
-        for f in fields(AdamWConfig):
-            value = getattr(self, f.name)
-            if not (is_number(value) or f.name == "clip_norm" and value is None):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+        check_field_types(self)
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -30,7 +30,7 @@ from .evaluation import MetricReport, accuracy, pearson
 from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, mse_loss,
                          paraphrase_logit, sst_logits, sts_score,
                          sup_simcse_loss, unsup_simcse_loss)
-from .optim import AdamWConfig, AdamWState, adamw_step, is_int, is_number
+from .optim import AdamWConfig, AdamWState, adamw_step, check_field_types
 from .rng import Rng
 
 logger = logging.getLogger("simcse_forge.training")
@@ -52,10 +52,6 @@ class TrainConfig(AdamWConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("epochs", "batch_size", "eval_every", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.epochs < 0:
@@ -68,8 +64,6 @@ class TrainConfig(AdamWConfig):
             raise ValueError("sst_loss must be 'bce' or 'ce'")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.dropout_p is not None and not is_number(self.dropout_p):
-            raise ValueError(f"dropout_p must be a number or null, got {self.dropout_p!r}")
         if self.dropout_p is not None and not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.eval_every < 0:
@@ -156,6 +150,14 @@ def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
     """(metric name, value, n) on a dataset; eval mode, insertion order."""
     preds, golds = predict_dataset(task, params, config, examples, train_config)
     return (*task_metric(task, preds, golds), len(preds))
+
+
+def report_row(model: str, task: str, ck: Checkpoint, examples,
+               train_config: TrainConfig) -> MetricReport:
+    """One report row: ``ck`` scored on a dataset, tagged with its stage."""
+    name, value, n = evaluate_task(task, ck.params, ck.config, examples,
+                                   train_config)
+    return MetricReport(model, task, name, value, n, stage=ck.stage)
 
 
 # -- the training loop ---------------------------------------------------------------
@@ -298,7 +300,8 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
         return fields
 
     return _fit("baseline", train_config, encoder_config, vocab, params, rounds,
-                _task_batch_loss(train_config), dev_fields, task="+".join(tasks))
+                _task_batch_loss(train_config), dev_fields, task="+".join(tasks),
+                eval_every=train_config.eval_every)
 
 
 # -- contrastive stages -------------------------------------------------------------------
@@ -439,10 +442,7 @@ class TwoTierConfig:
     extra_sts_finetune: bool = False
 
     def __post_init__(self):
-        for name in ("skip_unsup", "extra_sts_finetune"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        check_field_types(self)
 
 
 def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
@@ -459,28 +459,26 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     reports: list[MetricReport] = []
     history: list[dict] = []
 
-    def stage(name: str, init_hash: str, ck: Checkpoint) -> ModelParams:
+    def stage(init_hash: str, ck: Checkpoint) -> ModelParams:
         """Record one finished stage; returns its weights for the next."""
         history.extend(ck.history)
-        metric, value, n = evaluate_task("sts", ck.params, encoder_config,
-                                         sts_dev, tt.stage1)
-        reports.append(MetricReport("two_tier", "sts", metric, value, n, name))
-        history.append({"stage": name, "summary": True,
+        reports.append(report_row("two_tier", "sts", ck, sts_dev, tt.stage1))
+        history.append({"stage": ck.stage, "summary": True,
                         "init_hash": init_hash, "final_hash": params_hash(ck.params),
-                        "dev_pearson": value})
+                        "dev_pearson": reports[-1].value})
         return ck.params
 
-    params = stage("baseline", "", train_single_task(
+    params = stage("", train_single_task(
         tt.stage1, encoder_config, vocab, sts_train, sts_dev, stage="baseline"))
     if not tt.skip_unsup:
         pool = [tokenize(s, vocab, encoder_config.max_seq_len)
                 for s in sentences_of(sts_train)]
-        params = stage("unsup_simcse", params_hash(params), train_unsup_simcse(
+        params = stage(params_hash(params), train_unsup_simcse(
             tt.stage2, encoder_config, vocab, pool, params))
-    params = stage("sup_simcse", params_hash(params), train_sup_simcse(
+    params = stage(params_hash(params), train_sup_simcse(
         tt.stage3, encoder_config, vocab, triplets, params))
     if tt.extra_sts_finetune:
-        params = stage("two_tier", params_hash(params), train_single_task(
+        params = stage(params_hash(params), train_single_task(
             tt.stage1, encoder_config, vocab, sts_train, sts_dev,
             params=params, stage="two_tier"))
 

@@ -62,6 +62,14 @@ def test_synth_size_zero_is_usage_error(tmp_path):
     assert main(["synth", "haiku", "5", str(tmp_path / "h.tsv")]) == 1
 
 
+def test_synth_bad_env_seed_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIMCSE_FORGE_SEED", "x")
+    capsys.readouterr()
+    assert main(["synth", "sts", "6", str(tmp_path / "a.tsv")]) == 1
+    assert "SIMCSE_FORGE_SEED must be an integer, got 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "a.tsv").exists()
+
+
 def test_synth_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("SIMCSE_FORGE_SEED", "42")
     a = tmp_path / "a.tsv"
@@ -262,20 +270,40 @@ def test_experiment_negative_size_exit_1_before_any_corpus(capsys, monkeypatch, 
     assert "must be >= 0, got -5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-@pytest.mark.parametrize("size", ["0", "1"])
-def test_experiment_dev_size_below_2_exit_1_before_training(capsys, monkeypatch,
-                                                           name, size):
-    # every harness scores STS Pearson on the dev split, which needs two points
+@pytest.fixture()
+def no_experiment_work(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("reached training or a corpus draw")
 
     for stub in ("synth_toy_corpus", "train_single_task", "train_multitask",
                  "train_unsup_simcse", "run_two_tier", "transfer_finetune"):
         monkeypatch.setattr(experiments, stub, unreachable)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_experiment_dev_size_below_2_exit_1_before_training(capsys, no_experiment_work,
+                                                           name, size):
+    # every harness scores STS Pearson on the dev split, which needs two points
     capsys.readouterr()
     assert main(["experiment", name, "--dev-size", size]) == 1
     assert f"dev_size must be >= 2, got {size}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_batch_size_0_exit_1_before_training(capsys, no_experiment_work,
+                                                        name):
+    # the derived train config is checked when the experiment config is built
+    capsys.readouterr()
+    assert main(["experiment", name, "--batch-size", "0"]) == 1
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+
+
+def test_experiment_config_checks_field_types():
+    with pytest.raises(ValueError, match="^train_size must be an integer, got 1.5$"):
+        ExperimentConfig(train_size=1.5)
+    with pytest.raises(ValueError, match="^lr must be a number, got '1'$"):
+        ExperimentConfig(lr="1")
 
 
 @pytest.mark.parametrize("key, extra, args", [
@@ -531,6 +559,17 @@ def test_eval_missing_data_exit_2(sst_run):
                  "--data", str(out.parent / "ghost.tsv"), "--task", "sst"]) == 2
 
 
+def test_eval_one_row_sts_data_exit_2(sst_run, capsys):
+    tmp_path, _, out = sst_run
+    one = synth(tmp_path, "sts", 1, "one.tsv", seed=4)
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data", one,
+                 "--task", "sts", "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "one.tsv" in err and "has 1 example(s)" in err
+    assert not (tmp_path / "eval" / "heatmap.csv").exists()
+
+
 def test_eval_header_only_data_exit_2(sst_run, capsys):
     tmp_path, _, out = sst_run
     capsys.readouterr()
@@ -626,6 +665,17 @@ def test_eval_non_utf8_tsv_exit_2(sst_run, capsys):
                  "--task", "sst"]) == 2
     err = capsys.readouterr().err
     assert "bad_dev.tsv" in err and "UTF-8" in err and "codec" not in err
+
+
+def test_train_missing_vocab_file_exit_2(tmp_path, capsys):
+    train = synth(tmp_path, "sst", 8, "train.tsv", seed=1)
+    config = write_config(tmp_path, data={"train": train})
+    capsys.readouterr()
+    assert main(["train", "single", "--config", config, "--data.vocab",
+                 str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: file not found:") and "nope.txt" in err
+    assert "Errno" not in err
 
 
 def test_train_non_utf8_vocab_file_exit_2(tmp_path, capsys):

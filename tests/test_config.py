@@ -162,6 +162,8 @@ def test_invalid_values_fail_at_load_time(tmp_path):
     ("two_tier", {"skip_unsup": "no"}),
     ("two_tier", {"extra_sts_finetune": 1}),
     ("two_tier", {"stage2_dropout_p": False}),
+    ("train", {"tau": True}),
+    ("train", {"tau": None}),
 ])
 def test_mistyped_section_values_fail_at_load_time(tmp_path, section, values):
     with pytest.raises(ConfigError, match=section):

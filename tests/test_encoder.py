@@ -44,16 +44,16 @@ def test_config_validation():
         toy_config(pooling="max")
     with pytest.raises(ValueError, match="positive"):
         toy_config(num_layers=0)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="hidden_dim must be an integer"):
         toy_config(hidden_dim=8.0)
     with pytest.raises(ValueError, match="para feature mode"):
         toy_config(para_features="bilinear")
 
 
 def test_config_rejects_bool_dimensions():
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="num_layers must be an integer"):
         EncoderConfig(vocab_size=10, num_layers=True)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="num_layers must be an integer"):
         EncoderConfig(vocab_size=10, num_layers=np.bool_(True))
 
 

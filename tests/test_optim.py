@@ -1,8 +1,14 @@
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from simcse_forge.autograd import Tensor
-from simcse_forge.optim import AdamWConfig, AdamWState, adamw_step, global_grad_norm
+from simcse_forge.optim import (AdamWConfig, AdamWState, adamw_step,
+                                check_field_types, global_grad_norm)
 
 
 def one_param(value, grad=None, ndim2=False):
@@ -38,6 +44,46 @@ def test_config_validation():
         AdamWConfig(weight_decay=-0.1)
     with pytest.raises(ValueError):
         AdamWConfig(clip_norm=0.0)
+
+
+@dataclass
+class _Typed:
+    count: int = 1
+    rate: float = 0.5
+    flag: bool = False
+    name: str = "x"
+    cap: float | None = None
+    nested: AdamWConfig | None = None
+
+
+@pytest.mark.parametrize("values", [
+    {}, {"count": np.int64(3)}, {"rate": 2}, {"rate": np.int32(2)},
+    {"rate": np.float64(0.1)}, {"flag": True}, {"cap": 1}, {"cap": 1.5},
+    {"nested": "not checked"},
+])
+def test_field_type_rule_accepts(values):
+    check_field_types(_Typed(**values))
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"count": True}, "count must be an integer, got True"),
+    ({"count": np.bool_(True)}, "count must be an integer, got "),
+    ({"count": 1.0}, "count must be an integer, got 1.0"),
+    ({"rate": True}, "rate must be a number, got True"),
+    ({"rate": "0.5"}, "rate must be a number, got '0.5'"),
+    ({"rate": None}, "rate must be a number, got None"),
+    ({"flag": 1}, "flag must be true or false, got 1"),
+    ({"name": 5}, "name must be a string, got 5"),
+    ({"cap": False}, "cap must be a number or null, got False"),
+])
+def test_field_type_rule_rejects(values, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        check_field_types(_Typed(**values))
+
+
+def test_field_type_rule_prefixes_the_field_name():
+    with pytest.raises(ValueError, match=r"^data\.count must be an integer"):
+        check_field_types(_Typed(count="1"), prefix="data.")
 
 
 def test_zero_grad_zero_decay_unchanged():

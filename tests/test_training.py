@@ -185,6 +185,16 @@ def test_multitask_round_robin_trains_all_heads():
                      entry["sts_pearson"]]), abs=1e-12)
 
 
+def test_multitask_eval_every_adds_step_entries():
+    vocab, datasets = multitask_data(22)
+    config = toy_encoder_config(vocab)
+    tc = TrainConfig(epochs=1, batch_size=4, lr=1e-3, eval_every=1)
+    ck = train_multitask(tc, config, vocab, datasets)
+    # 12 sst examples / batch 4 is the longest stream: 3 rounds of 3 tasks
+    assert len([h for h in ck.history if "step" in h]) == 9
+    assert len(ck.history) == 10
+
+
 def test_multitask_missing_dataset_errors():
     vocab, datasets = multitask_data(21)
     config = toy_encoder_config(vocab)
