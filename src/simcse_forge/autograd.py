@@ -12,9 +12,9 @@ operands' handles; a leaf (no node: parameters, inputs) stands for itself.
 Each rule's closure captures only the arrays, shapes and flags it reads,
 never an operand Tensor: ``add`` keeps shapes, ``mul`` keeps the other
 operand only if this side needs a gradient, ``layer_norm`` keeps ``xhat``,
-``inv_sigma`` and ``gamma``. An intermediate whose array no rule reads is
-therefore freed as soon as the caller drops the Tensor, though the graph
-built on it lives until the walk.
+``inv_sigma`` and ``gamma``, ``gelu`` keeps its slope. An intermediate whose
+array no rule reads is therefore freed as soon as the caller drops the
+Tensor, though the graph built on it lives until the walk.
 
 The walk releases the graph as it goes, as PyTorch does by default
 (``retain_graph=False``). Leaf tensors keep their ``.grad``. Intermediates
@@ -677,32 +677,39 @@ def gelu(a) -> Tensor:
     """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = as_tensor(a)
     x = a.data
+    slope_needed = _grad_enabled and a.requires_grad
     # x*x*x, not x**3: numpy's generic pow is ~40x slower on mixed-sign input.
     # out= keeps a 0-d product an array, so the in-place steps accept it.
-    t = np.multiply(x, x, out=np.empty_like(x))
-    t *= x
+    xx = np.multiply(x, x, out=np.empty_like(x))
+    t = np.multiply(xx, x, out=np.empty_like(x) if slope_needed else xx)
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
     out = np.multiply(x, 0.5, out=np.empty_like(x))
-    out *= t + 1.0
+    if not slope_needed:
+        out *= t + 1.0
+        return _wrap(out)
+
+    # The node saves only the slope
+    #   0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x),
+    # so neither x nor t outlives the forward pass. out holds 0.5*x until it
+    # takes the factor 1 + t.
+    dinner = xx
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _GELU_C
+    slope = np.add(t, 1.0, out=np.empty_like(x))
+    tail = np.multiply(t, t, out=t)
+    np.subtract(1.0, tail, out=tail)
+    tail *= out
+    tail *= dinner
+    out *= slope
+    slope *= 0.5
+    slope += tail
 
     def backward(g):
-        # g * (0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x))
-        dinner = np.multiply(x, x, out=np.empty_like(x))
-        dinner *= 3 * 0.044715
-        dinner += 1.0
-        dinner *= _GELU_C
-        tail = np.multiply(t, t, out=np.empty_like(x))
-        np.subtract(1.0, tail, out=tail)
-        tail *= x * 0.5
-        tail *= dinner
-        gx = np.add(t, 1.0, out=dinner)
-        gx *= 0.5
-        gx += tail
-        gx *= g
-        return (gx,)
+        return (np.multiply(g, slope, out=np.empty_like(slope)),)
 
     return _make(out, (a,), backward, "gelu")
 

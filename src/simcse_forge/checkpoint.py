@@ -119,9 +119,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     p = Path(path)
-    if not p.exists():
-        raise IntegrityError(f"checkpoint not found: {p}")
-    blob = p.read_bytes()
+    try:
+        blob = p.read_bytes()
+    except FileNotFoundError:
+        raise IntegrityError(f"checkpoint not found: {p}") from None
+    except OSError as exc:
+        raise IntegrityError(f"cannot read checkpoint {p}: {exc.strerror}") from None
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise IntegrityError(f"{p}: not a checkpoint file (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, 4)

@@ -182,10 +182,14 @@ def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
                     env=os.environ) -> RunConfig:
     if path is not None:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
         try:
             d = json.loads(p.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {p}") from None
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: not valid UTF-8 text (byte {exc.start})") from None
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{p}: invalid JSON ({exc})") from None
         if not isinstance(d, dict):

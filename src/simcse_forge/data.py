@@ -42,11 +42,13 @@ class DataError(ValueError):
 
 def read_text(path) -> str:
     """The whole of a UTF-8 text file, line endings untranslated; a missing
-    file or undecodable bytes are a DataError."""
+    or unreadable file or undecodable bytes are a DataError."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
 

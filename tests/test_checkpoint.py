@@ -119,6 +119,12 @@ def test_load_missing_file(tmp_path):
         load_checkpoint(tmp_path / "nope.ckpt")
 
 
+def test_load_directory_is_an_integrity_error(tmp_path):
+    with pytest.raises(IntegrityError, match="cannot read") as info:
+        load_checkpoint(tmp_path)
+    assert str(tmp_path) in str(info.value) and "Errno" not in str(info.value)
+
+
 def test_load_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"GGUF" + b"\x00" * 64)

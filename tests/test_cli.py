@@ -678,6 +678,26 @@ def test_train_missing_vocab_file_exit_2(tmp_path, capsys):
     assert "Errno" not in err
 
 
+def test_directory_paths_get_typed_errors(sst_run, capsys):
+    # each reader maps an OSError other than a missing file to its exit code
+    tmp_path, config, out = sst_run
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("the dog ran\n")
+    capsys.readouterr()
+    for argv, code in (
+            (["train", "single", "--config", config, "--data.train", str(adir),
+              "--out", str(tmp_path / "x")], 2),
+            (["embed", str(out / "checkpoint.ckpt"), str(adir)], 2),
+            (["embed", str(adir), str(sentences)], 3),
+            (["train", "single", "--config", str(adir), "--out", str(tmp_path / "y")], 1)):
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "adir" in err, argv
+        assert "Errno" not in err, argv
+
+
 def test_train_non_utf8_vocab_file_exit_2(tmp_path, capsys):
     train = synth(tmp_path, "sst", 8, "train.tsv", seed=1)
     vocab = tmp_path / "vocab.txt"

@@ -99,6 +99,15 @@ def test_bad_json_and_missing_file(tmp_path):
         load_run_config(str(tmp_path / "arr.json"))
 
 
+def test_unreadable_config_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read") as info:
+        load_run_config(str(tmp_path))
+    assert str(tmp_path) in str(info.value) and "Errno" not in str(info.value)
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_run_config(str(tmp_path / "latin1.json"))
+
+
 def test_deeply_nested_json_is_a_config_error(tmp_path):
     p = tmp_path / "deep.json"
     p.write_text("[" * 200_000)

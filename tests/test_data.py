@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from simcse_forge.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Batch,
                                DataError, Example, Vocab, examples_from_rows,
-                               load_tsv, make_batches, pad_batch, read_rows,
+                               load_tsv, make_batches, pad_batch, read_rows, read_text,
                                sentences_of, split_words, synth_toy_corpus,
                                SCHEMAS, SYNTH_SCHEMAS, tokenize, write_tsv)
 from simcse_forge.rng import Rng
@@ -140,6 +140,12 @@ def test_load_tsv_missing_file_and_header(tmp_path, vocab):
         load_tsv(p, "classification", vocab)
     with pytest.raises(DataError, match="schema"):
         load_tsv(p, "quads", vocab)
+
+
+def test_read_text_of_a_directory_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read") as info:
+        read_text(tmp_path)
+    assert str(tmp_path) in str(info.value) and "Errno" not in str(info.value)
 
 
 def test_examples_from_rows_checks_the_column_count(vocab):

@@ -161,3 +161,39 @@ def test_dropout_node_saves_a_one_byte_mask():
         assert len(masks) == 1 and masks[0].nbytes == n * d
         rest = [a for a in arrays if a is not masks[0]]
         assert len(rest) == others and all(a is x.data for a in rest)
+
+
+def test_gelu_node_saves_only_its_slope(monkeypatch):
+    config = config_with("standard")
+    params = init_params(config, Rng(0))
+    ids, mask = padded_batch([9, 3, 6, 2])
+    calls, original = [], ag.gelu
+
+    def wrapped(a):
+        out = original(a)
+        calls.append((a.shape, out.node))
+        return out
+
+    monkeypatch.setattr(ag, "gelu", wrapped)
+    rng = Rng(5)
+    h, h_plus = (encode(ids, mask, params, config, mode="train", rng=rng).pooled
+                 for _ in range(2))
+    nodes = [n for n in graph_nodes(unsup_simcse_loss(h, h_plus)) if n.op == "gelu"]
+    assert len(nodes) == len(calls) == 2 * config.num_layers
+    assert {id(n) for n in nodes} == {id(node) for _, node in calls}
+    for shape, node in calls:
+        (slope,) = saved(node)
+        assert isinstance(slope, np.ndarray) and slope.dtype == np.float64
+        assert slope.shape == shape
+
+
+def test_gelu_without_a_gradient_saves_nothing_and_keeps_its_bytes():
+    x = Rng(4).normal((37, 16), std=3.0)
+    graded = ag.gelu(Tensor(x, requires_grad=True))
+    assert graded.node.op == "gelu"
+    with ag.no_grad():
+        plain = ag.gelu(Tensor(x, requires_grad=True))
+    constant = ag.gelu(Tensor(x))
+    for out in (plain, constant):
+        assert out.node is None and not out.requires_grad
+        assert out.data.tobytes() == graded.data.tobytes()
