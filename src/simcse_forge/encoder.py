@@ -16,6 +16,14 @@ run on [N, d] rows. Train-mode dropout masks are therefore drawn over
 packed rows only, and ``EncodeResult.sequence`` is zero at the slots the
 packing skips.
 
+CLS-only last block: callers that read only ``pooled`` (the training
+losses, ``predict`` and ``dropout_alignment``; not ``embed``, whose output
+is the default full pass bit for bit) pass ``encode(..., sequence=False)``.
+Under CLS pooling the last block then runs K and V over all N rows and
+everything else over the B [CLS] rows (``Packing.cls``), drawing each
+dropout mask as for all N rows so the rng stream is unchanged. It matches
+the full pass to rounding (1e-12 relative), not bit for bit.
+
 Bucketed attention core: ``pack`` also splits the sequences into length
 buckets. A sequence's extent is its last packed position + 1; sorted by
 extent (stable), the sequences are cut into contiguous buckets that
@@ -37,6 +45,7 @@ the names are the checkpoint manifest names (``layers.0.attn.wq``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -108,8 +117,9 @@ class ModelParams(dict):
 
 
 class EncodeResult(NamedTuple):
-    sequence: Tensor  # [B, T, d], zero at the slots the packing skips
-    pooled: Tensor    # [B, d]
+    sequence: Tensor | None  # [B, T, d], zero at the slots the packing skips;
+                             # None from encode(..., sequence=False)
+    pooled: Tensor           # [B, d]
 
 
 def param_spec(config: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -166,9 +176,10 @@ def parameter_count(params: ModelParams) -> int:
 
 
 def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
-                  mode: str, step: int, rng: Rng | None) -> Tensor:
+                  mode: str, step: int, rng: Rng | None, rows=None) -> Tensor:
     return apply_dropout(x, config.dropout, mode, step, rng,
-                         alpha=params["adaptive.alpha"], beta=params["adaptive.beta"])
+                         alpha=params["adaptive.alpha"], beta=params["adaptive.beta"],
+                         rows=rows)
 
 
 # The cost of one more attention bucket, in score entries (n * T^2, each over
@@ -203,6 +214,10 @@ class Packing(NamedTuple):
     The packed rows are every real token plus position 0 of every sequence
     (CLS pooling reads it even when it is masked), in row-major slot order.
     ``buckets`` split the sequences for the attention core.
+
+    A query packing (``cls``) holds a subset of another packing's rows,
+    named by ``picked``, bucketed like it: its bucket g holds the queries of
+    that packing's bucket g.
     """
 
     mask: np.ndarray          # [B, T] 0/1 key mask for attention
@@ -210,6 +225,7 @@ class Packing(NamedTuple):
     positions: np.ndarray     # [N] position of each row
     full: bool                # every slot is a row
     buckets: tuple[Bucket, ...]
+    picked: np.ndarray | None = None  # these rows among the key packing's
 
     @property
     def rows(self) -> int:
@@ -219,6 +235,24 @@ class Packing(NamedTuple):
     def slots(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The rows' (b, t) index into [B, T], or None when every slot is a row."""
         return None if self.full else (self.seqs, self.positions)
+
+    @property
+    def cls_rows(self) -> np.ndarray:
+        """[B] the packed row of each sequence's position 0 ([CLS]), in
+        sequence order: the rows that CLS pooling reads."""
+        return np.flatnonzero(self.positions == 0)
+
+    def cls(self) -> "Packing":
+        """The query packing of the [CLS] rows alone: one row per sequence,
+        at position 0. Each bucket keeps its sequences and runs at query
+        length 1, so its blocks are [n_g, H, 1, hd]; query row b is sequence
+        b, so a bucket's rows are its sequences (None for the one bucket)."""
+        b, t = self.mask.shape
+        one = len(self.buckets) == 1
+        buckets = tuple(bucket._replace(length=1, rows=None if one else bucket.seqs,
+                                        slots=None) for bucket in self.buckets)
+        return Packing(self.mask, np.arange(b), np.zeros(b, dtype=np.int64), t == 1,
+                       buckets, self.cls_rows)
 
 
 def _bucket_plan(extents: np.ndarray) -> list[np.ndarray]:
@@ -350,56 +384,70 @@ def _to_rows(blocks, packing: Packing) -> np.ndarray:
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
-                   num_heads: int) -> tuple[Tensor, list[np.ndarray]]:
-    """Masked scaled dot-product attention over packed [N, d] query, key and
-    value rows, as one graph node.
+                   num_heads: int, query: Packing | None = None
+                   ) -> tuple[Tensor, list[np.ndarray]]:
+    """Masked scaled dot-product attention over packed [M, d] query rows and
+    [N, d] key and value rows, as one graph node.
 
-    Each bucket of ``packing`` runs at [n_g, H, T_g, T_g]. Returns the [N, d]
-    context rows and each bucket's weights. The backward computes every
-    bucket's score, softmax and context gradients with the numpy calls and
-    operand layouts of separate matmul and softmax nodes, so its values are
-    theirs bit for bit, and writes each row's q, k and v gradient once.
+    The key and value rows are laid out by ``packing``, the query rows by
+    ``query`` (default: packing, M = N), which is bucketed like it. Bucket g
+    runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for the
+    [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows and
+    each bucket's weights. The backward computes every bucket's score,
+    softmax and context gradients with the numpy calls and operand layouts
+    of separate matmul and softmax nodes, so its values are theirs bit for
+    bit, and writes each row's q, k and v gradient once.
 
     The backward reads only the per-bucket blocks it saves. In a padded
     batch they are copies, so the q, k and v rows are freed once the caller
     drops them; without padding the blocks are views that keep the rows.
     """
+    query = packing if query is None else query
     scale = 1.0 / np.sqrt(q.shape[1] // num_heads)
-    saved = []                  # (qb, kb, vb, w) per bucket, all [n, H, T_g, .]
-    for bucket in packing.buckets:
-        qb, kb, vb = (_to_heads(x.data, bucket, num_heads) for x in (q, k, v))
+    saved = []                  # (qb, kb, vb, w) per bucket, all [n, H, ., .]
+    for bucket, qbucket in zip(packing.buckets, query.buckets):
+        qb = _to_heads(q.data, qbucket, num_heads)
+        kb, vb = (_to_heads(x.data, bucket, num_heads) for x in (k, v))
         w = softmax(ag._wrap(qb @ kb.swapaxes(-1, -2)), scale=scale, bias=bucket.bias).data
         saved.append((qb, kb, vb, w))
-    ctx = _to_rows([w @ vb for _, _, vb, w in saved], packing)
+    ctx = _to_rows([w @ vb for _, _, vb, w in saved], query)
 
     def backward(g):
         grads = ([], [], [])
-        for bucket, (qb, kb, vb, w) in zip(packing.buckets, saved):
-            gc = _to_heads(g, bucket, num_heads)
+        for qbucket, (qb, kb, vb, w) in zip(query.buckets, saved):
+            gc = _to_heads(g, qbucket, num_heads)
             gw = gc @ vb.swapaxes(-1, -2)
             gs = ag.softmax_grad(gw, w, scale)
             grads[0].append(gs @ kb)
             grads[1].append((qb.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
             grads[2].append(w.swapaxes(-1, -2) @ gc)
-        return tuple(_to_rows(blocks, packing) for blocks in grads)
+        return (_to_rows(grads[0], query),
+                _to_rows(grads[1], packing), _to_rows(grads[2], packing))
 
     return ag._make(ctx, (q, k, v), backward, "attention"), [s[3] for s in saved]
 
 
 def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
-                         num_heads: int, dropout_fn=None, return_weights: bool = False):
+                         num_heads: int, dropout_fn=None, return_weights: bool = False,
+                         query: Packing | None = None):
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
     ``params.scope("layers.<i>.")``. The Q, K and V projections feed one
-    ``attention_core`` node, which runs the T x T scores, softmax and context
-    per bucket of ``packing`` and returns context rows for the output
+    ``attention_core`` node, which runs the scores, softmax and context per
+    bucket of ``packing`` and returns context rows for the output
     projection. Masked key positions get a -1e9 additive score, which
     underflows to exactly zero attention weight after softmax, so padded
     slots never reach a real row.
 
+    query (default: packing) picks the rows that attend: K and V run over
+    all N rows, and the Q projection, attention context, output projection,
+    residual add and layer norm over query's rows alone, which the result
+    holds. With ``packing.cls()`` that is one [CLS] row per sequence.
+
     With return_weights, also returns the dense [B, H, T, T] attention
-    weights as a constant Tensor (see ``_dense_weights``).
+    weights as a constant Tensor (see ``_dense_weights``); that needs every
+    row as a query.
     """
     n, d = hidden.shape
     if d % num_heads != 0:
@@ -407,14 +455,19 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    q = linear(hidden, layer["attn.wq"], layer["attn.bq"])
+    query = packing if query is None else query
+    if return_weights and query.picked is not None:
+        raise ValueError("return_weights needs every row as a query")
+    attending = (hidden if query.picked is None
+                 else ag.gather_rows(hidden, query.picked, (query.rows, d)))
+    q = linear(attending, layer["attn.wq"], layer["attn.bq"])
     k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
     v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
-    ctx, weights = attention_core(q, k, v, packing, num_heads)
+    ctx, weights = attention_core(q, k, v, packing, num_heads, query)
     out = linear(ctx, layer["attn.wo"], layer["attn.bo"])
     if dropout_fn is not None:
         out = dropout_fn(out)
-    result = layer_norm(hidden + out, layer["ln1.gamma"], layer["ln1.beta"])
+    result = layer_norm(attending + out, layer["ln1.gamma"], layer["ln1.beta"])
     if return_weights:
         return result, _dense_weights(packing, weights, num_heads)
     return result
@@ -441,13 +494,31 @@ def _dense_weights(packing: Packing, weights: list[np.ndarray], num_heads: int) 
 
 
 def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
-           mode: str = "eval", step: int = 0, rng: Rng | None = None) -> EncodeResult:
+           mode: str = "eval", step: int = 0, rng: Rng | None = None,
+           sequence: bool = True) -> EncodeResult:
     """Full encoder pass: embeddings, num_layers transformer blocks, pooling.
 
     Every per-token op runs on the packed rows of ``pack(mask)``.
 
     Eval mode is a pure function of (token_ids, mask, params); train mode
     consumes the rng at every dropout site.
+
+    sequence=False is for callers that read only ``pooled``: the result's
+    ``sequence`` is None, and under CLS pooling the last block runs only
+    what the [CLS] rows need. Its K and V projections still cover all N
+    rows; its queries, output projection, both dropout sites, both layer
+    norms and the feed-forward run on the B [CLS] rows (``Packing.cls``).
+    Each of its dropout sites draws its mask as for all N rows and keeps
+    the [CLS] rows, so the rng stream and the [CLS] rows' masks are those
+    of the full pass. ``pooled`` and every gradient agree with the full pass to
+    rounding (1e-12 relative in the parity tests), not bit for bit: a
+    matmul over B rows need not round like the same rows of one over N,
+    and the weight gradients sum B rows instead of N rows with zeros among
+    them. The loss, ``predict`` and ``dropout_alignment`` paths of the
+    trainers pass it; ``embed`` keeps the default so its output equals
+    ``encode(...).pooled`` with default arguments bit for bit. Under mean
+    pooling, which reads every row, sequence=False changes nothing but the
+    None.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -459,21 +530,26 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
                 f"mean pooling needs a real token in every sequence; row "
                 f"{int(empty[0])} has an all-zero mask")
     h = embed(token_ids, params, config, mode=mode, step=step, rng=rng, packing=packing)
-
-    def site(x):
-        return _site_dropout(x, params, config, mode, step, rng)
+    cls_only = not sequence and config.pooling == "cls_tanh"
+    last = packing.cls() if cls_only else packing
 
     for i in range(config.num_layers):
         lp = params.scope(f"layers.{i}.")
-        h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site)
+        query = last if i == config.num_layers - 1 else packing
+        rows = None if query.picked is None else (query.picked, packing.rows)
+        site = partial(_site_dropout, params=params, config=config, mode=mode,
+                       step=step, rng=rng, rows=rows)
+        h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site,
+                                 query=query)
         f = linear(ag.gelu(linear(h, lp["ffn.w1"], lp["ffn.b1"])),
                    lp["ffn.w2"], lp["ffn.b2"])
         h = layer_norm(h + site(f), lp["ln2.gamma"], lp["ln2.beta"])
 
     b, t = packing.mask.shape
     if config.pooling == "cls_tanh":
-        first = ag.gather_rows(h, np.flatnonzero(packing.positions == 0),
-                               (b, config.hidden_dim))
+        # after a cls-only last block, h is already the [B, d] [CLS] rows
+        first = h if cls_only else ag.gather_rows(h, packing.cls_rows,
+                                                  (b, config.hidden_dim))
         pooled = ag.tanh(linear(first, params["pooler.weight"], params["pooler.bias"]))
     else:
         # [B, N]: each row's mask value, in its own sequence's line
@@ -481,5 +557,7 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
         weights[packing.seqs, np.arange(packing.rows)] = packing.mask[packing.seqs,
                                                                       packing.positions]
         pooled = matmul(Tensor(weights), h) / Tensor(packing.mask.sum(axis=1, keepdims=True))
-    sequence = ag.scatter_rows(h, packing.slots, (b, t, config.hidden_dim))
-    return EncodeResult(sequence=sequence, pooled=pooled)
+    if not sequence:
+        return EncodeResult(sequence=None, pooled=pooled)
+    return EncodeResult(ag.scatter_rows(h, packing.slots, (b, t, config.hidden_dim)),
+                        pooled)

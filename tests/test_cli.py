@@ -636,6 +636,36 @@ def test_embed_cosine_matches_internal_similarity(sst_run):
     assert from_file == pytest.approx(float(internal), abs=1e-12)
 
 
+def test_embed_tsv_is_the_default_encode_bit_for_bit(tmp_path):
+    # embed writes encode(ids, mask, params, config).pooled with default
+    # arguments (the full pass, not sequence=False); repr round-trips floats
+    from simcse_forge.checkpoint import Checkpoint, save_checkpoint
+    from simcse_forge.data import Vocab, pad_batch, tokenize
+    from simcse_forge.encoder import EncoderConfig, encode, init_params
+    from simcse_forge.rng import Rng
+
+    rng = np.random.default_rng(4)
+    words = ["dog", "cat", "moon", "river", "clock", "letter", "harbor", "kettle"]
+    lines = [" ".join(rng.choice(words, size=n)) for n in (5, 40, 12, 3, 27, 8, 19)]
+    vocab = Vocab.build(lines)
+    config = EncoderConfig(vocab_size=len(vocab))
+    params = init_params(config, Rng(6))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(config=config, params=params,
+                               vocab_tokens=vocab.tokens()), ckpt)
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("".join(line + "\n" for line in lines))
+    assert main(["embed", str(ckpt), str(sentences), "--batch-size", "4",
+                 "--out", str(tmp_path / "emb")]) == 0
+    rows = (tmp_path / "emb" / "embeddings.tsv").read_text().splitlines()[1:]
+    written = np.array([row.split("\t")[1:] for row in rows], dtype=np.float64)
+
+    tokens = [tokenize(line, vocab, config.max_seq_len) for line in lines]
+    direct = np.concatenate([encode(*pad_batch(tokens[i:i + 4]), params, config).pooled.data
+                             for i in range(0, len(tokens), 4)])
+    assert np.array_equal(written, direct)
+
+
 def test_embed_empty_sentence_file_exit_2(sst_run):
     _, _, out = sst_run
     empty = out.parent / "empty.txt"

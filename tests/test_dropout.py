@@ -325,3 +325,18 @@ def test_two_consecutive_train_calls_differ():
     a = apply_dropout(x, policy, "train", 0, rng)
     b = apply_dropout(x, policy, "train", 0, rng)
     assert not np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("kind", ["standard", "curriculum", "adaptive"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_dropout_on_picked_rows_is_the_full_site_at_those_rows(kind, mode):
+    policy = DropoutPolicy(kind=kind, p=0.3, alpha=1.2, beta=0.4, total_steps=10)
+    rows = np.array([0, 2, 5, 6])
+    x = Rng(8).normal((7, 4))
+    alpha, beta = Tensor(1.2), Tensor(0.4)
+    whole, part = Rng(9), Rng(9)
+    want = apply_dropout(Tensor(x), policy, mode, 4, whole, alpha=alpha, beta=beta)
+    got = apply_dropout(Tensor(x[rows]), policy, mode, 4, part, alpha=alpha, beta=beta,
+                        rows=(rows, len(x)))
+    assert got.data.tobytes() == want.data[rows].tobytes()
+    assert part._state == whole._state

@@ -97,3 +97,48 @@ def test_adaptive_dropout_adds_three_nodes_per_site(layers):
         counts.append(tracing._graph_nodes(pooled))
     sites = 1 + 2 * layers
     assert counts[1] - counts[0] == 3 * sites
+
+
+def cls_only_nodes_per_encode(layers: int) -> int:
+    """Graph nodes of one train-mode encode(..., sequence=False) with
+    standard dropout and CLS pooling. The cls-only last block gathers its
+    [CLS] rows once (one node), and pooling then needs no gather, so the
+    count equals the full pass's."""
+    embeddings = 5      # two lookups, add, layer norm, dropout
+    # Q, K, V linears, attention core, output linear, dropout, residual add,
+    # layer norm; FFN linear, gelu, linear, dropout, residual add, layer norm
+    block = 14
+    pooling = 3         # position-0 gather, linear, tanh
+    return embeddings + layers * block + pooling
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_unsup_run_pins_the_cls_only_node_count(layers, monkeypatch):
+    tracing = _load_tracing()
+    vocab = Vocab.build(SENTENCES)
+    config = EncoderConfig(vocab_size=len(vocab), hidden_dim=8, num_layers=layers,
+                           num_heads=2, ffn_dim=16, max_seq_len=12,
+                           dropout=DropoutPolicy(kind="standard", p=0.1))
+    pool = [tokenize(s, vocab, config.max_seq_len) for s in SENTENCES]
+    counts = []
+    backward = autograd.Tensor.backward
+
+    def counted(loss):
+        counts.append(tracing._graph_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(autograd.Tensor, "backward", counted)
+    tc = training.TrainConfig(task="sts", epochs=1, batch_size=BATCH, lr=1e-3)
+    training.train_unsup_simcse(tc, config, vocab, pool, init_params(config, Rng(0)))
+
+    a = Tensor(Rng(1).normal((BATCH, config.hidden_dim)), requires_grad=True)
+    b = Tensor(Rng(2).normal((BATCH, config.hidden_dim)), requires_grad=True)
+    loss_nodes = tracing._graph_nodes(unsup_simcse_loss(a, b))
+    assert counts == [2 * cls_only_nodes_per_encode(layers) + loss_nodes] * 2
+
+    ids, mask = pad_batch(pool[:BATCH])
+    params = init_params(config, Rng(0))
+    full, cls = (tracing._graph_nodes(encode(ids, mask, params, config, mode="train",
+                                             rng=Rng(1), sequence=sequence).pooled)
+                 for sequence in (True, False))
+    assert full == cls == cls_only_nodes_per_encode(layers)

@@ -16,7 +16,7 @@ from simcse_forge import autograd as ag
 from simcse_forge import encoder
 from simcse_forge.autograd import Tensor
 from simcse_forge.dropout import DropoutPolicy, adaptive_dropout, standard_dropout
-from simcse_forge.encoder import EncoderConfig, encode, init_params
+from simcse_forge.encoder import EncoderConfig, encode, init_params, pack
 from simcse_forge.objectives import sup_simcse_loss, unsup_simcse_loss
 from simcse_forge.rng import Rng
 
@@ -185,6 +185,26 @@ def test_gelu_node_saves_only_its_slope(monkeypatch):
         (slope,) = saved(node)
         assert isinstance(slope, np.ndarray) and slope.dtype == np.float64
         assert slope.shape == shape
+
+
+def test_cls_only_last_gelu_saves_a_slope_per_sequence(monkeypatch):
+    # encode(..., sequence=False) runs the last block's FFN on the [CLS] rows
+    config = config_with("standard")
+    ids, mask = padded_batch([9, 3, 6, 2])
+    shapes, original = [], ag.gelu
+
+    def wrapped(a):
+        out = original(a)
+        (slope,) = saved(out.node)
+        shapes.append(slope.shape)
+        return out
+
+    monkeypatch.setattr(ag, "gelu", wrapped)
+    params, rng = init_params(config, Rng(0)), Rng(5)
+    for _ in range(2):
+        encode(ids, mask, params, config, mode="train", rng=rng, sequence=False)
+    n, ffn = pack(mask).rows, config.ffn_dim
+    assert shapes == [(n, ffn), (len(ids), ffn)] * 2
 
 
 def test_gelu_without_a_gradient_saves_nothing_and_keeps_its_bytes():
