@@ -69,20 +69,21 @@ def _masked(x: Tensor, kept: np.ndarray, scale: float, pi: Tensor | None = None)
     return ag._make(x.data * np.where(kept, scale, 0.0), parents, backward, "dropout")
 
 
-def _site_shape(x: Tensor, rows) -> tuple[int, ...]:
-    """The whole site's shape: x's, or (n, ...) when x holds rows of n."""
-    return x.shape if rows is None else (rows[1], *x.shape[1:])
+def _site_shape(x: Tensor, part) -> tuple[int, ...]:
+    """The whole site's shape: x's, or (n, ...) when part=(index, n) says x
+    holds only rows index of an n-row site."""
+    return x.shape if part is None else (part[1], *x.shape[1:])
 
 
 def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
-                     rows=None) -> Tensor:
+                     part=None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
     by 1/(1-p) so the expected output equals the input. Identity in eval mode.
 
-    rows=(index, n) says x holds only rows index of an n-row site: the mask
-    is drawn over all n rows, as for the whole site, and its picked rows
-    are kept. The draw returns every row, so perfbench's ``rng.mask_units``
-    counts the whole site as before.
+    part=(index, n) says x holds only rows index of an n-row site: the mask
+    is drawn over all n rows, as for the whole site, and its picked rows are
+    kept. The draw returns every row, so perfbench's ``rng.mask_units``
+    counts the whole site.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
@@ -91,8 +92,8 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
-    kept = rng.bernoulli(keep, _site_shape(x, rows), dtype=bool)
-    return _masked(x, kept if rows is None else kept[rows[0]], 1.0 / keep)
+    kept = rng.bernoulli(keep, _site_shape(x, part), dtype=bool)
+    return _masked(x, kept if part is None else kept[part[0]], 1.0 / keep)
 
 
 def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
@@ -108,7 +109,7 @@ def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
 def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
                      mode: str, rng: Rng | None,
                      alpha: Tensor | None = None, beta: Tensor | None = None,
-                     rows=None) -> Tensor:
+                     part=None) -> Tensor:
     """Standout-style dropout: keep probability pi_j = sigmoid(alpha*a_j + beta)
     per unit, from that unit's pre-dropout activation a_j.
 
@@ -118,8 +119,8 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
     in train mode they receive straight-through gradients: pi gets that of
     x*pi, while the value and x's gradient use the sampled mask.
 
-    rows=(index, n) as in ``standard_dropout``; pi exists for the picked
-    rows alone, so the stream draws only those (``Rng.bernoulli(rows=)``).
+    part=(index, n) as in ``standard_dropout``; pi exists for the picked
+    rows alone, so the draw compares only those (``Rng.bernoulli(rows=)``).
     """
     if alpha is None:
         alpha = Tensor(policy.alpha)
@@ -130,21 +131,21 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
         return x * pi
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    kept = rng.bernoulli(pi.data, _site_shape(x, rows), dtype=bool,
-                         rows=None if rows is None else rows[0])
+    kept = rng.bernoulli(pi.data, _site_shape(x, part), dtype=bool,
+                         rows=None if part is None else part[0])
     return _masked(x, kept, 1.0, pi)
 
 
 def apply_dropout(x: Tensor, policy: DropoutPolicy, mode: str, step: int,
                   rng: Rng | None, alpha: Tensor | None = None,
-                  beta: Tensor | None = None, rows=None) -> Tensor:
+                  beta: Tensor | None = None, part=None) -> Tensor:
     """Dispatch one dropout site through the configured regime.
 
-    rows=(index, n): x is rows index of an n-row site, whose mask is drawn
+    part=(index, n): x is rows index of an n-row site, whose mask is drawn
     as for all n rows, so the rng stream advances exactly as at a full site.
     """
     if policy.kind == "standard":
-        return standard_dropout(x, policy.p, mode, rng, rows)
+        return standard_dropout(x, policy.p, mode, rng, part)
     if policy.kind == "curriculum":
-        return standard_dropout(x, curriculum_rate(step, policy), mode, rng, rows)
-    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta, rows=rows)
+        return standard_dropout(x, curriculum_rate(step, policy), mode, rng, part)
+    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta, part=part)

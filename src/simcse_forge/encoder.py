@@ -176,10 +176,10 @@ def parameter_count(params: ModelParams) -> int:
 
 
 def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
-                  mode: str, step: int, rng: Rng | None, rows=None) -> Tensor:
+                  mode: str, step: int, rng: Rng | None, part=None) -> Tensor:
     return apply_dropout(x, config.dropout, mode, step, rng,
                          alpha=params["adaptive.alpha"], beta=params["adaptive.beta"],
-                         rows=rows)
+                         part=part)
 
 
 # The cost of one more attention bucket, in score entries (n * T^2, each over
@@ -214,10 +214,6 @@ class Packing(NamedTuple):
     The packed rows are every real token plus position 0 of every sequence
     (CLS pooling reads it even when it is masked), in row-major slot order.
     ``buckets`` split the sequences for the attention core.
-
-    A query packing (``cls``) holds a subset of another packing's rows,
-    named by ``picked``, bucketed like it: its bucket g holds the queries of
-    that packing's bucket g.
     """
 
     mask: np.ndarray          # [B, T] 0/1 key mask for attention
@@ -225,7 +221,6 @@ class Packing(NamedTuple):
     positions: np.ndarray     # [N] position of each row
     full: bool                # every slot is a row
     buckets: tuple[Bucket, ...]
-    picked: np.ndarray | None = None  # these rows among the key packing's
 
     @property
     def rows(self) -> int:
@@ -242,17 +237,30 @@ class Packing(NamedTuple):
         sequence order: the rows that CLS pooling reads."""
         return np.flatnonzero(self.positions == 0)
 
-    def cls(self) -> "Packing":
-        """The query packing of the [CLS] rows alone: one row per sequence,
-        at position 0. Each bucket keeps its sequences and runs at query
-        length 1, so its blocks are [n_g, H, 1, hd]; query row b is sequence
-        b, so a bucket's rows are its sequences (None for the one bucket)."""
-        b, t = self.mask.shape
+    def cls(self) -> "Queries":
+        """The [CLS] rows alone as attention queries, one per sequence. Each
+        bucket keeps its sequences and runs at query length 1, so its blocks
+        are [n_g, H, 1, hd]; query row b is sequence b, so a bucket's rows
+        are its sequences (None for the one bucket)."""
         one = len(self.buckets) == 1
-        buckets = tuple(bucket._replace(length=1, rows=None if one else bucket.seqs,
-                                        slots=None) for bucket in self.buckets)
-        return Packing(self.mask, np.arange(b), np.zeros(b, dtype=np.int64), t == 1,
-                       buckets, self.cls_rows)
+        return Queries(self.cls_rows, tuple(
+            bucket._replace(length=1, rows=None if one else bucket.seqs, slots=None)
+            for bucket in self.buckets))
+
+
+class Queries(NamedTuple):
+    """The rows that attend, when they are a subset of a packing's rows:
+    ``picked`` among its rows, laid out in one bucket per bucket of the
+    packing (bucket g holds the queries of the packing's bucket g). The
+    attention core reads a query bucket's placement only; the mask offsets
+    come from the key bucket."""
+
+    picked: np.ndarray          # [M] rows of the key packing
+    buckets: tuple[Bucket, ...]
+
+    @property
+    def rows(self) -> int:
+        return len(self.picked)
 
 
 def _bucket_plan(extents: np.ndarray) -> list[np.ndarray]:
@@ -365,7 +373,7 @@ def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
     return block.transpose(0, 2, 1, 3)
 
 
-def _to_rows(blocks, packing: Packing) -> np.ndarray:
+def _to_rows(blocks, packing: Packing | Queries) -> np.ndarray:
     """The inverse of ``_to_heads`` over every bucket: one [N, H*hd] array
     holding each bucket's filled slots at its rows, each row written once."""
     out = None
@@ -384,15 +392,15 @@ def _to_rows(blocks, packing: Packing) -> np.ndarray:
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
-                   num_heads: int, query: Packing | None = None
+                   num_heads: int, query: Queries | None = None
                    ) -> tuple[Tensor, list[np.ndarray]]:
     """Masked scaled dot-product attention over packed [M, d] query rows and
     [N, d] key and value rows, as one graph node.
 
     The key and value rows are laid out by ``packing``, the query rows by
-    ``query`` (default: packing, M = N), which is bucketed like it. Bucket g
-    runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for the
-    [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows and
+    ``query`` (default: every packed row, M = N), which is bucketed like it.
+    Bucket g runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for
+    the [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows and
     each bucket's weights. The backward computes every bucket's score,
     softmax and context gradients with the numpy calls and operand layouts
     of separate matmul and softmax nodes, so its values are theirs bit for
@@ -429,7 +437,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
 
 def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
                          num_heads: int, dropout_fn=None, return_weights: bool = False,
-                         query: Packing | None = None):
+                         query: Queries | None = None):
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
@@ -440,7 +448,7 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     underflows to exactly zero attention weight after softmax, so padded
     slots never reach a real row.
 
-    query (default: packing) picks the rows that attend: K and V run over
+    query (default: every row) picks the rows that attend: K and V run over
     all N rows, and the Q projection, attention context, output projection,
     residual add and layer norm over query's rows alone, which the result
     holds. With ``packing.cls()`` that is one [CLS] row per sequence.
@@ -455,11 +463,10 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    query = packing if query is None else query
-    if return_weights and query.picked is not None:
+    if return_weights and query is not None:
         raise ValueError("return_weights needs every row as a query")
-    attending = (hidden if query.picked is None
-                 else ag.gather_rows(hidden, query.picked, (query.rows, d)))
+    attending = hidden if query is None else ag.gather_rows(hidden, query.picked,
+                                                            (query.rows, d))
     q = linear(attending, layer["attn.wq"], layer["attn.bq"])
     k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
     v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
@@ -531,14 +538,14 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
                 f"{int(empty[0])} has an all-zero mask")
     h = embed(token_ids, params, config, mode=mode, step=step, rng=rng, packing=packing)
     cls_only = not sequence and config.pooling == "cls_tanh"
-    last = packing.cls() if cls_only else packing
+    last = packing.cls() if cls_only else None
 
     for i in range(config.num_layers):
         lp = params.scope(f"layers.{i}.")
-        query = last if i == config.num_layers - 1 else packing
-        rows = None if query.picked is None else (query.picked, packing.rows)
+        query = last if i == config.num_layers - 1 else None
+        part = None if query is None else (query.picked, packing.rows)
         site = partial(_site_dropout, params=params, config=config, mode=mode,
-                       step=step, rng=rng, rows=rows)
+                       step=step, rng=rng, part=part)
         h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site,
                                  query=query)
         f = linear(ag.gelu(linear(h, lp["ffn.w1"], lp["ffn.b1"])),

@@ -39,36 +39,22 @@ class Rng:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def _raw(self, n: int, at: np.ndarray | None = None) -> np.ndarray:
-        """Next n 64-bit outputs as a uint64 array. Given at, an index array
-        into those n, only the outputs there (in at's shape); the state still
-        advances past all n, since output i depends only on the state and i."""
-        if at is None:
-            z = np.arange(1, n + 1, dtype=np.uint64)
-        else:
-            z = at.astype(np.uint64)
-            z += np.uint64(1)
+    def _raw(self, n: int) -> np.ndarray:
+        """Next n 64-bit outputs as a uint64 array."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GOLDEN)
         z += np.uint64(self._state)
         _finalize(z)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
-    def _bits53(self, shape, rows=None) -> np.ndarray:
+    def _bits53(self, shape) -> np.ndarray:
         """Next draws as 53-bit integers k, one per entry of shape (a scalar
-        for shape ()); the uniform draw is k * 2**-53. Given rows, an index
-        over shape's first axis, only the draws of those rows, as
-        ``_bits53(shape)[rows]`` but without computing the others."""
+        for shape ()); the uniform draw is k * 2**-53."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if rows is None:
-            k, out_shape = self._raw(n), shape
-        else:
-            width = int(np.prod(shape[1:], dtype=np.int64))
-            picked = np.arange(shape[0])[rows]
-            k = self._raw(n, picked[:, None] * width + np.arange(width))
-            out_shape = (len(picked), *shape[1:])
+        k = self._raw(n)
         k >>= np.uint64(11)
-        return k.reshape(out_shape) if out_shape else k[0]
+        return k.reshape(shape) if shape else k[0]
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1) with 53-bit resolution."""
@@ -93,14 +79,16 @@ class Rng:
         dtype=bool returns the comparison itself, one byte per entry.
 
         Given rows, an index over shape's first axis, returns
-        ``bernoulli(keep_prob, shape)[rows]`` with keep_prob broadcast
-        against the picked rows alone: the stream advances as for the whole
-        shape, and only the picked rows are drawn and compared."""
+        ``bernoulli(keep_prob, shape)[rows]``, with keep_prob broadcast
+        against the picked rows: the whole shape is drawn, so the stream
+        advances as for a full draw, and only the picked rows are compared."""
         keep = np.asarray(keep_prob, dtype=np.float64)
         # k * 2**-53 < keep  <=>  k < keep * 2**53: both scalings by 2**53 are
         # exact and k < 2**53 converts to float64 exactly, so the mask equals
         # uniform() < keep without building the uniform array.
-        k = self._bits53(shape if shape else keep.shape, rows)
+        k = self._bits53(shape if shape else keep.shape)
+        if rows is not None:
+            k = k[rows]
         return (k < keep * 2.0**53).astype(dtype, copy=False)
 
     def shuffle(self, items: list) -> None:
