@@ -688,7 +688,8 @@ def gelu(a) -> Tensor:
     np.tanh(t, out=t)
     out = np.multiply(x, 0.5, out=np.empty_like(x))
     if not slope_needed:
-        out *= t + 1.0
+        t += 1.0
+        out *= t
         return _wrap(out)
 
     # The node saves only the slope

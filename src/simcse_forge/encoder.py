@@ -13,16 +13,17 @@ N rows, one per real token plus position 0 of every sequence, which CLS
 pooling reads even when it is masked. Embeddings, every dropout site, the
 projections, residual adds, layer norms, the GELU feed-forward and pooling
 run on [N, d] rows. Train-mode dropout masks are therefore drawn over
-packed rows only, and ``EncodeResult.sequence`` is zero at the slots the
-packing skips.
+packed rows only, and the token states of ``encode(..., sequence=True)``
+are zero at the slots the packing skips.
 
-CLS-only last block: callers that read only ``pooled`` (the training
-losses, ``predict`` and ``dropout_alignment``; not ``embed``, whose output
-is the default full pass bit for bit) pass ``encode(..., sequence=False)``.
-Under CLS pooling the last block then runs K and V over all N rows and
-everything else over the B [CLS] rows (``Packing.cls``), drawing each
-dropout mask as for all N rows so the rng stream is unchanged. It matches
-the full pass to rounding (1e-12 relative), not bit for bit.
+CLS-only last block: by default ``encode`` computes only what ``pooled``
+reads, and every caller in the package (the training losses, ``predict``,
+``dropout_alignment`` and ``embed``) uses that default. Under CLS pooling
+the last block then runs K and V over all N rows and everything else over
+the B [CLS] rows (``Packing.cls``), drawing each dropout mask as for all N
+rows so the rng stream is unchanged. ``sequence=True`` asks for the token
+states and runs the full last block; the two passes agree on ``pooled`` to
+rounding (1e-12 relative), not bit for bit.
 
 Bucketed attention core: ``pack`` also splits the sequences into length
 buckets. A sequence's extent is its last packed position + 1; sorted by
@@ -117,8 +118,8 @@ class ModelParams(dict):
 
 
 class EncodeResult(NamedTuple):
-    sequence: Tensor | None  # [B, T, d], zero at the slots the packing skips;
-                             # None from encode(..., sequence=False)
+    sequence: Tensor | None  # [B, T, d], zero at the slots the packing skips,
+                             # from encode(..., sequence=True); None by default
     pooled: Tensor           # [B, d]
 
 
@@ -502,7 +503,7 @@ def _dense_weights(packing: Packing, weights: list[np.ndarray], num_heads: int) 
 
 def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
            mode: str = "eval", step: int = 0, rng: Rng | None = None,
-           sequence: bool = True) -> EncodeResult:
+           sequence: bool = False) -> EncodeResult:
     """Full encoder pass: embeddings, num_layers transformer blocks, pooling.
 
     Every per-token op runs on the packed rows of ``pack(mask)``.
@@ -510,22 +511,23 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     Eval mode is a pure function of (token_ids, mask, params); train mode
     consumes the rng at every dropout site.
 
-    sequence=False is for callers that read only ``pooled``: the result's
+    By default the pass computes only what ``pooled`` reads: the result's
     ``sequence`` is None, and under CLS pooling the last block runs only
     what the [CLS] rows need. Its K and V projections still cover all N
     rows; its queries, output projection, both dropout sites, both layer
     norms and the feed-forward run on the B [CLS] rows (``Packing.cls``).
     Each of its dropout sites draws its mask as for all N rows and keeps
     the [CLS] rows, so the rng stream and the [CLS] rows' masks are those
-    of the full pass. ``pooled`` and every gradient agree with the full pass to
-    rounding (1e-12 relative in the parity tests), not bit for bit: a
+    of the full pass. Every caller in the package, ``embed`` included,
+    reads only ``pooled`` and uses this default.
+
+    sequence=True also returns the [B, T, d] token states and runs the full
+    last block. ``pooled`` and every gradient agree between the two passes
+    to rounding (1e-12 relative in the parity tests), not bit for bit: a
     matmul over B rows need not round like the same rows of one over N,
     and the weight gradients sum B rows instead of N rows with zeros among
-    them. The loss, ``predict`` and ``dropout_alignment`` paths of the
-    trainers pass it; ``embed`` keeps the default so its output equals
-    ``encode(...).pooled`` with default arguments bit for bit. Under mean
-    pooling, which reads every row, sequence=False changes nothing but the
-    None.
+    them. Under mean pooling, which reads every row, the two passes differ
+    only in ``sequence``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

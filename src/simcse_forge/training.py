@@ -93,7 +93,7 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
               rng: Rng | None = None):
     """Scalar training loss for one batch of the given task."""
     pooled = encode(batch.token_ids, batch.mask, params, config,
-                    mode=mode, step=step, rng=rng, sequence=False).pooled
+                    mode=mode, step=step, rng=rng).pooled
     if task == "sst":
         logits = sst_logits(pooled, params)
         if train_config.sst_loss == "bce":
@@ -102,7 +102,7 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
             return bce_loss(logits, onehot)
         return ce_loss(logits, batch.target)
     pooled_b = encode(batch.b_ids, batch.b_mask, params, config,
-                      mode=mode, step=step, rng=rng, sequence=False).pooled
+                      mode=mode, step=step, rng=rng).pooled
     if task == "paraphrase":
         logit = paraphrase_logit(pooled, pooled_b, params, config.para_features)
         return bce_loss(logit, batch.target.astype(np.float64))
@@ -114,12 +114,10 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
             train_config: TrainConfig):
     """Eval-mode predictions: class ids (sst), 0/1 (paraphrase), scores (sts)."""
     with ag.no_grad():
-        pooled = encode(batch.token_ids, batch.mask, params, config,
-                        sequence=False).pooled
+        pooled = encode(batch.token_ids, batch.mask, params, config).pooled
         if task == "sst":
             return np.argmax(sst_logits(pooled, params).data, axis=1)
-        pooled_b = encode(batch.b_ids, batch.b_mask, params, config,
-                          sequence=False).pooled
+        pooled_b = encode(batch.b_ids, batch.b_mask, params, config).pooled
         if task == "paraphrase":
             logit = paraphrase_logit(pooled, pooled_b, params,
                                      config.para_features)
@@ -322,8 +320,8 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     with ag.no_grad():
         for start in range(0, len(token_lists), batch_size):
             ids, mask = pad_batch(token_lists[start:start + batch_size])
-            a, b = (encode(ids, mask, params, config, mode="train", rng=rng,
-                           sequence=False).pooled.data for _ in range(2))
+            a, b = (encode(ids, mask, params, config, mode="train", rng=rng).pooled.data
+                    for _ in range(2))
             num = np.sum(a * b, axis=1)
             den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
             sims.extend((num / den).tolist())
@@ -383,7 +381,7 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
         nonlocal warned
         ids, mask = batch
         h, h_plus = (encode(ids, mask, params, config, mode="train", step=step,
-                            rng=rng, sequence=False).pooled for _ in range(2))
+                            rng=rng).pooled for _ in range(2))
         if not warned and np.array_equal(h.data, h_plus.data):
             logger.warning("unsup_simcse step %d: the two %s dropout views are "
                            "identical and carry no contrastive signal",
@@ -414,8 +412,7 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     def loss(batch, params, config, step, rng):
         h, h_plus, h_minus = (
-            encode(ids, mask, params, config, mode="train", step=step, rng=rng,
-                   sequence=False).pooled
+            encode(ids, mask, params, config, mode="train", step=step, rng=rng).pooled
             for ids, mask in ((batch.token_ids, batch.mask), (batch.b_ids, batch.b_mask),
                               (batch.c_ids, batch.c_mask)))
         return sup_simcse_loss(h, h_plus, h_minus, train_config.tau), batch.size

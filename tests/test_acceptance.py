@@ -526,10 +526,14 @@ def test_criterion_09_pipeline_reproducibility(tmp_path):
     ids, mask = pad_batch([tokenize(s, vocab, ck1.config.max_seq_len)
                            for s in probes])
     with ag.no_grad():
-        r1 = encode(ids, mask, ck1.params, ck1.config)
-        r2 = encode(ids, mask, ck2.params, ck2.config)
+        r1 = encode(ids, mask, ck1.params, ck1.config, sequence=True)
+        r2 = encode(ids, mask, ck2.params, ck2.config, sequence=True)
+        # the default pass, which embed writes
+        p1 = encode(ids, mask, ck1.params, ck1.config).pooled
+        p2 = encode(ids, mask, ck2.params, ck2.config).pooled
     assert r1.pooled.data.tobytes() == r2.pooled.data.tobytes()
     assert r1.sequence.data.tobytes() == r2.sequence.data.tobytes()
+    assert p1.data.tobytes() == p2.data.tobytes()
 
 
 # -- criterion 10: experiment report shapes -----------------------------------------------

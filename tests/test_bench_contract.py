@@ -124,3 +124,28 @@ def test_traced_two_tier_cli_run_records_load_eval_and_save_spans(tmp_path):
     assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"data.tokenize", "training.eval", "checkpoint.save"} <= names
+
+
+def test_traced_embed_cli_run_records_encode_and_layer_spans(tmp_path):
+    # the embed-cli workload's path: the checkpoint load, tokenizing and the
+    # eval-mode encode must keep calling through the names perfbench patches
+    from simcse_forge import cli
+    from simcse_forge.checkpoint import Checkpoint, save_checkpoint
+
+    vocab = Vocab.build(SENTENCES)
+    config = _tiny_config(vocab)
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(config=config, params=init_params(config, Rng(0)),
+                               vocab_tokens=vocab.tokens()), checkpoint)
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("".join(s + "\n" for s in SENTENCES))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        code = cli.main(["embed", str(checkpoint), str(sentences), "--batch-size",
+                         str(BATCH), "--out", str(tmp_path / "emb")])
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert {"encoder.encode", "encoder.attention", "autograd.softmax",
+            "autograd.gelu", "autograd.layer_norm", "checkpoint.load",
+            "data.tokenize"} <= set(names)
+    assert names.count("encoder.encode") == math.ceil(len(SENTENCES) / BATCH)

@@ -638,7 +638,7 @@ def test_embed_cosine_matches_internal_similarity(sst_run):
 
 def test_embed_tsv_is_the_default_encode_bit_for_bit(tmp_path):
     # embed writes encode(ids, mask, params, config).pooled with default
-    # arguments (the full pass, not sequence=False); repr round-trips floats
+    # arguments (the pooled-only pass, not sequence=True); repr round-trips floats
     from simcse_forge.checkpoint import Checkpoint, save_checkpoint
     from simcse_forge.data import Vocab, pad_batch, tokenize
     from simcse_forge.encoder import EncoderConfig, encode, init_params

@@ -197,3 +197,46 @@ def test_return_weights_needs_every_row_as_a_query():
         encoder.multi_head_attention(hidden, packing, params.scope("layers.0."),
                                      config.num_heads, return_weights=True,
                                      query=packing.cls())
+
+
+def test_embed_runs_the_cls_only_last_block(tmp_path, monkeypatch):
+    # embed's default encode prunes the last block: its GELU sees one row per
+    # sentence of the batch, and the TSV matches the full pass to rounding
+    from simcse_forge import autograd as ag
+    from simcse_forge.checkpoint import Checkpoint, save_checkpoint
+    from simcse_forge.cli import main
+    from simcse_forge.data import Vocab, pad_batch, tokenize
+
+    rng = np.random.default_rng(4)
+    words = ["dog", "cat", "moon", "river", "clock", "letter", "harbor", "kettle"]
+    lines = [" ".join(rng.choice(words, size=n)) for n in (5, 40, 12, 3, 27, 8, 19)]
+    vocab = Vocab.build(lines)
+    config = config_with("standard", vocab_size=len(vocab))
+    params = init_params(config, Rng(6))
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(config=config, params=params,
+                               vocab_tokens=vocab.tokens()), ckpt)
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("".join(line + "\n" for line in lines))
+    shapes, original = [], ag.gelu
+
+    def recorded(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(ag, "gelu", recorded)
+    assert main(["embed", str(ckpt), str(sentences), "--batch-size", "4",
+                 "--out", str(tmp_path / "emb")]) == 0
+    monkeypatch.undo()
+    rows = (tmp_path / "emb" / "embeddings.tsv").read_text().splitlines()[1:]
+    written = np.array([row.split("\t")[1:] for row in rows], dtype=np.float64)
+
+    tokens = [tokenize(line, vocab, config.max_seq_len) for line in lines]
+    batches = [pad_batch(tokens[i:i + 4]) for i in range(0, len(tokens), 4)]
+    expected = []
+    for ids, mask in batches:
+        expected += [(pack(mask).rows, config.ffn_dim), (len(ids), config.ffn_dim)]
+    assert shapes == expected
+    full = np.concatenate([encode(ids, mask, params, config, sequence=True).pooled.data
+                           for ids, mask in batches])
+    assert np.abs(written - full).max() <= 1e-12 * np.abs(full).max()

@@ -231,8 +231,8 @@ def test_encode_eval_deterministic():
     cfg = toy_config()
     params = init_params(cfg, Rng(8))
     ids, mask = batch(cfg)
-    r1 = encode(ids, mask, params, cfg)
-    r2 = encode(ids, mask, params, cfg)
+    r1 = encode(ids, mask, params, cfg, sequence=True)
+    r2 = encode(ids, mask, params, cfg, sequence=True)
     assert isinstance(r1, EncodeResult)
     assert np.array_equal(r1.pooled.data, r2.pooled.data)
     assert np.array_equal(r1.sequence.data, r2.sequence.data)
@@ -292,10 +292,10 @@ def test_encode_pad_token_id_invariance(pooling):
     params = init_params(cfg, Rng(10))
     ids = np.array([[1, 5, 6, 2, 0, 0]])
     mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
-    r1 = encode(ids, mask, params, cfg)
+    r1 = encode(ids, mask, params, cfg, sequence=True)
     ids2 = ids.copy()
     ids2[0, 4:] = 9   # different junk under the mask
-    r2 = encode(ids2, mask, params, cfg)
+    r2 = encode(ids2, mask, params, cfg, sequence=True)
     assert np.max(np.abs(r1.pooled.data - r2.pooled.data)) < 1e-10
     real = mask[0].astype(bool)
     assert np.max(np.abs(r1.sequence.data[0, real] - r2.sequence.data[0, real])) < 1e-10
@@ -306,7 +306,7 @@ def test_encode_mean_pooling_formula():
     params = init_params(cfg, Rng(11))
     ids = np.array([[1, 5, 2, 0]])
     mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-    r = encode(ids, mask, params, cfg)
+    r = encode(ids, mask, params, cfg, sequence=True)
     manual = r.sequence.data[0, :3].mean(axis=0)
     assert np.allclose(r.pooled.data[0], manual, atol=1e-12)
 
@@ -326,7 +326,7 @@ def test_encode_cls_pooling_formula():
     cfg = toy_config()
     params = init_params(cfg, Rng(12))
     ids, mask = batch(cfg, b=2)
-    r = encode(ids, mask, params, cfg)
+    r = encode(ids, mask, params, cfg, sequence=True)
     manual = np.tanh(r.sequence.data[:, 0, :] @ params["pooler.weight"].data
                      + params["pooler.bias"].data)
     assert np.allclose(r.pooled.data, manual, atol=1e-12)
@@ -471,7 +471,7 @@ def test_cls_row_masked_at_position_zero_still_pooled():
     params = init_params(cfg, Rng(18))
     ids, mask = ragged(cfg, (4, 3), 5, seed=2)
     mask[1, 0] = 0.0     # row 1's [CLS] is not a key, but CLS pooling reads it
-    r = encode(ids, mask, params, cfg)
+    r = encode(ids, mask, params, cfg, sequence=True)
     first = r.sequence.data[1, 0]
     assert np.all(np.isfinite(first)) and np.any(first != 0.0)
     manual = np.tanh(first @ params["pooler.weight"].data + params["pooler.bias"].data)
@@ -485,7 +485,7 @@ def test_mean_pooling_skips_a_masked_position_zero():
     params = init_params(cfg, Rng(18))
     ids, mask = ragged(cfg, (4, 3), 5, seed=2)
     mask[1, 0] = 0.0
-    r = encode(ids, mask, params, cfg)
+    r = encode(ids, mask, params, cfg, sequence=True)
     assert np.allclose(r.pooled.data[1], r.sequence.data[1, 1:3].mean(axis=0), atol=1e-12)
 
 
@@ -493,7 +493,7 @@ def test_sequence_is_zero_at_padded_slots():
     cfg = toy_config()
     params = init_params(cfg, Rng(19))
     ids, mask = ragged(cfg, (5, 2, 4), 6)
-    seq = encode(ids, mask, params, cfg).sequence.data
+    seq = encode(ids, mask, params, cfg, sequence=True).sequence.data
     assert seq.shape == (3, 6, cfg.hidden_dim)
     assert np.all(seq[mask == 0.0] == 0.0)
     assert np.all(np.any(seq[mask == 1.0] != 0.0, axis=-1))
@@ -679,7 +679,7 @@ def test_all_zero_mask_row_attends_over_its_bucket():
     packing = pack(mask)
     (bucket,) = [bk for bk in packing.buckets if 0 in bk.seqs]
     assert bucket.length > 1
-    r = encode(ids, mask, init_params(cfg, Rng(23)), cfg)
+    r = encode(ids, mask, init_params(cfg, Rng(23)), cfg, sequence=True)
     assert np.all(np.isfinite(r.sequence.data)) and np.all(np.isfinite(r.pooled.data))
     h = Tensor(np.random.default_rng(8).normal(size=(packing.rows, cfg.hidden_dim)))
     _, weights = multi_head_attention(h, packing, lp, cfg.num_heads, return_weights=True)

@@ -113,7 +113,8 @@ def test_unread_intermediates_of_an_encode_are_freed_before_backward(monkeypatch
     norms = record(monkeypatch, "layer_norm", lambda a, r: weakref.ref(a[0].data))
     qkv = record(monkeypatch, "attention_core",
                  lambda a, r: [weakref.ref(t.data) for t in a[:3]])
-    pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1)).pooled
+    pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1),
+                    sequence=True).pooled
     gc.collect()
     sites = 1 + 2 * config.num_layers
     assert len(dropouts) == sites and len(norms) == sites
