@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("checkpoint")
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--task", required=True, choices=TASKS)
-    p_eval.add_argument("--sts-head", default="cos_sigmoid")
     p_eval.add_argument("--batch-size", type=_positive_int, default=32)
     p_eval.add_argument("--out", default=None,
                         help="directory for heatmap.csv (sts only); default .")
@@ -317,8 +316,7 @@ def cmd_eval(args) -> int:
     vocab = _checkpoint_vocab(ckpt)
     task = args.task
     data = _load_scored(args.data, task, vocab, ckpt.config.max_seq_len)
-    tc = TrainConfig(task=task, batch_size=args.batch_size,
-                     sts_head=args.sts_head)
+    tc = TrainConfig(task=task, batch_size=args.batch_size)
     preds, golds = predict_dataset(task, ckpt.params, ckpt.config, data, tc)
     name, value = task_metric(task, preds, golds)
     report = MetricReport(ckpt.stage, task, name, value, len(preds), stage=ckpt.stage)
@@ -367,6 +365,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    args.seed = load_run_config(None, seed_flag=args.seed).seed
     reports = EXPERIMENTS[args.name](experiment_config_from_args(args))
     print(emit_report(reports, format="pretty"), end="")
     if args.out:

@@ -290,9 +290,9 @@ def pad_batch(token_lists) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def make_batches(examples, batch_size: int, rng: Rng | None = None,
-                 shuffle: bool = False) -> list[Batch]:
-    """Chunk examples into padded batches; optional Fisher-Yates shuffle first.
+def make_batches(examples, batch_size: int, rng: Rng | None = None) -> list[Batch]:
+    """Chunk examples into padded batches, Fisher-Yates shuffled first when
+    an rng is given.
 
     The last batch may be short. All examples must share one schema.
     """
@@ -304,9 +304,7 @@ def make_batches(examples, batch_size: int, rng: Rng | None = None,
     if any(e.schema != schema for e in examples):
         raise DataError("mixed example schemas in one dataset")
     order = list(examples)
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True needs an rng")
+    if rng is not None:
         rng.shuffle(order)
 
     batches = []

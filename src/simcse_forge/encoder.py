@@ -54,7 +54,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, embedding, layer_norm, linear, matmul, softmax
 from .dropout import DropoutPolicy, apply_dropout
-from .objectives import PARA_FEATURE_MODES
+from .objectives import PARA_FEATURE_MODES, SIMILARITY_HEADS
 from .optim import check_field_types
 from .rng import Rng
 
@@ -76,6 +76,7 @@ class EncoderConfig:
     dropout: DropoutPolicy = field(default_factory=DropoutPolicy)
     pooling: str = "cls_tanh"
     para_features: str = "rich"
+    sts_head: str = "cos_sigmoid"     # the STS similarity head (objectives.sts_score)
 
     def __post_init__(self):
         check_field_types(self)
@@ -91,6 +92,8 @@ class EncoderConfig:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
         if self.para_features not in PARA_FEATURE_MODES:
             raise ValueError(f"unknown para feature mode {self.para_features!r}")
+        if self.sts_head not in SIMILARITY_HEADS:
+            raise ValueError(f"unknown sts head {self.sts_head!r}")
 
 
 class ModelParams(dict):
@@ -170,10 +173,6 @@ def init_from_spec(spec, config: EncoderConfig, rng: Rng) -> ModelParams:
 def init_params(config: EncoderConfig, rng: Rng) -> ModelParams:
     """Weights ~ N(0, 0.02), biases zero, layer-norm gamma=1 beta=0."""
     return init_from_spec(param_spec(config), config, rng)
-
-
-def parameter_count(params: ModelParams) -> int:
-    return sum(t.size for t in params.values())
 
 
 def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
@@ -334,11 +333,10 @@ def pack(mask) -> Packing:
     return Packing(mask, seqs, positions, full, tuple(buckets))
 
 
-def embed(token_ids, params: ModelParams, config: EncoderConfig,
-          mode: str = "eval", step: int = 0, rng: Rng | None = None,
-          packing: Packing | None = None) -> Tensor:
+def embed(token_ids, packing: Packing, params: ModelParams, config: EncoderConfig,
+          mode: str = "eval", step: int = 0, rng: Rng | None = None) -> Tensor:
     """Token plus position embeddings, layer-normed, then dropout: one [N, d]
-    row per packed token of the [B, T] ids (every slot when packing is None).
+    row per packed token of the [B, T] ids.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -349,8 +347,6 @@ def embed(token_ids, params: ModelParams, config: EncoderConfig,
     if ids.shape[1] > config.max_seq_len:
         raise ValueError(
             f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
-    if packing is None:
-        packing = pack(np.ones(ids.shape))
     if packing.mask.shape != ids.shape:
         raise ag.ShapeMismatchError(
             f"attention mask shape {list(packing.mask.shape)} != {list(ids.shape)}")
@@ -393,19 +389,18 @@ def _to_rows(blocks, packing: Packing | Queries) -> np.ndarray:
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
-                   num_heads: int, query: Queries | None = None
-                   ) -> tuple[Tensor, list[np.ndarray]]:
+                   num_heads: int, query: Queries | None = None) -> Tensor:
     """Masked scaled dot-product attention over packed [M, d] query rows and
     [N, d] key and value rows, as one graph node.
 
     The key and value rows are laid out by ``packing``, the query rows by
     ``query`` (default: every packed row, M = N), which is bucketed like it.
     Bucket g runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for
-    the [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows and
-    each bucket's weights. The backward computes every bucket's score,
-    softmax and context gradients with the numpy calls and operand layouts
-    of separate matmul and softmax nodes, so its values are theirs bit for
-    bit, and writes each row's q, k and v gradient once.
+    the [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows.
+    The backward computes every bucket's score, softmax and context
+    gradients with the numpy calls and operand layouts of separate matmul
+    and softmax nodes, so its values are theirs bit for bit, and writes each
+    row's q, k and v gradient once.
 
     The backward reads only the per-bucket blocks it saves. In a padded
     batch they are copies, so the q, k and v rows are freed once the caller
@@ -433,12 +428,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
         return (_to_rows(grads[0], query),
                 _to_rows(grads[1], packing), _to_rows(grads[2], packing))
 
-    return ag._make(ctx, (q, k, v), backward, "attention"), [s[3] for s in saved]
+    return ag._make(ctx, (q, k, v), backward, "attention")
 
 
 def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
-                         num_heads: int, dropout_fn=None, return_weights: bool = False,
-                         query: Queries | None = None):
+                         num_heads: int, dropout_fn=None,
+                         query: Queries | None = None) -> Tensor:
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
@@ -453,10 +448,6 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     all N rows, and the Q projection, attention context, output projection,
     residual add and layer norm over query's rows alone, which the result
     holds. With ``packing.cls()`` that is one [CLS] row per sequence.
-
-    With return_weights, also returns the dense [B, H, T, T] attention
-    weights as a constant Tensor (see ``_dense_weights``); that needs every
-    row as a query.
     """
     n, d = hidden.shape
     if d % num_heads != 0:
@@ -464,41 +455,16 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    if return_weights and query is not None:
-        raise ValueError("return_weights needs every row as a query")
     attending = hidden if query is None else ag.gather_rows(hidden, query.picked,
                                                             (query.rows, d))
     q = linear(attending, layer["attn.wq"], layer["attn.bq"])
     k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
     v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
-    ctx, weights = attention_core(q, k, v, packing, num_heads, query)
+    ctx = attention_core(q, k, v, packing, num_heads, query)
     out = linear(ctx, layer["attn.wo"], layer["attn.bo"])
     if dropout_fn is not None:
         out = dropout_fn(out)
-    result = layer_norm(attending + out, layer["ln1.gamma"], layer["ln1.beta"])
-    if return_weights:
-        return result, _dense_weights(packing, weights, num_heads)
-    return result
-
-
-def _dense_weights(packing: Packing, weights: list[np.ndarray], num_heads: int) -> Tensor:
-    """[B, H, T, T] attention weights from the per-bucket ones.
-
-    Keys past a sequence's bucket length get exactly zero weight. Query
-    slots past it hold the weights of a zero query, softmax of the mask
-    offsets alone, which is what a padded slot's query gets inside a bucket.
-    """
-    b, t = packing.mask.shape
-    dense = np.zeros((b, num_heads, t, t))
-    for bucket, w in zip(packing.buckets, weights):
-        tg = bucket.length
-        block = np.zeros((len(bucket.seqs), num_heads, t, tg))
-        block[:, :, :tg] = w
-        offsets = (np.zeros((len(bucket.seqs), 1, 1, tg)) if bucket.bias is None
-                   else bucket.bias)
-        block[:, :, tg:] = ag.softmax(Tensor(offsets)).data
-        dense[bucket.seqs, :, :, :tg] = block
-    return Tensor(dense)
+    return layer_norm(attending + out, layer["ln1.gamma"], layer["ln1.beta"])
 
 
 def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
@@ -538,7 +504,7 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
             raise EmptySequenceError(
                 f"mean pooling needs a real token in every sequence; row "
                 f"{int(empty[0])} has an all-zero mask")
-    h = embed(token_ids, params, config, mode=mode, step=step, rng=rng, packing=packing)
+    h = embed(token_ids, packing, params, config, mode=mode, step=step, rng=rng)
     cls_only = not sequence and config.pooling == "cls_tanh"
     last = packing.cls() if cls_only else None
 

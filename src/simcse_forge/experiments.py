@@ -178,10 +178,12 @@ EXPERIMENTS = {"single-vs-multitask": run_single_vs_multitask,
 
 
 def add_experiment_args(parser) -> None:
-    """Expose every ExperimentConfig field as a --dashed-flag."""
+    """Expose every ExperimentConfig field as a --dashed-flag. --seed
+    defaults to None, which the CLI resolves as flag > SIMCSE_FORGE_SEED > 0."""
     for field in fields(ExperimentConfig):
+        default = None if field.name == "seed" else field.default
         parser.add_argument("--" + field.name.replace("_", "-"),
-                            type=type(field.default), default=field.default,
+                            type=type(field.default), default=default,
                             help=f"(default: {field.default})")
 
 

@@ -111,19 +111,10 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
-    """Softmax cross entropy against integer class labels."""
+    """Mean softmax cross entropy of [N, K] logits against integer class
+    labels: log-sum-exp of each row minus its label's logit."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.shape
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    log_probs = _log_softmax(logits)
-    return -(Tensor(onehot) * log_probs).sum(axis=-1).mean()
-
-
-def _log_softmax(x: Tensor) -> Tensor:
-    m = Tensor(x.data.max(axis=-1, keepdims=True))
-    shifted = x - m
-    return shifted - ag.log(ag.exp(shifted).sum(axis=-1, keepdims=True))
+    return (_logsumexp_rows(logits) - logits[np.arange(logits.shape[0]), labels]).mean()
 
 
 def _logsumexp_rows(x: Tensor) -> Tensor:
@@ -143,14 +134,13 @@ def _normalize_rows(h: Tensor) -> Tensor:
 
 def _info_nce(h: Tensor, candidates, tau: float) -> Tensor:
     """Mean InfoNCE over cosine similarities / tau: row i's positive is row
-    i of the first candidate batch, every other candidate row a negative."""
-    n = h.shape[0]
+    i of the first candidate batch, every other candidate row a negative,
+    so it is the cross entropy of the similarity rows against labels 0..N-1."""
     hn = _normalize_rows(h)
     sims = [matmul(hn, ag.transpose(_normalize_rows(c))) * (1.0 / tau)
             for c in candidates]
     sim = sims[0] if len(sims) == 1 else concat(sims, axis=1)
-    diag = sims[0][np.arange(n), np.arange(n)]
-    return (_logsumexp_rows(sim) - diag).mean()
+    return ce_loss(sim, np.arange(h.shape[0]))
 
 
 def unsup_simcse_loss(h: Tensor, h_plus: Tensor, tau: float = 0.05) -> Tensor:

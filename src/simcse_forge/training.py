@@ -27,9 +27,9 @@ from .data import (SYNTH_SCHEMAS, DataError, Vocab, make_batches, pad_batch,
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
-from .objectives import (SIMILARITY_HEADS, bce_loss, ce_loss, mse_loss,
-                         paraphrase_logit, sst_logits, sts_score,
-                         sup_simcse_loss, unsup_simcse_loss)
+from .objectives import (bce_loss, ce_loss, mse_loss, paraphrase_logit,
+                         sst_logits, sts_score, sup_simcse_loss,
+                         unsup_simcse_loss)
 from .optim import AdamWConfig, AdamWState, adamw_step, check_field_types
 from .rng import Rng
 
@@ -44,7 +44,6 @@ class TrainConfig(AdamWConfig):
     epochs: int = 10
     batch_size: int = 8
     dropout_p: float | None = None    # per-stage override of the encoder policy
-    sts_head: str = "cos_sigmoid"
     sst_loss: str = "bce"             # bce against one-hot targets, or "ce"
     tau: float = 0.05
     seed: int = 0
@@ -58,8 +57,6 @@ class TrainConfig(AdamWConfig):
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.sts_head not in SIMILARITY_HEADS:
-            raise ValueError(f"unknown sts head {self.sts_head!r}")
         if self.sst_loss not in ("bce", "ce"):
             raise ValueError("sst_loss must be 'bce' or 'ce'")
         if self.tau <= 0:
@@ -106,12 +103,11 @@ def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
     if task == "paraphrase":
         logit = paraphrase_logit(pooled, pooled_b, params, config.para_features)
         return bce_loss(logit, batch.target.astype(np.float64))
-    scores = sts_score(pooled, pooled_b, train_config.sts_head, params)
+    scores = sts_score(pooled, pooled_b, config.sts_head, params)
     return mse_loss(scores, batch.target)
 
 
-def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
-            train_config: TrainConfig):
+def predict(task: str, batch, params: ModelParams, config: EncoderConfig):
     """Eval-mode predictions: class ids (sst), 0/1 (paraphrase), scores (sts)."""
     with ag.no_grad():
         pooled = encode(batch.token_ids, batch.mask, params, config).pooled
@@ -122,7 +118,7 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig,
             logit = paraphrase_logit(pooled, pooled_b, params,
                                      config.para_features)
             return (logit.data > 0.0).astype(np.int64)
-        return sts_score(pooled, pooled_b, train_config.sts_head, params).data
+        return sts_score(pooled, pooled_b, config.sts_head, params).data
 
 
 def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
@@ -133,7 +129,7 @@ def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
         raise DataError("cannot evaluate on an empty dataset")
     preds, golds = [], []
     for batch in make_batches(examples, train_config.batch_size):
-        preds.extend(predict(task, batch, params, config, train_config).tolist())
+        preds.extend(predict(task, batch, params, config).tolist())
         golds.extend(batch.target.tolist())
     return preds, golds
 
@@ -246,7 +242,7 @@ def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     def batches(rng, step):
         return ((task, b) for b in make_batches(
-            train_examples, train_config.batch_size, rng, shuffle=True))
+            train_examples, train_config.batch_size, rng))
 
     def dev_fields(params, config):
         if not dev_examples:
@@ -284,8 +280,8 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
         _require_train_set(datasets[t][0], f"task {t!r} is enabled")
 
     def rounds(rng, step):
-        streams = [make_batches(datasets[t][0], train_config.batch_size,
-                                rng, shuffle=True) for t in tasks]
+        streams = [make_batches(datasets[t][0], train_config.batch_size, rng)
+                   for t in tasks]
         for i in range(max(len(s) for s in streams)):
             for task, stream in zip(tasks, streams):
                 yield task, stream[i % len(stream)]
@@ -306,8 +302,12 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
 
 # -- contrastive stages -------------------------------------------------------------------
 
+# sentences per alignment encode; the masks a seed pins depend on it
+_ALIGNMENT_BATCH = 32
+
+
 def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
-                      seed: int, batch_size: int = 32) -> float:
+                      seed: int) -> float:
     """Mean cosine between two dropout-perturbed encodings of each sentence.
 
     A fixed seed pins the masks, so the number is comparable across calls
@@ -318,8 +318,8 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     rng = Rng(seed)
     sims: list[float] = []
     with ag.no_grad():
-        for start in range(0, len(token_lists), batch_size):
-            ids, mask = pad_batch(token_lists[start:start + batch_size])
+        for start in range(0, len(token_lists), _ALIGNMENT_BATCH):
+            ids, mask = pad_batch(token_lists[start:start + _ALIGNMENT_BATCH])
             a, b = (encode(ids, mask, params, config, mode="train", rng=rng).pooled.data
                     for _ in range(2))
             num = np.sum(a * b, axis=1)
@@ -408,7 +408,7 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     _require_train_set(triplets, "sup_simcse")
 
     def batches(rng, step):
-        return make_batches(triplets, train_config.batch_size, rng, shuffle=True)
+        return make_batches(triplets, train_config.batch_size, rng)
 
     def loss(batch, params, config, step, rng):
         h, h_plus, h_minus = (

@@ -99,6 +99,17 @@ def test_config_dict_roundtrip():
     assert config_from_dict(config_to_dict(config)) == config
 
 
+def test_header_records_the_sts_head_and_defaults_to_cos_sigmoid(tmp_path):
+    ck = toy_checkpoint()
+    ck.config = toy_config(sts_head="sum_linear")
+    path = tmp_path / "head.ckpt"
+    save_checkpoint(ck, path)
+    assert load_checkpoint(path).config.sts_head == "sum_linear"
+    # a header without the key is read with the default head
+    path.write_bytes(repack(path.read_bytes(), lambda h: h["config"].pop("sts_head")))
+    assert load_checkpoint(path).config.sts_head == "cos_sigmoid"
+
+
 def test_config_unknown_key_rejected():
     d = config_to_dict(toy_config())
     d["num_expert_layers"] = 3
@@ -237,6 +248,7 @@ BAD_HEADERS = {
     "negative-offset": _set("offset", -8, "arrays", 0),
     "heads-do-not-divide-width": _set("num_heads", 3, "config"),
     "float-width": _set("hidden_dim", 8.0, "config"),
+    "unknown-sts-head": _set("sts_head", "euclidean", "config"),
     "unknown-stage": _set("stage", "pretrain"),
     # toy_config's 19 ids hold 15 tokens after the 4 reserved ones
     "vocab-overflows-config": _set("vocab", [f"w{i}" for i in range(13)]

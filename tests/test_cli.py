@@ -12,6 +12,7 @@ from simcse_forge.checkpoint import load_checkpoint
 from simcse_forge.data import SCHEMAS, read_rows
 from simcse_forge.evaluation import emit_report, parse_report_tsv
 from simcse_forge.experiments import EXPERIMENTS, ExperimentConfig
+from simcse_forge.objectives import SIMILARITY_HEADS
 
 ENCODER = {"hidden_dim": 8, "num_layers": 1, "num_heads": 2,
            "ffn_dim": 16, "max_seq_len": 12}
@@ -520,6 +521,26 @@ def test_eval_sts_writes_heatmap(tmp_path):
     assert total == 6
 
 
+@pytest.mark.parametrize("head", SIMILARITY_HEADS)
+def test_eval_scores_sts_with_the_checkpoint_head(tmp_path, capsys, head):
+    sts_train = synth(tmp_path, "sts", 12, "t.tsv", seed=1)
+    sts_dev = synth(tmp_path, "sts", 6, "d.tsv", seed=2)
+    config = write_config(tmp_path,
+                          train={"task": "sts", "epochs": 1, "batch_size": 4},
+                          data={"train": sts_train, "dev": sts_dev})
+    out = tmp_path / "sts_run"
+    assert main(["train", "single", "--config", config, "--out", str(out),
+                 "--encoder.sts_head", head]) == 0
+    assert load_checkpoint(out / "checkpoint.ckpt").config.sts_head == head
+    (report,) = parse_report_tsv((out / "metrics.tsv").read_text())
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data", sts_dev,
+                 "--task", "sts", "--batch-size", "4",
+                 "--out", str(tmp_path / "eval_out")]) == 0
+    match = re.search(r"pearson\s+(-?[0-9.]+)", capsys.readouterr().out)
+    assert match is not None and match.group(1) == f"{report.value:.4f}"
+
+
 def test_eval_sts_encodes_each_dev_sentence_once(tmp_path, monkeypatch):
     from simcse_forge import training
 
@@ -755,6 +776,30 @@ def test_batch_size_below_one_is_a_usage_error(sst_run, capsys, size):
 
 
 # -- experiment -------------------------------------------------------------------
+
+def test_experiment_seed_is_flag_then_env_then_0(capsys, monkeypatch):
+    argv = ["experiment", "two-tier-stages", "--train-size", "8", "--dev-size", "4",
+            "--epochs", "1"]
+
+    def report(*flags):
+        capsys.readouterr()
+        assert main([*argv, *flags]) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.delenv("SIMCSE_FORGE_SEED", raising=False)
+    unset, five = report(), report("--seed", "5")
+    assert unset != five
+    monkeypatch.setenv("SIMCSE_FORGE_SEED", "5")
+    assert report() == five
+    assert report("--seed", "0") == unset
+
+
+def test_experiment_bad_env_seed_exit_1(capsys, monkeypatch, no_experiment_work):
+    monkeypatch.setenv("SIMCSE_FORGE_SEED", "abc")
+    capsys.readouterr()
+    assert main(["experiment", "two-tier-stages"]) == 1
+    assert "SIMCSE_FORGE_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_experiment_matches_its_harness(tmp_path, capsys, name):

@@ -187,18 +187,6 @@ def test_cls_only_gradient_check():
     assert worst < 1e-3
 
 
-def test_return_weights_needs_every_row_as_a_query():
-    config = config_with("standard")
-    ids, mask = BATCHES["one_bucket"]()
-    packing = pack(mask)
-    params = init_params(config, Rng(0))
-    hidden = encoder.embed(ids, params, config, packing=packing)
-    with pytest.raises(ValueError, match="every row"):
-        encoder.multi_head_attention(hidden, packing, params.scope("layers.0."),
-                                     config.num_heads, return_weights=True,
-                                     query=packing.cls())
-
-
 def test_embed_runs_the_cls_only_last_block(tmp_path, monkeypatch):
     # embed's default encode prunes the last block: its GELU sees one row per
     # sentence of the batch, and the TSV matches the full pass to rounding

@@ -52,13 +52,13 @@ def test_default_config_dict_is_pinned():
         "seed": 0, "out": None,
         "encoder": {"hidden_dim": 32, "num_layers": 4, "num_heads": 4,
                     "ffn_dim": 128, "max_seq_len": 64, "pooling": "cls_tanh",
-                    "para_features": "rich"},
+                    "para_features": "rich", "sts_head": "cos_sigmoid"},
         "dropout": {"kind": "standard", "p": 0.3, "gamma": 5.0, "alpha": 0.0,
                     "beta": 0.0, "total_steps": 1000},
         "optim": {"lr": 1e-05, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08,
                   "weight_decay": 0.0, "clip_norm": None},
         "train": {"task": "sst", "epochs": 10, "batch_size": 8,
-                  "sts_head": "cos_sigmoid", "sst_loss": "bce", "tau": 0.05,
+                  "sst_loss": "bce", "tau": 0.05,
                   "eval_every": 0},
         "data": {"train": None, "dev": None, "sst_train": None,
                  "sst_dev": None, "para_train": None, "para_dev": None,
@@ -70,7 +70,7 @@ def test_default_config_dict_is_pinned():
                      "stage3_epochs": 5, "stage3_batch_size": 24,
                      "stage3_lr": 5e-05, "stage3_dropout_p": 0.1,
                      "skip_unsup": False, "extra_sts_finetune": False}}
-    assert config_hash(RunConfig()) == "dfc21d67"
+    assert config_hash(RunConfig()) == "3e7be736"
 
 
 def test_load_from_file_with_sections(tmp_path):

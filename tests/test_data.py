@@ -228,17 +228,20 @@ def test_make_batches_sizes(vocab):
 def test_make_batches_shuffle_deterministic(vocab):
     examples = [Example("classification", str(i), ("a",), [[CLS_ID, SEP_ID]], 0)
                 for i in range(20)]
-    b1 = make_batches(examples, 6, Rng(3), shuffle=True)
-    b2 = make_batches(examples, 6, Rng(3), shuffle=True)
+    b1 = make_batches(examples, 6, Rng(3))
+    b2 = make_batches(examples, 6, Rng(3))
     assert [b.guids for b in b1] == [b.guids for b in b2]
-    b3 = make_batches(examples, 6, Rng(4), shuffle=True)
+    b3 = make_batches(examples, 6, Rng(4))
     assert [b.guids for b in b1] != [b.guids for b in b3]
+    # no rng, no shuffle: insertion order
+    assert [g for b in make_batches(examples, 6) for g in b.guids] == [
+        str(i) for i in range(20)]
 
 
 def test_make_batches_no_loss_no_duplication(vocab):
     examples = [Example("classification", str(i), ("a",), [[CLS_ID, SEP_ID]], 0)
                 for i in range(17)]
-    batches = make_batches(examples, 5, Rng(0), shuffle=True)
+    batches = make_batches(examples, 5, Rng(0))
     seen = [g for b in batches for g in b.guids]
     assert sorted(seen) == sorted(str(i) for i in range(17))
 
@@ -254,8 +257,6 @@ def test_make_batches_variants(vocab):
         make_batches([pairs[0], trip[0]], 2)
     with pytest.raises(ValueError, match="batch_size"):
         make_batches(pairs, 0)
-    with pytest.raises(ValueError, match="rng"):
-        make_batches(pairs, 1, shuffle=True)
     assert make_batches([], 4) == []
 
 

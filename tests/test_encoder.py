@@ -7,9 +7,9 @@ from simcse_forge.autograd import Tensor
 from simcse_forge.data import Vocab, pad_batch, tokenize
 from simcse_forge.dropout import DropoutPolicy
 from simcse_forge.encoder import (_BUCKET_COST, EmptySequenceError, EncoderConfig,
-                                  EncodeResult, ModelParams, _dense_weights, _to_heads,
-                                  _to_rows, attention_core, embed, encode, init_params,
-                                  multi_head_attention, pack, parameter_count)
+                                  EncodeResult, ModelParams, _to_heads, _to_rows,
+                                  attention_core, embed, encode, init_params,
+                                  multi_head_attention, pack)
 from simcse_forge.rng import Rng
 from conftest import check_grad
 
@@ -48,6 +48,8 @@ def test_config_validation():
         toy_config(hidden_dim=8.0)
     with pytest.raises(ValueError, match="para feature mode"):
         toy_config(para_features="bilinear")
+    with pytest.raises(ValueError, match="sts head"):
+        toy_config(sts_head="euclidean")
 
 
 def test_config_rejects_bool_dimensions():
@@ -64,6 +66,10 @@ def test_config_accepts_numpy_integer_dimensions():
 
 
 # -- init ------------------------------------------------------------------------
+
+def parameter_count(params: ModelParams) -> int:
+    return sum(t.size for t in params.values())
+
 
 def test_parameter_count_closed_form():
     # independent count from the declared shapes
@@ -124,7 +130,7 @@ def test_params_copy_is_deep():
 def test_embed_single_token_definition():
     cfg = toy_config()
     params = init_params(cfg, Rng(3))
-    out = embed(np.array([[7]]), params, cfg)
+    out = embed(np.array([[7]]), pack(np.ones((1, 1))), params, cfg)
     raw = params["token_embeddings"].data[7] + params["position_embeddings"].data[0]
     mu, var = raw.mean(), raw.var()
     expected = (raw - mu) / np.sqrt(var + 1e-5)
@@ -135,7 +141,7 @@ def test_embed_identical_rows_for_identical_sentences():
     cfg = toy_config()
     params = init_params(cfg, Rng(3))
     ids = np.array([[1, 5, 6, 2], [1, 5, 6, 2]])
-    out = embed(ids, params, cfg)   # packed rows, one per slot
+    out = embed(ids, pack(np.ones(ids.shape)), params, cfg)   # packed rows, one per slot
     assert np.array_equal(out.data[:4], out.data[4:])
 
 
@@ -144,48 +150,72 @@ def test_embed_train_dropout_differs_across_passes():
     params = init_params(cfg, Rng(3))
     ids = np.array([[1, 5, 6, 2]])
     rng = Rng(99)
-    a = embed(ids, params, cfg, mode="train", rng=rng)
-    b = embed(ids, params, cfg, mode="train", rng=rng)
+    packing = pack(np.ones(ids.shape))
+    a = embed(ids, packing, params, cfg, mode="train", rng=rng)
+    b = embed(ids, packing, params, cfg, mode="train", rng=rng)
     assert not np.array_equal(a.data, b.data)
 
 
 def test_embed_validation():
     cfg = toy_config()
     params = init_params(cfg, Rng(0))
+    one = pack(np.ones((1, 1)))
     with pytest.raises(ValueError, match="out of range"):
-        embed(np.array([[cfg.vocab_size]]), params, cfg)
+        embed(np.array([[cfg.vocab_size]]), one, params, cfg)
     with pytest.raises(ValueError, match="out of range"):
-        embed(np.array([[-1]]), params, cfg)
+        embed(np.array([[-1]]), one, params, cfg)
     with pytest.raises(ValueError, match="max_seq_len"):
-        embed(np.ones((1, cfg.max_seq_len + 1), dtype=int), params, cfg)
+        t = cfg.max_seq_len + 1
+        embed(np.ones((1, t), dtype=int), pack(np.ones((1, t))), params, cfg)
     with pytest.raises(ag.ShapeMismatchError):
-        embed(np.array([1, 2, 3]), params, cfg)
+        embed(np.array([1, 2, 3]), pack(np.ones((1, 3))), params, cfg)
 
 
 # -- attention ---------------------------------------------------------------------
 
+def project(h, lp):
+    """The Q, K and V rows of one layer's projections, by plain numpy."""
+    return (h @ lp[f"attn.w{x}"].data + lp[f"attn.b{x}"].data for x in "qkv")
+
+
+def attention_rows(h, mask, lp, num_heads):
+    """multi_head_attention's rows by plain numpy around the dense_attention
+    oracle (projections, context, output projection, residual add, layer
+    norm), and the oracle's [B, H, T, T] weights."""
+    ctx, weights = dense_attention(*project(h, lp), mask, num_heads)
+    pre = h + ctx @ lp["attn.wo"].data + lp["attn.bo"].data
+    mu = pre.mean(axis=1, keepdims=True)
+    var = ((pre - mu) ** 2).mean(axis=1, keepdims=True)
+    out = lp["ln1.gamma"].data * (pre - mu) / np.sqrt(var + 1e-5) + lp["ln1.beta"].data
+    return out, weights
+
+
 def test_attention_single_position_weight_is_one():
+    # one key gets weight one, so the context is that key's value row
     cfg = toy_config()
-    params = init_params(cfg, Rng(4))
-    h = Tensor(np.random.default_rng(0).normal(size=(1, cfg.hidden_dim)))
-    out, weights = multi_head_attention(h, pack(np.ones((1, 1))), params.scope("layers.0."),
-                                        cfg.num_heads, return_weights=True)
-    assert weights.shape == (1, cfg.num_heads, 1, 1)
-    assert np.allclose(weights.data, 1.0, atol=1e-15)
+    lp = init_params(cfg, Rng(4)).scope("layers.0.")
+    h = np.random.default_rng(0).normal(size=(1, cfg.hidden_dim))
+    mask = np.ones((1, 1))
+    q, k, v = project(h, lp)
+    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), pack(mask), cfg.num_heads)
+    assert np.allclose(ctx.data, v, atol=1e-15)
+    out = multi_head_attention(Tensor(h), pack(mask), lp, cfg.num_heads)
     assert out.shape == h.shape
+    assert np.allclose(out.data, attention_rows(h, mask, lp, cfg.num_heads)[0], atol=1e-12)
 
 
 def test_attention_masked_positions_get_zero_weight():
     cfg = toy_config()
-    params = init_params(cfg, Rng(5))
-    h = Tensor(np.random.default_rng(1).normal(size=(5, cfg.hidden_dim)))
+    lp = init_params(cfg, Rng(5)).scope("layers.0.")
+    h = np.random.default_rng(1).normal(size=(5, cfg.hidden_dim))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
-    _, weights = multi_head_attention(h, pack(mask), params.scope("layers.0."),
-                                      cfg.num_heads, return_weights=True)
-    assert np.all(np.abs(weights.data[0, :, :, 2:]) <= 1e-12)
-    assert np.all(np.abs(weights.data[1, :, :, 3:]) <= 1e-12)
-    # rows still normalize over the unmasked keys
-    assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
+    out = multi_head_attention(Tensor(h), pack(mask), lp, cfg.num_heads)
+    want, weights = attention_rows(h, mask, lp, cfg.num_heads)
+    # the oracle's weights are zero at masked keys and normalize over the rest
+    assert np.all(np.abs(weights[0, :, :, 2:]) <= 1e-12)
+    assert np.all(np.abs(weights[1, :, :, 3:]) <= 1e-12)
+    assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(out.data, want, atol=1e-12)
 
 
 def test_attention_matches_brute_force_two_tokens():
@@ -193,20 +223,19 @@ def test_attention_matches_brute_force_two_tokens():
     cfg = toy_config(hidden_dim=4, num_heads=2, ffn_dim=8)
     lp = init_params(cfg, Rng(6)).scope("layers.0.")
     x = np.random.default_rng(2).normal(size=(1, 2, 4))
-    got, got_w = multi_head_attention(Tensor(x[0]), pack(np.ones((1, 2))), lp, 2,
-                                      return_weights=True)
+    packing = pack(np.ones((1, 2)))
+    got = multi_head_attention(Tensor(x[0]), packing, lp, 2)
 
-    q = x[0] @ lp["attn.wq"].data + lp["attn.bq"].data
-    k = x[0] @ lp["attn.wk"].data + lp["attn.bk"].data
-    v = x[0] @ lp["attn.wv"].data + lp["attn.bv"].data
+    q, k, v = project(x[0], lp)
     ctx = np.zeros((2, 4))
     for head in range(2):
         sl = slice(head * 2, head * 2 + 2)
         s = (q[:, sl] @ k[:, sl].T) / np.sqrt(2.0)
         e = np.exp(s - s.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
-        assert np.allclose(got_w.data[0, head], w, atol=1e-12)
         ctx[:, sl] = w @ v[:, sl]
+    core = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, 2)
+    assert np.allclose(core.data, ctx, atol=1e-12)
     proj = ctx @ lp["attn.wo"].data + lp["attn.bo"].data
     pre = x[0] + proj
     mu = pre.mean(axis=1, keepdims=True)
@@ -647,25 +676,6 @@ def test_bucketed_attention_gradient_check(pooling):
     assert worst < 1e-6
 
 
-def test_dense_weights_are_zero_outside_each_bucket():
-    cfg = toy_config(max_seq_len=64)
-    params = init_params(cfg, Rng(22))
-    ids, mask = three_bucket_batch(cfg)
-    mask[1, 1] = 0.0                    # an interior hole, not a packed row
-    packing = pack(mask)
-    h = Tensor(np.random.default_rng(7).normal(size=(packing.rows, cfg.hidden_dim)))
-    _, weights = multi_head_attention(h, packing, params.scope("layers.0."),
-                                      cfg.num_heads, return_weights=True)
-    b, t = mask.shape
-    assert weights.shape == (b, cfg.num_heads, t, t)
-    for bucket in packing.buckets:
-        for s in bucket.seqs:
-            w = weights.data[s]
-            assert np.all(w[:, :, mask[s] == 0.0] == 0.0)
-            assert np.all(w[:, :, bucket.length:] == 0.0)
-    assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
 def test_all_zero_mask_row_attends_over_its_bucket():
     # Its one packed row (position 0) has no unmasked key, so the -1e9
     # offsets cancel and it attends over every slot of its bucket: its own
@@ -681,18 +691,19 @@ def test_all_zero_mask_row_attends_over_its_bucket():
     assert bucket.length > 1
     r = encode(ids, mask, init_params(cfg, Rng(23)), cfg, sequence=True)
     assert np.all(np.isfinite(r.sequence.data)) and np.all(np.isfinite(r.pooled.data))
-    h = Tensor(np.random.default_rng(8).normal(size=(packing.rows, cfg.hidden_dim)))
-    _, weights = multi_head_attention(h, packing, lp, cfg.num_heads, return_weights=True)
+    h = np.random.default_rng(8).normal(size=(packing.rows, cfg.hidden_dim))
+    q, k, v = project(h, lp)
+    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
     hd = cfg.hidden_dim // cfg.num_heads
-    q = h.data[0] @ lp["attn.wq"].data + lp["attn.bq"].data     # row 0: sequence 0
-    k = h.data[0] @ lp["attn.wk"].data + lp["attn.bk"].data
-    for head in range(cfg.num_heads):
+    for head in range(cfg.num_heads):                   # row 0: sequence 0
         sl = slice(head * hd, (head + 1) * hd)
         scores = np.zeros(bucket.length)
-        scores[0] = q[sl] @ k[sl] / np.sqrt(hd)
+        scores[0] = q[0, sl] @ k[0, sl] / np.sqrt(hd)
         expected = np.exp(scores) / np.exp(scores).sum()
-        assert np.allclose(weights.data[0, head, 0, :bucket.length], expected, atol=1e-6)
-    assert np.all(weights.data[0, :, 0, bucket.length:] == 0.0)
+        # the slots row 0 does not fill hold zero values, so its context is
+        # its own value row at its own key's weight
+        assert np.allclose(ctx.data[0, sl], expected[0] * v[0, sl], rtol=0,
+                           atol=1e-6 * np.abs(v[0, sl]).max())
 
 
 # -- the attention core node --------------------------------------------------------
@@ -725,11 +736,9 @@ def test_attention_core_matches_a_dense_padded_oracle():
     assert len(packing.buckets) >= 3
     rng = np.random.default_rng(9)
     q, k, v = (rng.normal(size=(packing.rows, cfg.hidden_dim)) for _ in range(3))
-    ctx, weights = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
-    want_ctx, want_weights = dense_attention(q, k, v, mask, cfg.num_heads)
+    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
+    want_ctx, _ = dense_attention(q, k, v, mask, cfg.num_heads)
     assert np.max(np.abs(ctx.data - want_ctx)) < 1e-12
-    dense = _dense_weights(packing, weights, cfg.num_heads).data
-    assert np.max(np.abs(dense - want_weights)) < 1e-12
 
 
 def test_attention_core_gradient_check():
@@ -750,7 +759,7 @@ def test_attention_core_gradient_check():
         def loss(x, i=i):
             args = [q, k, v]
             args[i] = x
-            return (attention_core(*args, packing, 2)[0] * probe).sum()
+            return (attention_core(*args, packing, 2) * probe).sum()
         check_grad(loss, (q, k, v)[i], tol=1e-7)
         assert np.all((q, k, v)[i].grad[0] == 0.0)
 

@@ -48,8 +48,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(sts_head="euclidean")
-    with pytest.raises(ValueError):
         TrainConfig(sst_loss="hinge")
     with pytest.raises(ValueError):
         TrainConfig(tau=0.0)
