@@ -33,7 +33,7 @@ from .evaluation import MetricReport, emit_report, similarity_heatmap
 from .experiments import (EXPERIMENTS, add_experiment_args,
                           experiment_config_from_args)
 from .rng import Rng
-from .training import (TASKS, TrainConfig, dropout_alignment,  # noqa: F401
+from .training import (TASKS, dropout_alignment,  # noqa: F401
                        evaluate_task, predict_dataset, report_row,
                        run_two_tier, task_metric, train_multitask,
                        train_single_task, train_sup_simcse, train_unsup_simcse,
@@ -191,7 +191,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
     if not dev:
         return []
-    return [report_row(model, task, ckpt, dev, config.train_config(task=task))]
+    return [report_row(model, task, ckpt, dev, config.train_config())]
 
 
 def _train_single(config: RunConfig):
@@ -257,7 +257,7 @@ def _train_transfer(config: RunConfig):
     vocab, data = _load(config, [("train", SYNTH_SCHEMAS[task])],
                         [("dev", task)] if config.data.dev else [], source)
     dev = data.get("dev", [])
-    ck = transfer_finetune(source, task, config.train_config(), data["train"], dev)
+    ck = transfer_finetune(source, config.train_config(), data["train"], dev)
     return vocab, ck, _final_report("transfer", task, ck, config, dev)
 
 
@@ -277,6 +277,13 @@ def _make_out_dir(config: RunConfig) -> Path:
 
 
 def cmd_train(args) -> int:
+    if args.variant in ("unsup-simcse", "sup-simcse", "transfer"):
+        for path, _ in args.overrides:   # their encoder is the checkpoint's
+            section = path.split(".", 1)[0]
+            if section in ("encoder", "dropout"):
+                raise UsageError(f"--{path}: train {args.variant} starts from "
+                                 f"data.checkpoint and does not read the "
+                                 f"config's {section} section")
     config = load_run_config(args.config, args.overrides, seed_flag=args.seed)
     if args.out:
         config.out = args.out
@@ -316,8 +323,8 @@ def cmd_eval(args) -> int:
     vocab = _checkpoint_vocab(ckpt)
     task = args.task
     data = _load_scored(args.data, task, vocab, ckpt.config.max_seq_len)
-    tc = TrainConfig(task=task, batch_size=args.batch_size)
-    preds, golds = predict_dataset(task, ckpt.params, ckpt.config, data, tc)
+    preds, golds = predict_dataset(task, ckpt.params, ckpt.config, data,
+                                   args.batch_size)
     name, value = task_metric(task, preds, golds)
     report = MetricReport(ckpt.stage, task, name, value, len(preds), stage=ckpt.stage)
     print(emit_report([report], format="pretty"), end="")

@@ -144,7 +144,7 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
         scratch = train_single_task(tc, config, vocab, *datasets[task])
         reports.append(report_row("no_transfer", task, scratch,
                                   datasets[task][1], tc))
-        moved = transfer_finetune(source_ck, task, tc, *datasets[task])
+        moved = transfer_finetune(source_ck, tc, *datasets[task])
         reports.append(report_row("with_transfer", task, moved,
                                   datasets[task][1], tc))
     return reports

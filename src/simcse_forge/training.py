@@ -1,11 +1,12 @@
 """Training procedures: single-task and multitask fine-tuning, the two
 contrastive stages, the 2-tier pipeline, and transfer fine-tuning.
 
-The four trainers share one optimizer loop, ``_fit``. It owns the rng, the
-starting weights, the AdamW state, the step counter, the loss totals, the
-best-dev selection and the stop on a non-finite loss or gradient norm; each
-trainer adds only its input checks, its per-epoch batch source, its
-per-batch loss and its dev evaluation.
+Single-task training is multitask training over one task (``_train_tasks``).
+It and the contrastive trainers share one optimizer loop, ``_fit``: it owns
+the rng, the starting weights, the AdamW state, the step counter, the loss
+totals, the best-dev selection and the stop on a non-finite loss or gradient
+norm; each trainer adds only its input checks, its per-epoch batch source,
+its per-batch loss and its dev evaluation.
 
 Every trainer is deterministic given (seed, config, data): one SplitMix64
 stream drives initialization, shuffling, and dropout in a fixed consumption
@@ -122,13 +123,13 @@ def predict(task: str, batch, params: ModelParams, config: EncoderConfig):
 
 
 def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
-                    examples, train_config: TrainConfig) -> tuple[list, list]:
+                    examples, batch_size: int) -> tuple[list, list]:
     """(predictions, gold targets) over a dataset; eval mode, insertion order."""
     _check_schema(task, examples, "eval")
     if not examples:
         raise DataError("cannot evaluate on an empty dataset")
     preds, golds = [], []
-    for batch in make_batches(examples, train_config.batch_size):
+    for batch in make_batches(examples, batch_size):
         preds.extend(predict(task, batch, params, config).tolist())
         golds.extend(batch.target.tolist())
     return preds, golds
@@ -144,7 +145,8 @@ def task_metric(task: str, preds, golds) -> tuple[str, float]:
 def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
                   examples, train_config: TrainConfig) -> tuple[str, float, int]:
     """(metric name, value, n) on a dataset; eval mode, insertion order."""
-    preds, golds = predict_dataset(task, params, config, examples, train_config)
+    preds, golds = predict_dataset(task, params, config, examples,
+                                   train_config.batch_size)
     return (*task_metric(task, preds, golds), len(preds))
 
 
@@ -217,56 +219,16 @@ def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
                       vocab_tokens=vocab.tokens() if vocab is not None else [])
 
 
-def _task_batch_loss(train_config: TrainConfig):
-    """Per-batch loss for (task, batch) items."""
-    def loss(item, params, config, step, rng):
-        task, batch = item
-        return task_loss(task, batch, params, config, train_config,
-                         mode="train", step=step, rng=rng), batch.size
-    return loss
+# -- task training: single-task and multitask ------------------------------------
 
-
-# -- single-task ---------------------------------------------------------------------
-
-def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
-                      vocab: Vocab | None, train_examples, dev_examples,
-                      params: ModelParams | None = None,
-                      stage: str = "baseline") -> Checkpoint:
-    """Epoch loop with shuffled batches; returns the best-dev-epoch weights
-    (final weights when no dev set is given)."""
-    task = train_config.task
-    _check_schema(task, train_examples, "train")
-    if dev_examples:
-        _check_schema(task, dev_examples, "dev")
-    _require_train_set(train_examples, f"task {task!r}")
-
-    def batches(rng, step):
-        return ((task, b) for b in make_batches(
-            train_examples, train_config.batch_size, rng))
-
-    def dev_fields(params, config):
-        if not dev_examples:
-            return {}
-        name, value, _ = evaluate_task(task, params, config,
-                                       dev_examples, train_config)
-        return {"metric": name, "dev_metric": value}
-
-    return _fit(stage, train_config, encoder_config, vocab, params, batches,
-                _task_batch_loss(train_config), dev_fields, task=task,
-                eval_every=train_config.eval_every if dev_examples else 0)
-
-
-# -- multitask -------------------------------------------------------------------------
-
-def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
-                    vocab: Vocab | None, datasets: dict,
-                    tasks: tuple[str, ...] = TASKS,
-                    params: ModelParams | None = None) -> Checkpoint:
-    """Round-robin multitask training over a shared encoder.
-
-    datasets maps task -> (train_examples, dev_examples). Within an epoch
-    the enabled tasks take turns batch-for-batch; exhausted streams cycle
-    until the longest stream finishes. Best epoch = highest mean dev metric.
+def _train_tasks(train_config: TrainConfig, encoder_config: EncoderConfig,
+                 vocab: Vocab | None, datasets: dict, tasks: tuple[str, ...],
+                 params: ModelParams | None, stage: str) -> Checkpoint:
+    """Round-robin task training; datasets maps task -> (train, dev). Each
+    epoch the tasks take turns batch-for-batch, shorter streams cycling until
+    the longest ends. A history row holds ``<task>_<metric>`` per task with
+    dev examples and their mean as ``dev_metric``; with none at all there is
+    no dev_metric and no eval_every row, and the final weights are returned.
     """
     if not tasks:
         raise ValueError("at least one task must be enabled")
@@ -276,8 +238,9 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
         if t not in datasets:
             raise ValueError(f"missing dataset for task {t!r}")
         _check_schema(t, datasets[t][0], f"{t} train")
-        _check_schema(t, datasets[t][1], f"{t} dev")
-        _require_train_set(datasets[t][0], f"task {t!r} is enabled")
+        _check_schema(t, datasets[t][1] or (), f"{t} dev")
+        _require_train_set(datasets[t][0], f"task {t!r}")
+    scored = [t for t in tasks if datasets[t][1]]
 
     def rounds(rng, step):
         streams = [make_batches(datasets[t][0], train_config.batch_size, rng)
@@ -286,18 +249,44 @@ def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
             for task, stream in zip(tasks, streams):
                 yield task, stream[i % len(stream)]
 
+    def loss(item, params, config, step, rng):
+        task, batch = item
+        return task_loss(task, batch, params, config, train_config,
+                         mode="train", step=step, rng=rng), batch.size
+
     def dev_fields(params, config):
         fields = {}
-        for task in tasks:
+        for task in scored:
             name, value, _ = evaluate_task(task, params, config,
                                            datasets[task][1], train_config)
             fields[f"{task}_{name}"] = value
-        fields["dev_metric"] = float(np.mean(list(fields.values())))
+        if fields:
+            fields["dev_metric"] = float(np.mean(list(fields.values())))
         return fields
 
-    return _fit("baseline", train_config, encoder_config, vocab, params, rounds,
-                _task_batch_loss(train_config), dev_fields, task="+".join(tasks),
-                eval_every=train_config.eval_every)
+    return _fit(stage, train_config, encoder_config, vocab, params, rounds,
+                loss, dev_fields, task="+".join(tasks),
+                eval_every=train_config.eval_every if scored else 0)
+
+
+def train_single_task(train_config: TrainConfig, encoder_config: EncoderConfig,
+                      vocab: Vocab | None, train_examples, dev_examples,
+                      params: ModelParams | None = None,
+                      stage: str = "baseline") -> Checkpoint:
+    """Multitask training over the one task ``train_config.task``."""
+    task = train_config.task
+    return _train_tasks(train_config, encoder_config, vocab,
+                        {task: (train_examples, dev_examples)}, (task,),
+                        params, stage)
+
+
+def train_multitask(train_config: TrainConfig, encoder_config: EncoderConfig,
+                    vocab: Vocab | None, datasets: dict,
+                    tasks: tuple[str, ...] = TASKS,
+                    params: ModelParams | None = None) -> Checkpoint:
+    """Round-robin multitask training; datasets maps task -> (train, dev)."""
+    return _train_tasks(train_config, encoder_config, vocab, datasets, tasks,
+                        params, "baseline")
 
 
 # -- contrastive stages -------------------------------------------------------------------
@@ -450,8 +439,6 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     stage's epochs plus per-stage summaries with weight hashes) and the
     stage-by-stage metric reports.
     """
-    _check_schema("sts", sts_train, "sts train")
-    _check_schema("sts", sts_dev, "sts dev")
     reports: list[MetricReport] = []
     history: list[dict] = []
 
@@ -504,14 +491,13 @@ def reinit_task_head(params: ModelParams, task: str, config: EncoderConfig,
             params[name].data = fresh.data
 
 
-def transfer_finetune(ckpt: Checkpoint, target_task: str,
-                      train_config: TrainConfig, train_examples,
-                      dev_examples) -> Checkpoint:
-    """Single-task fine-tuning from checkpoint weights with a fresh target head."""
-    if train_config.task != target_task:
-        train_config = replace(train_config, task=target_task)
+def transfer_finetune(ckpt: Checkpoint, train_config: TrainConfig,
+                      train_examples, dev_examples) -> Checkpoint:
+    """Single-task fine-tuning from checkpoint weights with a fresh head for
+    ``train_config.task``."""
     params = ckpt.params.copy()
-    reinit_task_head(params, target_task, ckpt.config, Rng(train_config.seed))
+    reinit_task_head(params, train_config.task, ckpt.config,
+                     Rng(train_config.seed))
     vocab = Vocab.from_tokens(ckpt.vocab_tokens) if ckpt.vocab_tokens else None
     return train_single_task(train_config, ckpt.config, vocab, train_examples,
                              dev_examples, params=params, stage="transfer")

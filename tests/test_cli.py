@@ -371,6 +371,33 @@ def test_checkpoint_variants_tokenize_at_the_checkpoint_length(tmp_path, variant
     assert load_checkpoint(out / "checkpoint.ckpt").config.max_seq_len == 6
 
 
+@pytest.mark.parametrize("variant, flag, value", [
+    ("transfer", "--encoder.sts_head", "sum_linear"),
+    ("unsup-simcse", "--dropout.p", "0.25")])
+def test_checkpoint_variants_refuse_encoder_and_dropout_overrides(
+        sst_run, capsys, monkeypatch, variant, flag, value):
+    # the source checkpoint's encoder and dropout policy would silently win;
+    # `train single --encoder.sts_head` is checked by the eval head test
+    from simcse_forge import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("loaded the source checkpoint")
+
+    monkeypatch.setattr(cli, "load_checkpoint", unreachable)
+    tmp_path, _, out = sst_run
+    config = write_config(tmp_path, data={
+        "checkpoint": str(out / "checkpoint.ckpt"),
+        "sentences": _sentences(tmp_path / "two.txt", [
+            "the dog and the cat", "moon over the harbor"]),
+        "train": str(tmp_path / "train.tsv")})
+    capsys.readouterr()
+    run = tmp_path / "override_run"
+    assert main(["train", variant, "--config", config, "--out", str(run),
+                 flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not run.exists()
+
+
 def _sentences(path, lines):
     path.write_text("".join(line + "\n" for line in lines))
     return str(path)

@@ -149,7 +149,8 @@ def test_sts_and_paraphrase_losses_run():
         tc = TrainConfig(task=task, epochs=1, batch_size=5, lr=1e-3)
         ck = train_single_task(tc, config, vocab, train, train)
         assert math.isfinite(ck.history[-1]["train_loss"])
-        assert ck.history[-1]["metric"] in ("accuracy", "pearson")
+        name = "pearson" if task == "sts" else "accuracy"
+        assert ck.history[-1][f"{task}_{name}"] == ck.history[-1]["dev_metric"]
 
 
 # -- multitask ----------------------------------------------------------------------
@@ -210,7 +211,7 @@ def test_multitask_empty_train_set_names_the_task():
     vocab, datasets = multitask_data(23)
     config = toy_encoder_config(vocab)
     datasets["sst"] = ([], datasets["sst"][1])
-    with pytest.raises(ValueError, match="task 'sst' .* train set is empty"):
+    with pytest.raises(DataError, match="^task 'sst': train set is empty"):
         train_multitask(TrainConfig(epochs=1, batch_size=4), config, vocab, datasets)
 
 
@@ -227,7 +228,7 @@ def test_every_trainer_rejects_an_empty_train_set():
     with pytest.raises(DataError, match="task 'sts': train set is empty"):
         train_single_task(tc, config, vocab, [], sts)
     with pytest.raises(DataError, match="task 'sts': train set is empty"):
-        transfer_finetune(ckpt, "sts", tc, [], sts)
+        transfer_finetune(ckpt, tc, [], sts)
     with pytest.raises(DataError, match="^unsup_simcse: train set is empty"):
         train_unsup_simcse(tc, config, vocab, [], params)
     with pytest.raises(DataError, match="^sup_simcse: train set is empty"):
@@ -244,6 +245,33 @@ def test_multitask_single_stream_degenerates_to_single_task():
     single_losses = [h["train_loss"] for h in single.history]
     multi_losses = [h["train_loss"] for h in multi.history]
     assert single_losses == multi_losses
+    assert single.history == multi.history
+
+
+def test_multitask_skips_a_task_with_no_dev_examples():
+    vocab, datasets = multitask_data(25)
+    config = toy_encoder_config(vocab)
+    datasets["sts"] = (datasets["sts"][0], [])
+    tc = TrainConfig(epochs=2, batch_size=4, lr=1e-3, eval_every=2)
+    ck = train_multitask(tc, config, vocab, datasets)
+    # 3 rounds of 3 tasks per epoch: 18 steps, a row every 2, plus 2 epochs
+    assert len([h for h in ck.history if "step" in h]) == 9
+    assert len(ck.history) == 11
+    for entry in ck.history:
+        assert "sts_pearson" not in entry
+        assert entry["dev_metric"] == pytest.approx(
+            np.mean([entry["sst_accuracy"], entry["paraphrase_accuracy"]]),
+            abs=1e-12)
+
+
+def test_task_training_with_no_dev_examples_writes_no_dev_rows():
+    vocab, datasets = multitask_data(26)
+    config = toy_encoder_config(vocab)
+    no_dev = {t: (train, []) for t, (train, _) in datasets.items()}
+    tc = TrainConfig(epochs=2, batch_size=4, lr=1e-3, eval_every=1)
+    ck = train_multitask(tc, config, vocab, no_dev)
+    assert [set(h) for h in ck.history] == [
+        {"stage", "task", "epoch", "train_loss"}] * 2
 
 
 # -- contrastive stages ------------------------------------------------------------------
@@ -519,7 +547,7 @@ def test_transfer_equals_manual_reinit_plus_finetune():
                       vocab_tokens=vocab.tokens())
     tc = TrainConfig(task="sst", epochs=2, batch_size=4, lr=1e-3, seed=13)
 
-    transferred = transfer_finetune(ckpt, "sst", tc, train, dev)
+    transferred = transfer_finetune(ckpt, tc, train, dev)
 
     manual = source.copy()
     reinit_task_head(manual, "sst", config, Rng(13))
@@ -529,15 +557,3 @@ def test_transfer_equals_manual_reinit_plus_finetune():
     assert transferred.stage == "transfer"
     assert params_hash(transferred.params) == params_hash(reference.params)
     assert transferred.history == reference.history
-
-
-def test_transfer_retargets_task_field():
-    train, vocab = corpus("sts", 8, seed=63)
-    config = toy_encoder_config(vocab)
-    from simcse_forge.checkpoint import Checkpoint
-    ckpt = Checkpoint(config=config, params=init_params(config, Rng(1)),
-                      vocab_tokens=vocab.tokens())
-    tc = TrainConfig(task="sst", epochs=1, batch_size=4, lr=1e-4)
-    ck = transfer_finetune(ckpt, "sts", tc, train, train)
-    assert ck.history[-1]["task"] == "sts"
-    assert ck.history[-1]["metric"] == "pearson"
