@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,7 @@ from .config import ConfigError, RunConfig, config_hash, load_run_config
 # cli.make_batches and cli.evaluate_task, names perfbench/tracing.py patches.
 from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,  # noqa: F401
                    load_tsv, make_batches, pad_batch, read_rows, read_text,
-                   sentences_of, synth_toy_corpus, texts_of_rows, tokenize,
-                   write_tsv)
+                   synth_toy_corpus, texts_of_rows, tokenize, write_tsv)
 from .encoder import encode
 from .evaluation import MetricReport, emit_report, similarity_heatmap
 from .experiments import (EXPERIMENTS, add_experiment_args,
@@ -35,9 +35,9 @@ from .experiments import (EXPERIMENTS, add_experiment_args,
 from .rng import Rng
 from .training import (TASKS, dropout_alignment,  # noqa: F401
                        evaluate_task, predict_dataset, report_row,
-                       run_two_tier, task_metric, train_multitask,
-                       train_single_task, train_sup_simcse, train_unsup_simcse,
-                       transfer_finetune)
+                       run_two_tier, sentence_pool, task_metric,
+                       train_multitask, train_single_task, train_sup_simcse,
+                       train_unsup_simcse, transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.cli")
 
@@ -217,29 +217,21 @@ def _train_multitask(config: RunConfig):
     return vocab, ck, reports
 
 
-def _alignment_report(model: str, ck, config: RunConfig, pool):
+def _train_contrastive(key: str, trainer, config: RunConfig):
+    """A contrastive stage from data.checkpoint at dropout p 0.1, on the
+    sentence file (unsup-simcse) or the triplets (sup-simcse) of data.<key>,
+    reported as the dropout alignment of the sentences: every line of the
+    file, or the triplets' distinct sentences."""
+    source = load_checkpoint(_require(config, "checkpoint"))
+    schema = SYNTH_SCHEMAS.get(key)     # None: a sentence file
+    vocab, data = _load(config, [(key, schema)], source=source)
+    tc = config.train_config(task="sts", dropout_p=0.1)
+    ck = trainer(tc, source.config, vocab, data[key], source.params)
+    pool = (sentence_pool(data[key], vocab, source.config.max_seq_len)
+            if schema else data[key])
     value = dropout_alignment(ck.params, ck.config, pool, seed=config.seed)
-    return [MetricReport(model, "simcse", "alignment", value, len(pool),
-                         stage=ck.stage)]
-
-
-def _train_unsup(config: RunConfig):
-    source = load_checkpoint(_require(config, "checkpoint"))
-    vocab, data = _load(config, [("sentences", None)], source=source)
-    pool = data["sentences"]
-    tc = config.train_config(task="sts", dropout_p=0.1)
-    ck = train_unsup_simcse(tc, source.config, vocab, pool, source.params)
-    return vocab, ck, _alignment_report("unsup_simcse", ck, config, pool)
-
-
-def _train_sup(config: RunConfig):
-    source = load_checkpoint(_require(config, "checkpoint"))
-    vocab, data = _load(config, [("nli", "triplet")], source=source)
-    tc = config.train_config(task="sts", dropout_p=0.1)
-    ck = train_sup_simcse(tc, source.config, vocab, data["nli"], source.params)
-    pool = [tokenize(s, vocab, source.config.max_seq_len)
-            for s in sentences_of(data["nli"])]
-    return vocab, ck, _alignment_report("sup_simcse", ck, config, pool)
+    return vocab, ck, [MetricReport(ck.stage, "simcse", "alignment", value,
+                                    len(pool), stage=ck.stage)]
 
 
 def _train_two_tier(config: RunConfig):
@@ -262,7 +254,9 @@ def _train_transfer(config: RunConfig):
 
 
 _DISPATCH = {"single": _train_single, "multitask": _train_multitask,
-             "unsup-simcse": _train_unsup, "sup-simcse": _train_sup,
+             "unsup-simcse": partial(_train_contrastive, "sentences",
+                                     train_unsup_simcse),
+             "sup-simcse": partial(_train_contrastive, "nli", train_sup_simcse),
              "two-tier": _train_two_tier, "transfer": _train_transfer}
 
 

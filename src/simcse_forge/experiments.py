@@ -13,16 +13,16 @@ import logging
 import math
 from dataclasses import dataclass, fields
 
-from .data import (SYNTH_SCHEMAS, Vocab, examples_from_rows, sentences_of,
-                   synth_toy_corpus, texts_of_rows, tokenize)
+from .data import (SYNTH_SCHEMAS, Vocab, examples_from_rows, synth_toy_corpus,
+                   texts_of_rows)
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig, init_params
 from .evaluation import MetricReport
 from .optim import check_field_types
 from .rng import Rng
 from .training import (TASKS, TrainConfig, TwoTierConfig, report_row,
-                       run_two_tier, train_multitask, train_single_task,
-                       train_unsup_simcse, transfer_finetune)
+                       run_two_tier, sentence_pool, train_multitask,
+                       train_single_task, train_unsup_simcse, transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.experiments")
 
@@ -129,10 +129,8 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
     vocab, datasets = _task_datasets(xc)
     config = xc.encoder_config(len(vocab))
 
-    sentences = []
-    for task in TASKS:
-        sentences.extend(sentences_of(datasets[task][0]))
-    pool = [tokenize(s, vocab, xc.max_seq_len) for s in dict.fromkeys(sentences)]
+    pool = sentence_pool([e for task in TASKS for e in datasets[task][0]],
+                         vocab, xc.max_seq_len)
 
     source = init_params(config, Rng(xc.seed))
     simcse_tc = xc.train_config("sts", batch_size=max(2, xc.batch_size))

@@ -317,13 +317,50 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     return float(np.mean(sims))
 
 
-def _alignment_fields(dev_token_lists, seed: int):
+def sentence_pool(examples, vocab: Vocab, max_len: int) -> list[list[int]]:
+    """The distinct sentences of the examples, in order, tokenized."""
+    return [tokenize(s, vocab, max_len) for s in sentences_of(examples)]
+
+
+def _train_contrastive(stage: str, train_config: TrainConfig,
+                       encoder_config: EncoderConfig, vocab: Vocab | None,
+                       params: ModelParams, epoch_batches, loss,
+                       dev_token_lists) -> Checkpoint:
+    """The one body behind both contrastive stages: fine-tunes given weights
+    (params required) and returns the final ones.
+
+    epoch_batches(rng, step at epoch start) yields an epoch's batches, each
+    a list of (ids, mask) views of the same rows. Every view is encoded in
+    train mode, in order, and loss(*pooled views, tau) scores them. The
+    first step whose first two pooled views are bitwise equal logs one
+    warning: dropout then drew no noise (standard p=0, curriculum at a rate
+    of 0 such as step 0, or adaptive with every keep probability at 1.0).
+    With dev_token_lists, each history row takes their dev_alignment.
+    """
+    if params is None:
+        raise ValueError(f"{stage}: contrastive training fine-tunes existing "
+                         f"weights; params is required")
+    warned = False
+
+    def batch_loss(views, params, config, step, rng):
+        nonlocal warned
+        pooled = [encode(ids, mask, params, config, mode="train", step=step,
+                         rng=rng).pooled for ids, mask in views]
+        if not warned and np.array_equal(pooled[0].data, pooled[1].data):
+            logger.warning("%s step %d: the first two %s dropout views are "
+                           "identical and carry no contrastive signal",
+                           stage, step, config.dropout.kind)
+            warned = True
+        return loss(*pooled, train_config.tau), len(views[0][0])
+
     def dev_fields(params, config):
         if not dev_token_lists:
             return {}
-        return {"dev_alignment": dropout_alignment(params, config,
-                                                   dev_token_lists, seed=seed)}
-    return dev_fields
+        return {"dev_alignment": dropout_alignment(
+            params, config, dev_token_lists, seed=train_config.seed)}
+
+    return _fit(stage, train_config, encoder_config, vocab, params,
+                epoch_batches, batch_loss, dev_fields)
 
 
 def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
@@ -332,18 +369,11 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     """Contrastive fine-tuning with dropout as the augmentation: each batch is
     encoded twice in train mode and the two views are positives.
 
-    Fine-tunes given weights (params required); returns the final weights.
     In-batch negatives need two sentences in a batch, so a batch_size below 2
     is a ValueError and a pool below 2 sentences a DataError: either would
     take no step and return the starting weights as if trained. A trailing
-    batch of size 1 carries no negatives and is skipped with a warning. The
-    first step whose two pooled views are bitwise equal logs one warning:
-    dropout then drew no noise (standard p=0, curriculum at a rate of 0 such
-    as step 0, or adaptive with every keep probability at 1.0).
+    batch of size 1 carries no negatives and is skipped with a warning.
     """
-    if params is None:
-        raise ValueError("unsupervised contrastive training fine-tunes "
-                         "existing weights; params is required")
     size = train_config.batch_size
     if size < 2:
         raise ValueError(f"unsup_simcse needs batch_size >= 2 for in-batch "
@@ -352,7 +382,6 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     if len(token_lists) < 2:
         raise DataError("unsup_simcse: in-batch negatives need at least 2 "
                         "sentences, got 1")
-    warned = False
 
     def chunks(rng, step):
         order = list(token_lists)
@@ -363,23 +392,12 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                 logger.warning("skipping size-1 batch at step %d "
                                "(in-batch negatives need N >= 2)", step)
                 continue
-            yield pad_batch(chunk)
+            yield [pad_batch(chunk)] * 2
             step += 1
 
-    def loss(batch, params, config, step, rng):
-        nonlocal warned
-        ids, mask = batch
-        h, h_plus = (encode(ids, mask, params, config, mode="train", step=step,
-                            rng=rng).pooled for _ in range(2))
-        if not warned and np.array_equal(h.data, h_plus.data):
-            logger.warning("unsup_simcse step %d: the two %s dropout views are "
-                           "identical and carry no contrastive signal",
-                           step, config.dropout.kind)
-            warned = True
-        return unsup_simcse_loss(h, h_plus, train_config.tau), len(ids)
-
-    return _fit("unsup_simcse", train_config, encoder_config, vocab, params,
-                chunks, loss, _alignment_fields(dev_token_lists, train_config.seed))
+    return _train_contrastive("unsup_simcse", train_config, encoder_config,
+                              vocab, params, chunks, unsup_simcse_loss,
+                              dev_token_lists)
 
 
 def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
@@ -390,24 +408,16 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
 
     Size-1 batches are fine: the hard negative supplies the contrast.
     """
-    if params is None:
-        raise ValueError("supervised contrastive training fine-tunes "
-                         "existing weights; params is required")
     _check_schema("nli", triplets, "triplet")
     _require_train_set(triplets, "sup_simcse")
 
     def batches(rng, step):
-        return make_batches(triplets, train_config.batch_size, rng)
+        return ([(b.token_ids, b.mask), (b.b_ids, b.b_mask), (b.c_ids, b.c_mask)]
+                for b in make_batches(triplets, train_config.batch_size, rng))
 
-    def loss(batch, params, config, step, rng):
-        h, h_plus, h_minus = (
-            encode(ids, mask, params, config, mode="train", step=step, rng=rng).pooled
-            for ids, mask in ((batch.token_ids, batch.mask), (batch.b_ids, batch.b_mask),
-                              (batch.c_ids, batch.c_mask)))
-        return sup_simcse_loss(h, h_plus, h_minus, train_config.tau), batch.size
-
-    return _fit("sup_simcse", train_config, encoder_config, vocab, params,
-                batches, loss, _alignment_fields(dev_token_lists, train_config.seed))
+    return _train_contrastive("sup_simcse", train_config, encoder_config,
+                              vocab, params, batches, sup_simcse_loss,
+                              dev_token_lists)
 
 
 # -- 2-tier pipeline --------------------------------------------------------------------
@@ -454,8 +464,7 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     params = stage("", train_single_task(
         tt.stage1, encoder_config, vocab, sts_train, sts_dev, stage="baseline"))
     if not tt.skip_unsup:
-        pool = [tokenize(s, vocab, encoder_config.max_seq_len)
-                for s in sentences_of(sts_train)]
+        pool = sentence_pool(sts_train, vocab, encoder_config.max_seq_len)
         params = stage(params_hash(params), train_unsup_simcse(
             tt.stage2, encoder_config, vocab, pool, params))
     params = stage(params_hash(params), train_sup_simcse(
