@@ -35,9 +35,9 @@ from .experiments import (EXPERIMENTS, add_experiment_args,
 from .rng import Rng
 from .training import (TASKS, dropout_alignment,  # noqa: F401
                        evaluate_task, predict_dataset, report_row,
-                       run_two_tier, sentence_pool, task_metric,
-                       train_multitask, train_single_task, train_sup_simcse,
-                       train_unsup_simcse, transfer_finetune)
+                       run_two_tier, sentence_pool, stage_encoder_config,
+                       task_metric, train_multitask, train_single_task,
+                       train_sup_simcse, train_unsup_simcse, transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.cli")
 
@@ -220,8 +220,9 @@ def _train_multitask(config: RunConfig):
 def _train_contrastive(key: str, trainer, config: RunConfig):
     """A contrastive stage from data.checkpoint at dropout p 0.1, on the
     sentence file (unsup-simcse) or the triplets (sup-simcse) of data.<key>,
-    reported as the dropout alignment of the sentences: every line of the
-    file, or the triplets' distinct sentences."""
+    reported as the dropout alignment of the sentences (every line of the
+    file, or the triplets' distinct sentences) under the dropout the stage
+    trained with."""
     source = load_checkpoint(_require(config, "checkpoint"))
     schema = SYNTH_SCHEMAS.get(key)     # None: a sentence file
     vocab, data = _load(config, [(key, schema)], source=source)
@@ -229,7 +230,8 @@ def _train_contrastive(key: str, trainer, config: RunConfig):
     ck = trainer(tc, source.config, vocab, data[key], source.params)
     pool = (sentence_pool(data[key], vocab, source.config.max_seq_len)
             if schema else data[key])
-    value = dropout_alignment(ck.params, ck.config, pool, seed=config.seed)
+    value = dropout_alignment(ck.params, stage_encoder_config(ck.config, tc),
+                              pool, seed=config.seed)
     return vocab, ck, [MetricReport(ck.stage, "simcse", "alignment", value,
                                     len(pool), stage=ck.stage)]
 

@@ -28,9 +28,9 @@ from .data import (SYNTH_SCHEMAS, DataError, Vocab, make_batches, pad_batch,
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
-from .objectives import (bce_loss, ce_loss, mse_loss, paraphrase_logit,
-                         sst_logits, sts_score, sup_simcse_loss,
-                         unsup_simcse_loss)
+from .objectives import (bce_loss, ce_loss, cosine, mse_loss,
+                         paraphrase_logit, sst_logits, sts_score,
+                         sup_simcse_loss, unsup_simcse_loss)
 from .optim import AdamWConfig, AdamWState, adamw_step, check_field_types
 from .rng import Rng
 
@@ -160,6 +160,16 @@ def report_row(model: str, task: str, ck: Checkpoint, examples,
 
 # -- the training loop ---------------------------------------------------------------
 
+def stage_encoder_config(encoder_config: EncoderConfig,
+                         train_config: TrainConfig) -> EncoderConfig:
+    """The encoder config a stage trains with: train_config.dropout_p, when
+    set, overrides the dropout policy's rate."""
+    if train_config.dropout_p is None:
+        return encoder_config
+    return replace(encoder_config, dropout=replace(encoder_config.dropout,
+                                                   p=train_config.dropout_p))
+
+
 def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
          vocab: Vocab | None, params: ModelParams | None, epoch_batches,
          batch_loss, dev_fields, task: str | None = None,
@@ -173,9 +183,7 @@ def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
     dev_fields(params, config). Returns the best-dev_metric weights, or the
     final ones when no row has a dev_metric.
     """
-    config = encoder_config
-    if train_config.dropout_p is not None:
-        config = replace(config, dropout=replace(config.dropout, p=train_config.dropout_p))
+    config = stage_encoder_config(encoder_config, train_config)
     rng = Rng(train_config.seed)
     params = params.copy() if params is not None else init_params(config, rng)
     opt_state = AdamWState()
@@ -299,21 +307,23 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
                       seed: int) -> float:
     """Mean cosine between two dropout-perturbed encodings of each sentence.
 
-    A fixed seed pins the masks, so the number is comparable across calls
-    with different params (the training-progress axis).
+    Both are drawn at the end of the policy's schedule, step = total_steps,
+    where a curriculum rate has ramped up to nearly p (the other regimes
+    ignore the step). A fixed seed pins the masks, so the number is
+    comparable across calls with different params (the training-progress
+    axis).
     """
     if not token_lists:
         raise ValueError("alignment needs at least one sentence")
     rng = Rng(seed)
+    step = config.dropout.total_steps
     sims: list[float] = []
     with ag.no_grad():
         for start in range(0, len(token_lists), _ALIGNMENT_BATCH):
             ids, mask = pad_batch(token_lists[start:start + _ALIGNMENT_BATCH])
-            a, b = (encode(ids, mask, params, config, mode="train", rng=rng).pooled.data
-                    for _ in range(2))
-            num = np.sum(a * b, axis=1)
-            den = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            sims.extend((num / den).tolist())
+            a, b = (encode(ids, mask, params, config, mode="train", step=step,
+                           rng=rng).pooled for _ in range(2))
+            sims.extend(cosine(a, b).data.tolist())
     return float(np.mean(sims))
 
 

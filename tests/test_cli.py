@@ -403,6 +403,42 @@ def _sentences(path, lines):
     return str(path)
 
 
+@pytest.mark.parametrize("variant", ["unsup-simcse", "sup-simcse"])
+def test_contrastive_alignment_row_uses_the_stage_dropout(tmp_path, variant):
+    # the source trains at p 0.3; the stage trains at p 0.1, and so does
+    # the alignment its metrics.tsv reports
+    from dataclasses import replace
+
+    from simcse_forge.data import Vocab, load_tsv, sentences_of, tokenize
+    from simcse_forge.training import dropout_alignment
+
+    train = synth(tmp_path, "sst", 16, "train.tsv", seed=1)
+    config = write_config(tmp_path, data={"train": train})
+    source = tmp_path / "source"
+    assert main(["train", "single", "--config", config, "--out", str(source),
+                 "--dropout.p", "0.3"]) == 0
+    lines = ["the dog and the cat", "moon over the quiet harbor",
+             "the dog and the cat"]
+    nli = synth(tmp_path, "nli", 6, "nli.tsv", seed=2)
+    config = write_config(tmp_path, data={
+        "checkpoint": str(source / "checkpoint.ckpt"), "nli": nli,
+        "sentences": _sentences(tmp_path / "sentences.txt", lines)})
+    out = tmp_path / "run"
+    assert main(["train", variant, "--config", config, "--out", str(out)]) == 0
+
+    ck = load_checkpoint(out / "checkpoint.ckpt")
+    assert ck.config.dropout.p == 0.3
+    vocab, max_len = Vocab.from_tokens(ck.vocab_tokens), ck.config.max_seq_len
+    if variant == "sup-simcse":
+        lines = sentences_of(load_tsv(nli, "triplet", vocab, max_len))
+    pool = [tokenize(s, vocab, max_len) for s in lines]
+    [row] = parse_report_tsv((out / "metrics.tsv").read_text())
+    assert row.metric == "alignment" and row.n_examples == len(pool)
+    stage = replace(ck.config, dropout=replace(ck.config.dropout, p=0.1))
+    assert row.value == dropout_alignment(ck.params, stage, pool, seed=3)
+    assert row.value != dropout_alignment(ck.params, ck.config, pool, seed=3)
+
+
 def test_unsup_simcse_on_one_sentence_exit_2(sst_run, capsys):
     tmp_path, _, out = sst_run
     config = write_config(tmp_path, data={

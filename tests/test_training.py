@@ -8,7 +8,7 @@ from simcse_forge.checkpoint import params_hash, save_checkpoint
 from simcse_forge.data import (SYNTH_SCHEMAS, DataError, Vocab,
                                examples_from_rows, sentences_of,
                                synth_toy_corpus, texts_of_rows, tokenize)
-from simcse_forge.dropout import DropoutPolicy
+from simcse_forge.dropout import DropoutPolicy, curriculum_rate
 from simcse_forge.encoder import EncoderConfig, init_params
 from simcse_forge.rng import Rng
 from simcse_forge.training import (TrainConfig, TwoTierConfig,
@@ -374,6 +374,42 @@ def test_dropout_alignment_is_one_without_dropout():
     params = init_params(config, Rng(0))
     assert dropout_alignment(params, config, pool, seed=0) == pytest.approx(
         1.0, abs=1e-12)
+
+
+def test_dropout_alignment_reads_curriculum_dropout_at_the_end_of_its_schedule():
+    # the views are drawn at step total_steps, not at step 0 where a
+    # curriculum rate is 0 and the two views would coincide
+    pool, vocab = sentence_pool(6, seed=35)
+    policy = DropoutPolicy(kind="curriculum", p=0.2, gamma=5.0, total_steps=40)
+    config = toy_encoder_config(vocab, dropout=policy)
+    params = init_params(config, Rng(0))
+    value = dropout_alignment(params, config, pool, seed=1)
+    assert value < 1.0
+    at_end = toy_encoder_config(vocab, p=curriculum_rate(40, policy))
+    assert value == dropout_alignment(params, at_end, pool, seed=1)
+
+
+def _sup_identical_view_warnings(caplog, anchor_is_positive: bool) -> list[str]:
+    rows = synth_toy_corpus("nli", 8, Rng(44))
+    if anchor_is_positive:
+        rows = [(a, a, c) for a, _, c in rows]
+    vocab = Vocab.build(texts_of_rows(rows, "triplet"))
+    triplets = examples_from_rows(rows, "triplet", vocab, MAX_LEN)
+    config = toy_encoder_config(vocab, p=0.0)
+    tc = TrainConfig(epochs=2, batch_size=4, lr=1e-4, seed=2)
+    with caplog.at_level(logging.WARNING, logger="simcse_forge.training"):
+        train_sup_simcse(tc, config, vocab, triplets, init_params(config, Rng(1)))
+    return [r.message for r in caplog.records if "identical" in r.message]
+
+
+def test_sup_simcse_warns_once_when_anchors_equal_their_positives(caplog):
+    messages = _sup_identical_view_warnings(caplog, anchor_is_positive=True)
+    assert len(messages) == 1
+    assert "sup_simcse step 0" in messages[0] and "standard" in messages[0]
+
+
+def test_sup_simcse_distinct_triplets_do_not_warn_at_zero_dropout(caplog):
+    assert _sup_identical_view_warnings(caplog, anchor_is_positive=False) == []
 
 
 def test_sup_simcse_trains_and_allows_singletons():
