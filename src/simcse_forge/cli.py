@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .checkpoint import (Checkpoint, IntegrityError, load_checkpoint,
                          params_hash, save_checkpoint)
-from .config import ConfigError, RunConfig, config_hash, load_run_config
+from .config import RunConfig, config_hash, load_run_config
 # make_batches and evaluate_task are unused here but stay importable as
 # cli.make_batches and cli.evaluate_task, names perfbench/tracing.py patches.
 from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,  # noqa: F401
@@ -218,11 +218,8 @@ def _train_multitask(config: RunConfig):
 
 
 def _train_contrastive(key: str, trainer, config: RunConfig):
-    """A contrastive stage from data.checkpoint at dropout p 0.1, on the
-    sentence file (unsup-simcse) or the triplets (sup-simcse) of data.<key>,
-    reported as the dropout alignment of the sentences (every line of the
-    file, or the triplets' distinct sentences) under the dropout the stage
-    trained with."""
+    """A contrastive stage from data.checkpoint at dropout p 0.1 on data.<key>,
+    reported as the alignment of its sentences under the stage's dropout."""
     source = load_checkpoint(_require(config, "checkpoint"))
     schema = SYNTH_SCHEMAS.get(key)     # None: a sentence file
     vocab, data = _load(config, [(key, schema)], source=source)
@@ -400,10 +397,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # UsageError and ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,13 @@
 """Training procedures: single-task and multitask fine-tuning, the two
 contrastive stages, the 2-tier pipeline, and transfer fine-tuning.
 
-Single-task training is multitask training over one task (``_train_tasks``).
-It and the contrastive trainers share one optimizer loop, ``_fit``: it owns
-the rng, the starting weights, the AdamW state, the step counter, the loss
-totals, the best-dev selection and the stop on a non-finite loss or gradient
-norm; each trainer adds only its input checks, its per-epoch batch source,
-its per-batch loss and its dev evaluation.
+Single-task training is multitask training over one task (``_train_tasks``),
+and unsup and sup SimCSE share one contrastive body (``_train_contrastive``).
+Both run one optimizer loop, ``_fit``: it owns the rng, the starting weights,
+the AdamW state, the step counter, the loss totals, the best-dev selection
+and the stop on a non-finite loss or gradient norm; each trainer adds only
+its input checks, its per-epoch batch source, its per-batch loss and its dev
+evaluation.
 
 Every trainer is deterministic given (seed, config, data): one SplitMix64
 stream drives initialization, shuffling, and dropout in a fixed consumption
@@ -160,14 +161,10 @@ def report_row(model: str, task: str, ck: Checkpoint, examples,
 
 # -- the training loop ---------------------------------------------------------------
 
-def stage_encoder_config(encoder_config: EncoderConfig,
-                         train_config: TrainConfig) -> EncoderConfig:
-    """The encoder config a stage trains with: train_config.dropout_p, when
-    set, overrides the dropout policy's rate."""
-    if train_config.dropout_p is None:
-        return encoder_config
-    return replace(encoder_config, dropout=replace(encoder_config.dropout,
-                                                   p=train_config.dropout_p))
+def stage_encoder_config(config: EncoderConfig, train_config: TrainConfig):
+    """The encoder config a stage trains with: dropout_p overrides the rate."""
+    p = train_config.dropout_p
+    return config if p is None else replace(config, dropout=replace(config.dropout, p=p))
 
 
 def _fit(stage: str, train_config: TrainConfig, encoder_config: EncoderConfig,
@@ -305,13 +302,12 @@ _ALIGNMENT_BATCH = 32
 
 def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
                       seed: int) -> float:
-    """Mean cosine between two dropout-perturbed encodings of each sentence.
+    """Mean cosine between two dropout-perturbed encodings of each sentence,
+    drawn at the end of the policy's schedule (step total_steps, where a
+    curriculum rate has ramped up; the other regimes ignore the step).
 
-    Both are drawn at the end of the policy's schedule, step = total_steps,
-    where a curriculum rate has ramped up to nearly p (the other regimes
-    ignore the step). A fixed seed pins the masks, so the number is
-    comparable across calls with different params (the training-progress
-    axis).
+    A fixed seed pins the masks, so the number is comparable across calls
+    with different params (the training-progress axis).
     """
     if not token_lists:
         raise ValueError("alignment needs at least one sentence")
@@ -337,19 +333,15 @@ def _train_contrastive(stage: str, train_config: TrainConfig,
                        params: ModelParams, epoch_batches, loss,
                        dev_token_lists) -> Checkpoint:
     """The one body behind both contrastive stages: fine-tunes given weights
-    (params required) and returns the final ones.
-
-    epoch_batches(rng, step at epoch start) yields an epoch's batches, each
-    a list of (ids, mask) views of the same rows. Every view is encoded in
-    train mode, in order, and loss(*pooled views, tau) scores them. The
-    first step whose first two pooled views are bitwise equal logs one
-    warning: dropout then drew no noise (standard p=0, curriculum at a rate
-    of 0 such as step 0, or adaptive with every keep probability at 1.0).
-    With dev_token_lists, each history row takes their dev_alignment.
+    and returns the final ones. Each batch is a list of (ids, mask) views of
+    the same rows, each encoded in train mode, in order, for loss(*pooled,
+    tau). The first step whose first two pooled views are bitwise equal logs
+    one warning: dropout drew no noise (standard p=0, curriculum at rate 0
+    as at step 0, or adaptive with every keep probability at 1.0). With
+    dev_token_lists, each history row takes their dev_alignment.
     """
     if params is None:
-        raise ValueError(f"{stage}: contrastive training fine-tunes existing "
-                         f"weights; params is required")
+        raise ValueError(f"{stage} fine-tunes existing weights; params is required")
     warned = False
 
     def batch_loss(views, params, config, step, rng):
