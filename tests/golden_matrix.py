@@ -10,14 +10,18 @@ purpose, regenerate that file with
 
     python tests/golden_matrix.py --write
 
-It pins one BLAS thread before numpy loads: training bytes depend on the
-BLAS thread count.
+It pins one BLAS thread before numpy loads, since training bytes depend
+on the BLAS thread count, and imports the package from this checkout's
+``src``.
 """
 
 import os
+import sys
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import contextlib  # noqa: E402
 import ctypes  # noqa: E402
@@ -27,9 +31,7 @@ import io  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
 import platform  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -61,7 +63,7 @@ def blas_build() -> dict:
                      "scipy_openblas_get_corename", "openblas_get_corename"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 core = fn().decode()
                 break
     return {"numpy": np.__version__, "machine": platform.machine(),

@@ -23,10 +23,7 @@ BYTE_KEYS = ("params_hash", "checkpoint_sha256", "metrics_sha256",
 
 
 def _run_matrix() -> dict:
-    src = str(HERE.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, str(HERE / "golden_matrix.py")],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
@@ -37,7 +34,7 @@ def _close(want: dict | list, got: dict | list) -> bool:
     if isinstance(want, dict):
         if sorted(want) != sorted(got):
             return False
-        want, got = [want[k] for k in sorted(want)], [got[k] for k in sorted(want)]
+        want, got = list(want.values()), [got[k] for k in want]
     return len(want) == len(got) and all(
         math.isclose(w, g, rel_tol=1e-9, abs_tol=1e-12)
         for w, g in zip(want, got))
