@@ -161,7 +161,7 @@ def report_row(model: str, task: str, ck: Checkpoint, examples,
 
 # -- the training loop ---------------------------------------------------------------
 
-def stage_encoder_config(config: EncoderConfig, train_config: TrainConfig):
+def stage_encoder_config(config: EncoderConfig, train_config: TrainConfig) -> EncoderConfig:
     """The encoder config a stage trains with: dropout_p overrides the rate."""
     p = train_config.dropout_p
     return config if p is None else replace(config, dropout=replace(config.dropout, p=p))
@@ -368,8 +368,8 @@ def _train_contrastive(stage: str, train_config: TrainConfig,
 def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                        vocab: Vocab | None, token_lists, params: ModelParams,
                        dev_token_lists=None) -> Checkpoint:
-    """Contrastive fine-tuning with dropout as the augmentation: each batch is
-    encoded twice in train mode and the two views are positives.
+    """Contrastive fine-tuning of given weights, dropout as the augmentation:
+    each batch is encoded twice in train mode and the two views are positives.
 
     In-batch negatives need two sentences in a batch, so a batch_size below 2
     is a ValueError and a pool below 2 sentences a DataError: either would
@@ -405,8 +405,8 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
 def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                      vocab: Vocab | None, triplets, params: ModelParams,
                      dev_token_lists=None) -> Checkpoint:
-    """Contrastive fine-tuning on (anchor, entailed, contradicting) triplets;
-    the contradiction rows join the in-batch negatives as hard negatives.
+    """Contrastive fine-tuning of given weights on (anchor, entailed, contradicting)
+    triplets; the contradiction rows join the in-batch negatives as hard negatives.
 
     Size-1 batches are fine: the hard negative supplies the contrast.
     """
