@@ -672,35 +672,34 @@ def tabs(a) -> Tensor:
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
+# Rows per GELU block: the scratch arrays are [128, width], not the input's
+# size, so a stacked batch of views does not double the forward's peak.
+_GELU_BLOCK = 128
 
-def gelu(a) -> Tensor:
-    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    a = as_tensor(a)
-    x = a.data
-    slope_needed = _grad_enabled and a.requires_grad
+
+def _gelu_rows(x: np.ndarray, out: np.ndarray, slope: np.ndarray | None) -> None:
+    """GELU of 2-D rows x into out, and its slope into slope when given;
+    out and slope are C-contiguous arrays of x's shape."""
     # x*x*x, not x**3: numpy's generic pow is ~40x slower on mixed-sign input.
-    # out= keeps a 0-d product an array, so the in-place steps accept it.
-    xx = np.multiply(x, x, out=np.empty_like(x))
-    t = np.multiply(xx, x, out=np.empty_like(x) if slope_needed else xx)
+    xx = np.multiply(x, x)
+    t = np.multiply(xx, x) if slope is not None else np.multiply(xx, x, out=xx)
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = np.multiply(x, 0.5, out=np.empty_like(x))
-    if not slope_needed:
+    np.multiply(x, 0.5, out=out)
+    if slope is None:
         t += 1.0
         out *= t
-        return _wrap(out)
+        return
 
-    # The node saves only the slope
-    #   0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x),
-    # so neither x nor t outlives the forward pass. out holds 0.5*x until it
-    # takes the factor 1 + t.
+    # slope = 0.5*(1 + t) + 0.5*x*(1 - t*t) * c*(1 + 3*0.044715*x*x); out
+    # holds 0.5*x until it takes the factor 1 + t.
     dinner = xx
     dinner *= 3 * 0.044715
     dinner += 1.0
     dinner *= _GELU_C
-    slope = np.add(t, 1.0, out=np.empty_like(x))
+    np.add(t, 1.0, out=slope)
     tail = np.multiply(t, t, out=t)
     np.subtract(1.0, tail, out=tail)
     tail *= out
@@ -708,6 +707,32 @@ def gelu(a) -> Tensor:
     out *= slope
     slope *= 0.5
     slope += tail
+
+
+def gelu(a) -> Tensor:
+    """GELU via the tanh approximation 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    Rows of the last axis run in blocks of ``_GELU_BLOCK``; every element's
+    value and slope take the same operations in the same order as one
+    whole-array pass, so blocking changes no bit. The node saves only the
+    slope, so neither x nor the tanh outlives the forward pass.
+    """
+    a = as_tensor(a)
+    x = a.data
+    slope_needed = _grad_enabled and a.requires_grad
+    # C-contiguous whatever x's layout, so the 2-D views below write through
+    out = np.empty(x.shape)
+    slope = np.empty(x.shape) if slope_needed else None
+    width = x.shape[-1] if x.ndim else 1
+    rows = x.size // width if width else 0
+    x2, out2 = x.reshape(rows, width), out.reshape(rows, width)
+    slope2 = slope.reshape(rows, width) if slope_needed else None
+    for start in range(0, rows, _GELU_BLOCK):
+        block = slice(start, start + _GELU_BLOCK)
+        _gelu_rows(x2[block], out2[block],
+                   None if slope2 is None else slope2[block])
+    if not slope_needed:
+        return _wrap(out)
 
     def backward(g):
         return (np.multiply(g, slope, out=np.empty_like(slope)),)

@@ -162,7 +162,9 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
 
     ``train`` lists (data key, schema) pairs for the train files; a schema
     of None marks a sentence file, which gives token lists. ``dev`` lists
-    (data key, task) pairs for the dev sets the run scores. With a source
+    (data key, task) pairs for the dev sets the run scores. A sentence
+    file's repeated lines are dropped (first seen kept): in a contrastive
+    batch a sentence's copy would be its own negative. With a source
     checkpoint, its vocabulary (it must carry one) and max_seq_len are used;
     without, data.vocab or a vocabulary built from the train files'
     sentences, at the run config's max_seq_len.
@@ -181,7 +183,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
             min_count=config.data.min_count)
     examples = {key: examples_from_rows(rows[key], schema, vocab, max_len,
                                         path=paths[key]) if schema
-                else [tokenize(s, vocab, max_len) for s in rows[key]]
+                else [tokenize(s, vocab, max_len) for s in dict.fromkeys(rows[key])]
                 for key, schema in train}
     for key, task in dev:
         examples[key] = _load_scored(paths[key], task, vocab, max_len)
@@ -191,7 +193,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
     if not dev:
         return []
-    return [report_row(model, task, ckpt, dev, config.train_config())]
+    return [report_row(model, task, ckpt, dev, config.train.batch_size)]
 
 
 def _train_single(config: RunConfig):

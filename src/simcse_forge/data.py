@@ -261,21 +261,25 @@ def sentences_of(examples) -> list[str]:
 
 @dataclass
 class Batch:
-    """One padded mini-batch: one ids/mask pair per sentence column (b_* and
-    c_* stay None when the schema has fewer) and the targets, if any."""
+    """One padded mini-batch: its ``views`` sentence columns stacked in
+    column order into one [views * B, T] ids/mask (rows ``j * B + i`` hold
+    column j of example i), padded to the longest sentence of any column,
+    and the targets, if any. One ``encode`` of the stacked rows serves every
+    column."""
 
-    token_ids: np.ndarray            # [B, T]
-    mask: np.ndarray                 # [B, T]
-    b_ids: np.ndarray | None = None
-    b_mask: np.ndarray | None = None
-    c_ids: np.ndarray | None = None
-    c_mask: np.ndarray | None = None
+    token_ids: np.ndarray            # [views * B, T]
+    mask: np.ndarray                 # [views * B, T]
+    views: int = 1
     target: np.ndarray | None = None
     guids: tuple[str | None, ...] = ()
 
+    # perfbench's batch counter still reads the per-column masks these names
+    # held before the columns were stacked; ``mask`` now covers every column
+    b_mask = c_mask = None
+
     @property
     def size(self) -> int:
-        return self.token_ids.shape[0]
+        return self.token_ids.shape[0] // self.views
 
 
 def pad_batch(token_lists) -> tuple[np.ndarray, np.ndarray]:
@@ -310,12 +314,11 @@ def make_batches(examples, batch_size: int, rng: Rng | None = None) -> list[Batc
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = order[start:start + batch_size]
-        # ids then mask for each sentence column, in Batch's field order
-        padded = [a for column in zip(*(e.tokens for e in chunk))
-                  for a in pad_batch(column)]
+        columns = list(zip(*(e.tokens for e in chunk)))
+        ids, mask = pad_batch([ts for column in columns for ts in column])
         target = (None if chunk[0].target is None
                   else np.array([e.target for e in chunk]))
-        batches.append(Batch(*padded, target=target,
+        batches.append(Batch(ids, mask, len(columns), target=target,
                              guids=tuple(e.guid for e in chunk)))
     return batches
 

@@ -5,8 +5,11 @@ Token + position embeddings, a stack of post-layer-norm transformer blocks
 by dropout, residual add and layer norm), and a pooled sentence embedding:
 either a tanh pooler over the [CLS] state or a mask-weighted mean.
 
-Sentence pairs are encoded with two separate passes; there is no segment
-embedding or joint-sequence mode.
+The two sentences of a pair are two sequences, with no segment embedding
+or joint-sequence mode. The trainers stack a batch's sentence columns, and
+SimCSE's dropout views, as row blocks of one [k*B, T] batch and encode it
+once (``training.encode_views``); rows never attend across sequences, so
+each block's pooled rows are its separate pass's to rounding.
 
 Padding-free layout: ``encode`` packs the [B, T] batch once (``pack``) into
 N rows, one per real token plus position 0 of every sequence, which CLS
@@ -475,7 +478,10 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     Every per-token op runs on the packed rows of ``pack(mask)``.
 
     Eval mode is a pure function of (token_ids, mask, params); train mode
-    consumes the rng at every dropout site.
+    consumes the rng at every dropout site, one mask per site over all the
+    packed rows in row order. So when the rows stack several views of the
+    same sentences, one after another, each view draws its own mask
+    entries, and the views differ as separate passes would.
 
     By default the pass computes only what ``pooled`` reads: the result's
     ``sequence`` is None, and under CLS pooling the last block runs only

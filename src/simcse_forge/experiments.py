@@ -95,11 +95,12 @@ def run_single_vs_multitask(xc: ExperimentConfig) -> list[MetricReport]:
     for task in TASKS:
         tc = xc.train_config(task)
         ck = train_single_task(tc, config, vocab, *datasets[task])
-        reports.append(report_row("single_task", task, ck, datasets[task][1], tc))
+        reports.append(report_row("single_task", task, ck, datasets[task][1],
+                                  xc.batch_size))
     tc = xc.train_config("sst")
     ck = train_multitask(tc, config, vocab, datasets)
-    return reports + [report_row("multitask", task, ck, datasets[task][1], tc)
-                      for task in TASKS]
+    return reports + [report_row("multitask", task, ck, datasets[task][1],
+                                 xc.batch_size) for task in TASKS]
 
 
 def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
@@ -118,8 +119,8 @@ def run_dropout_comparison(xc: ExperimentConfig) -> list[MetricReport]:
     for kind, policy in policies.items():
         config = xc.encoder_config(len(vocab), dropout=policy)
         ck = train_multitask(tc, config, vocab, datasets)
-        reports += [report_row(f"dropout_{kind}", task, ck, datasets[task][1], tc)
-                    for task in TASKS]
+        reports += [report_row(f"dropout_{kind}", task, ck, datasets[task][1],
+                               xc.batch_size) for task in TASKS]
     return reports
 
 
@@ -141,10 +142,10 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
         tc = xc.train_config(task)
         scratch = train_single_task(tc, config, vocab, *datasets[task])
         reports.append(report_row("no_transfer", task, scratch,
-                                  datasets[task][1], tc))
+                                  datasets[task][1], xc.batch_size))
         moved = transfer_finetune(source_ck, tc, *datasets[task])
         reports.append(report_row("with_transfer", task, moved,
-                                  datasets[task][1], tc))
+                                  datasets[task][1], xc.batch_size))
     return reports
 
 

@@ -3,6 +3,8 @@ contrastive stages, the 2-tier pipeline, and transfer fine-tuning.
 
 Single-task training is multitask training over one task (``_train_tasks``),
 and unsup and sup SimCSE share one contrastive body (``_train_contrastive``).
+Every step makes one ``encode`` call: a batch stacks its sentence columns or
+views (``data.Batch``), and ``encode_views`` splits the pooled rows back.
 Both run one optimizer loop, ``_fit``: it owns the rng, the starting weights,
 the AdamW state, the step counter, the loss totals, the best-dev selection
 and the stop on a non-finite loss or gradient norm; each trainer adds only
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
-from .data import (SYNTH_SCHEMAS, DataError, Vocab, make_batches, pad_batch,
-                   sentences_of, tokenize)
+from .data import (SYNTH_SCHEMAS, Batch, DataError, Vocab, make_batches,
+                   pad_batch, sentences_of, tokenize)
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
@@ -45,7 +47,9 @@ class TrainConfig(AdamWConfig):
     task: str = "sst"
     epochs: int = 10
     batch_size: int = 8
-    dropout_p: float | None = None    # per-stage override of the encoder policy
+    # per-stage override of the policy's rate p: standard and curriculum
+    # dropout take it; adaptive dropout never reads p and ignores it (open)
+    dropout_p: float | None = None
     sst_loss: str = "bce"             # bce against one-hot targets, or "ce"
     tau: float = 0.05
     seed: int = 0
@@ -87,40 +91,56 @@ def _require_train_set(train, what: str) -> None:
 
 # -- task forward passes ------------------------------------------------------------
 
-def task_loss(task: str, batch, params: ModelParams, config: EncoderConfig,
-              train_config: TrainConfig, mode: str = "train", step: int = 0,
-              rng: Rng | None = None):
-    """Scalar training loss for one batch of the given task."""
+def encode_views(batch: Batch, params: ModelParams, config: EncoderConfig,
+                 mode: str = "eval", step: int = 0,
+                 rng: Rng | None = None) -> list:
+    """One ``encode`` of a batch's stacked views, its pooled rows split back
+    into one [B, d] block per view, in view order.
+
+    In train mode each dropout site draws one mask over the packed rows of
+    every view, in view order. The blocks agree with separate passes per
+    view to rounding, not bit for bit: a matmul over more rows need not
+    round like one over a view's rows, and the attention buckets differ.
+    """
     pooled = encode(batch.token_ids, batch.mask, params, config,
                     mode=mode, step=step, rng=rng).pooled
+    if batch.views == 1:
+        return [pooled]
+    b, d = batch.size, pooled.shape[1]
+    return [ag.gather_rows(pooled, slice(j * b, (j + 1) * b), (b, d))
+            for j in range(batch.views)]
+
+
+def task_loss(task: str, batch: Batch, params: ModelParams, config: EncoderConfig,
+              train_config: TrainConfig, mode: str = "train", step: int = 0,
+              rng: Rng | None = None):
+    """Scalar training loss for one batch of the given task: one encode of
+    its stacked sentence columns (``encode_views``)."""
+    pooled = encode_views(batch, params, config, mode=mode, step=step, rng=rng)
     if task == "sst":
-        logits = sst_logits(pooled, params)
+        logits = sst_logits(pooled[0], params)
         if train_config.sst_loss == "bce":
             onehot = np.zeros((batch.size, 5))
             onehot[np.arange(batch.size), batch.target] = 1.0
             return bce_loss(logits, onehot)
         return ce_loss(logits, batch.target)
-    pooled_b = encode(batch.b_ids, batch.b_mask, params, config,
-                      mode=mode, step=step, rng=rng).pooled
     if task == "paraphrase":
-        logit = paraphrase_logit(pooled, pooled_b, params, config.para_features)
+        logit = paraphrase_logit(*pooled, params, config.para_features)
         return bce_loss(logit, batch.target.astype(np.float64))
-    scores = sts_score(pooled, pooled_b, config.sts_head, params)
-    return mse_loss(scores, batch.target)
+    return mse_loss(sts_score(*pooled, config.sts_head, params), batch.target)
 
 
-def predict(task: str, batch, params: ModelParams, config: EncoderConfig):
-    """Eval-mode predictions: class ids (sst), 0/1 (paraphrase), scores (sts)."""
+def predict(task: str, batch: Batch, params: ModelParams, config: EncoderConfig):
+    """Eval-mode predictions: class ids (sst), 0/1 (paraphrase), scores (sts),
+    from one encode of the batch's stacked sentence columns."""
     with ag.no_grad():
-        pooled = encode(batch.token_ids, batch.mask, params, config).pooled
+        pooled = encode_views(batch, params, config)
         if task == "sst":
-            return np.argmax(sst_logits(pooled, params).data, axis=1)
-        pooled_b = encode(batch.b_ids, batch.b_mask, params, config).pooled
+            return np.argmax(sst_logits(pooled[0], params).data, axis=1)
         if task == "paraphrase":
-            logit = paraphrase_logit(pooled, pooled_b, params,
-                                     config.para_features)
+            logit = paraphrase_logit(*pooled, params, config.para_features)
             return (logit.data > 0.0).astype(np.int64)
-        return sts_score(pooled, pooled_b, config.sts_head, params).data
+        return sts_score(*pooled, config.sts_head, params).data
 
 
 def predict_dataset(task: str, params: ModelParams, config: EncoderConfig,
@@ -152,10 +172,12 @@ def evaluate_task(task: str, params: ModelParams, config: EncoderConfig,
 
 
 def report_row(model: str, task: str, ck: Checkpoint, examples,
-               train_config: TrainConfig) -> MetricReport:
-    """One report row: ``ck`` scored on a dataset, tagged with its stage."""
+               batch_size: int) -> MetricReport:
+    """One report row: ``ck`` scored on a dataset, tagged with its stage.
+    It scores through ``evaluate_task``, the eval that perfbench's
+    ``training.eval`` span wraps."""
     name, value, n = evaluate_task(task, ck.params, ck.config, examples,
-                                   train_config)
+                                   TrainConfig(batch_size=batch_size))
     return MetricReport(model, task, name, value, n, stage=ck.stage)
 
 
@@ -306,8 +328,11 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     drawn at the end of the policy's schedule (step total_steps, where a
     curriculum rate has ramped up; the other regimes ignore the step).
 
-    A fixed seed pins the masks, so the number is comparable across calls
-    with different params (the training-progress axis).
+    Each chunk of sentences is stacked twice and encoded once in train mode
+    (``encode_views``), so the two views' masks are one draw per site over
+    the stacked rows. A fixed seed pins the masks, so the number is
+    comparable across calls with different params (the training-progress
+    axis).
     """
     if not token_lists:
         raise ValueError("alignment needs at least one sentence")
@@ -316,9 +341,9 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     sims: list[float] = []
     with ag.no_grad():
         for start in range(0, len(token_lists), _ALIGNMENT_BATCH):
-            ids, mask = pad_batch(token_lists[start:start + _ALIGNMENT_BATCH])
-            a, b = (encode(ids, mask, params, config, mode="train", step=step,
-                           rng=rng).pooled for _ in range(2))
+            chunk = token_lists[start:start + _ALIGNMENT_BATCH]
+            a, b = encode_views(Batch(*pad_batch(chunk * 2), views=2), params,
+                                config, mode="train", step=step, rng=rng)
             sims.extend(cosine(a, b).data.tolist())
     return float(np.mean(sims))
 
@@ -333,27 +358,28 @@ def _train_contrastive(stage: str, train_config: TrainConfig,
                        params: ModelParams, epoch_batches, loss,
                        dev_token_lists) -> Checkpoint:
     """The one body behind both contrastive stages: fine-tunes given weights
-    and returns the final ones. Each batch is a list of (ids, mask) views of
-    the same rows, each encoded in train mode, in order, for loss(*pooled,
-    tau). The first step whose first two pooled views are bitwise equal logs
-    one warning: dropout drew no noise (standard p=0, curriculum at rate 0
-    as at step 0, or adaptive with every keep probability at 1.0). With
-    dev_token_lists, each history row takes their dev_alignment.
+    and returns the final ones. Each batch stacks its views of the same rows
+    (a ``Batch``), encoded once in train mode (``encode_views``) for
+    loss(*pooled views, tau). The first step whose first two pooled views
+    are bitwise equal logs one warning: dropout drew no noise (standard p=0,
+    curriculum at rate 0 as at step 0, or adaptive with every keep
+    probability at 1.0). With dev_token_lists, each history row takes their
+    dev_alignment.
     """
     if params is None:
         raise ValueError(f"{stage} fine-tunes existing weights; params is required")
     warned = False
 
-    def batch_loss(views, params, config, step, rng):
+    def batch_loss(batch, params, config, step, rng):
         nonlocal warned
-        pooled = [encode(ids, mask, params, config, mode="train", step=step,
-                         rng=rng).pooled for ids, mask in views]
+        pooled = encode_views(batch, params, config, mode="train", step=step,
+                              rng=rng)
         if not warned and np.array_equal(pooled[0].data, pooled[1].data):
             logger.warning("%s step %d: the first two %s dropout views are "
                            "identical and carry no contrastive signal",
                            stage, step, config.dropout.kind)
             warned = True
-        return loss(*pooled, train_config.tau), len(views[0][0])
+        return loss(*pooled, train_config.tau), batch.size
 
     def dev_fields(params, config):
         if not dev_token_lists:
@@ -369,7 +395,8 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                        vocab: Vocab | None, token_lists, params: ModelParams,
                        dev_token_lists=None) -> Checkpoint:
     """Contrastive fine-tuning of given weights, dropout as the augmentation:
-    each batch is encoded twice in train mode and the two views are positives.
+    each batch is stacked twice and encoded once in train mode, and the two
+    views of a sentence are positives.
 
     In-batch negatives need two sentences in a batch, so a batch_size below 2
     is a ValueError and a pool below 2 sentences a DataError: either would
@@ -394,7 +421,7 @@ def train_unsup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
                 logger.warning("skipping size-1 batch at step %d "
                                "(in-batch negatives need N >= 2)", step)
                 continue
-            yield [pad_batch(chunk)] * 2
+            yield Batch(*pad_batch(chunk * 2), views=2)
             step += 1
 
     return _train_contrastive("unsup_simcse", train_config, encoder_config,
@@ -414,8 +441,7 @@ def train_sup_simcse(train_config: TrainConfig, encoder_config: EncoderConfig,
     _require_train_set(triplets, "sup_simcse")
 
     def batches(rng, step):
-        return ([(b.token_ids, b.mask), (b.b_ids, b.b_mask), (b.c_ids, b.c_mask)]
-                for b in make_batches(triplets, train_config.batch_size, rng))
+        return make_batches(triplets, train_config.batch_size, rng)
 
     return _train_contrastive("sup_simcse", train_config, encoder_config,
                               vocab, params, batches, sup_simcse_loss,
@@ -457,7 +483,8 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     def stage(init_hash: str, ck: Checkpoint) -> ModelParams:
         """Record one finished stage; returns its weights for the next."""
         history.extend(ck.history)
-        reports.append(report_row("two_tier", "sts", ck, sts_dev, tt.stage1))
+        reports.append(report_row("two_tier", "sts", ck, sts_dev,
+                                  tt.stage1.batch_size))
         history.append({"stage": ck.stage, "summary": True,
                         "init_hash": init_hash, "final_hash": params_hash(ck.params),
                         "dev_pearson": reports[-1].value})

@@ -10,6 +10,8 @@ purpose, regenerate that file with
 
     python tests/golden_matrix.py --write
 
+which prints the runs whose bytes changed against the file it replaces.
+
 It pins one BLAS thread before numpy loads, since training bytes depend
 on the BLAS thread count, and imports the package from this checkout's
 ``src``.
@@ -168,15 +170,32 @@ def run_matrix(tmp: Path) -> dict:
     return runs
 
 
+def changed_runs(old: dict, new: dict) -> list[str]:
+    """The runs of new whose bytes differ from old's, or that old lacks,
+    then the runs old has and new lacks."""
+    def digest(entry):
+        return {k: v for k, v in entry.items() if k.endswith(("_hash", "_sha256"))}
+
+    moved = [name for name, entry in new["runs"].items()
+             if digest(entry) != digest(old["runs"].get(name, {}))]
+    return moved + [name for name in old["runs"] if name not in new["runs"]]
+
+
 def main_() -> None:
     logging.basicConfig(level=logging.ERROR)
     with tempfile.TemporaryDirectory() as tmp:
         result = {"build": blas_build(), "runs": run_matrix(Path(tmp))}
     text = json.dumps(result, indent=1, sort_keys=True) + "\n"
-    if "--write" in sys.argv[1:]:
-        GOLDEN.write_text(text, encoding="utf-8")
-    else:
+    if "--write" not in sys.argv[1:]:
         sys.stdout.write(text)
+        return
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() \
+        else {"runs": {}}
+    moved = changed_runs(old, result)
+    GOLDEN.write_text(text, encoding="utf-8")
+    print(f"{len(moved)} of {len(result['runs'])} runs changed bytes:")
+    for name in moved:
+        print(f"  {name}")
 
 
 if __name__ == "__main__":

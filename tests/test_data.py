@@ -249,10 +249,16 @@ def test_make_batches_no_loss_no_duplication(vocab):
 def test_make_batches_variants(vocab):
     pairs = [Example("pair_scored", "a", ("x", "y"), [[1, 4, 2], [1, 2]], 3.0)]
     (b,) = make_batches(pairs, 2)
-    assert b.b_ids is not None and b.target is not None
-    trip = [Example("triplet", None, ("x", "y", "z"), [[1, 2], [1, 5, 2], [1, 2]])]
-    (t,) = make_batches(trip, 1)
-    assert t.c_ids is not None and t.c_ids.shape == (1, 2)
+    assert (b.views, b.size) == (2, 1) and b.target is not None
+    # side a, then side b, padded to the longest sentence of either
+    assert b.token_ids.tolist() == [[1, 4, 2], [1, 2, 0]]
+    assert b.mask.tolist() == [[1, 1, 1], [1, 1, 0]]
+    trip = [Example("triplet", None, ("x", "y", "z"), [[1, 2], [1, 5, 2], [1, 2]])
+            for _ in range(2)]
+    (t,) = make_batches(trip, 2)
+    assert (t.views, t.size, t.target) == (3, 2, None)
+    # anchors, positives, hard negatives
+    assert t.token_ids.tolist() == [[1, 2, 0]] * 2 + [[1, 5, 2]] * 2 + [[1, 2, 0]] * 2
     with pytest.raises(DataError, match="mixed"):
         make_batches([pairs[0], trip[0]], 2)
     with pytest.raises(ValueError, match="batch_size"):

@@ -795,4 +795,4 @@ def test_one_attention_node_per_layer_and_encode(monkeypatch):
     monkeypatch.setattr(ag.Tensor, "backward", counted)
     tc = training.TrainConfig(task="sts", epochs=1, batch_size=len(pool), lr=1e-3)
     training.train_unsup_simcse(tc, cfg, vocab, pool, init_params(cfg, Rng(0)))
-    assert counts == [2 * cfg.num_layers]       # two encodes per contrastive step
+    assert counts == [cfg.num_layers]       # one encode of both views per step

@@ -134,7 +134,8 @@ def test_unsup_run_pins_the_cls_only_node_count(layers, monkeypatch):
     a = Tensor(Rng(1).normal((BATCH, config.hidden_dim)), requires_grad=True)
     b = Tensor(Rng(2).normal((BATCH, config.hidden_dim)), requires_grad=True)
     loss_nodes = tracing._graph_nodes(unsup_simcse_loss(a, b))
-    assert counts == [2 * cls_only_nodes_per_encode(layers) + loss_nodes] * 2
+    # one encode of both views, then one row-block gather per view
+    assert counts == [cls_only_nodes_per_encode(layers) + 2 + loss_nodes] * 2
 
     ids, mask = pad_batch(pool[:BATCH])
     params = init_params(config, Rng(0))

@@ -178,6 +178,38 @@ def test_gelu_close_to_pow_cube():
     assert 0 < np.count_nonzero(out != ref_out) < x.size // 10
 
 
+def _gelu_cases():
+    """GELU inputs around the 128-row block: 0-d, empty, 1/127/128/129/300
+    rows, a 3-D input whose rows cross a block edge, and a transposed
+    (non-contiguous) one."""
+    cases = {"0d": inputs(())[0], "empty": inputs((0, 40))[0],
+             "empty-width": inputs((4, 0))[0]}
+    for rows in (1, 127, 128, 129, 300):
+        cases[f"{rows}-rows"] = inputs((rows, 40), seed=rows)[0]
+    cases["3d"] = inputs((3, 50, 40), seed=6)[0]
+    cases["3d-transposed"] = inputs((4, 40, 75), seed=7)[0].transpose(0, 2, 1)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_gelu_cases()))
+def test_blocked_gelu_matches_the_whole_array_formula_bits(name):
+    x = _gelu_cases()[name]
+    x.flags.writeable = False
+    g = frozen(Rng(8).normal(x.shape))
+    ref_out, ref_gx = ref_gelu(x, g, lambda v: v * v * v)
+    for grad in (True, False):
+        t = Tensor(0.0, requires_grad=grad)
+        t.data = x                  # keep x's layout; Tensor() would copy it
+        y = ag.gelu(t)
+        assert same_bits(y.data, ref_out) and y.data.flags.c_contiguous
+        if grad:
+            (gx,) = y.node.backward_fn(g)
+            assert same_bits(gx, ref_gx)
+        with ag.no_grad():
+            assert same_bits(ag.gelu(t).data, ref_out)
+    assert name != "3d-transposed" or not x.flags.c_contiguous
+
+
 def test_gelu_0d_returns_arrays():
     out, gx = run_unary(ag.gelu, np.array(-1.5), np.array(2.0))
     assert isinstance(out, np.ndarray) and out.shape == ()
