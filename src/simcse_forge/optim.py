@@ -74,19 +74,68 @@ class AdamWConfig:
 
 @dataclass
 class AdamWState:
-    """First/second moment buffers keyed by parameter name, plus the step count."""
+    """First/second moment buffers keyed by parameter name, plus the step
+    count. ``m[name]`` and ``v[name]`` are views of the flat moment vectors
+    that ``adamw_step`` updates in place (see ``_FlatBuffers``)."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    flat: "_FlatBuffers | None" = field(default=None, repr=False, compare=False)
+
+
+class _FlatBuffers:
+    """Flat data, m and v vectors over the tensors that have a gradient.
+
+    Matrices (ndim >= 2) come first, so weight decay reads one leading slice.
+    Each tensor's ``.data`` and its ``m``/``v`` entries become views of the
+    flat vectors, so one whole-array update moves them all. A tensor outside
+    the set keeps its arrays, and its moments stay in ``m``/``v``.
+    """
+
+    __slots__ = ("order", "views", "data", "m", "v", "decayed")
+
+    def __init__(self, active: list[tuple[str, Tensor]], state: AdamWState):
+        # positions in active, matrices first (a stable sort)
+        self.order = sorted(range(len(active)), key=lambda i: active[i][1].ndim < 2)
+        tensors = [active[i] for i in self.order]
+        self.decayed = sum(p.size for _, p in tensors if p.ndim >= 2)
+        for name, p in tensors:
+            if name in state.m and state.m[name].shape != p.shape:
+                raise ValueError(f"AdamW moments of {name} have shape "
+                                 f"{list(state.m[name].shape)}, its data {list(p.shape)}")
+        self.data = np.concatenate([p.data.reshape(-1) for _, p in tensors],
+                                   dtype=np.float64)
+        self.m, self.v = (np.concatenate([moments[name].reshape(-1) if name in moments
+                                          else np.zeros(p.size) for name, p in tensors])
+                          for moments in (state.m, state.v))
+        offset = 0
+        for name, p in tensors:
+            part = slice(offset, offset + p.size)
+            offset = part.stop
+            shape = p.shape
+            p.data = self.data[part].reshape(shape)
+            state.m[name] = self.m[part].reshape(shape)
+            state.v[name] = self.v[part].reshape(shape)
+        self.views = [(name, p.data) for name, p in active]
+
+    def serves(self, active: list[tuple[str, Tensor]]) -> bool:
+        """Whether active names the same tensors in the same order, each
+        ``.data`` still the view handed out here (not rebound by a caller)."""
+        return len(active) == len(self.views) and all(
+            name == kept and p.data is view
+            for (name, p), (kept, view) in zip(active, self.views))
+
+
+def _norm(flat: np.ndarray) -> float:
+    # an elementwise square and numpy's pairwise sum, not a BLAS dot, so the
+    # result does not depend on the BLAS thread count
+    return float(np.sqrt((flat * flat).sum()))
 
 
 def global_grad_norm(named_params: list[tuple[str, Tensor]]) -> float:
-    total = 0.0
-    for _, p in named_params:
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    return float(np.sqrt(total))
+    grads = [p.grad.reshape(-1) for _, p in named_params if p.grad is not None]
+    return _norm(np.concatenate(grads)) if grads else 0.0
 
 
 def adamw_step(named_params: list[tuple[str, Tensor]], state: AdamWState,
@@ -94,32 +143,38 @@ def adamw_step(named_params: list[tuple[str, Tensor]], state: AdamWState,
     """One optimizer step over (name, tensor) pairs; returns the pre-clip
     global gradient norm. Parameters with .grad None are skipped entirely
     (their moments do not advance). Gradient arrays are never mutated.
-    """
-    norm = global_grad_norm(named_params)
-    scale = 1.0
-    if config.clip_norm is not None and norm > config.clip_norm:
-        scale = config.clip_norm / (norm + 1e-12)
 
+    The step is a fixed number of whole-array operations on the flat
+    vectors of ``state.flat``, whatever the number of tensors. They are
+    rebuilt only when the set of tensors with a gradient changes or a caller
+    has rebound a ``.data``. Each element takes the same operations in the
+    same order as a per-tensor update, so only the norm's summation order
+    (and with it a clipped step's scale) differs from one.
+    """
+    active = [(name, p) for name, p in named_params if p.grad is not None]
     state.step += 1
+    if not active:
+        return 0.0
+    flat = state.flat
+    if flat is None or not flat.serves(active):
+        flat = state.flat = _FlatBuffers(active, state)
+    g = np.concatenate([active[i][1].grad.reshape(-1) for i in flat.order])
+    norm = _norm(g)
+    if config.clip_norm is not None and norm > config.clip_norm:
+        g *= config.clip_norm / (norm + 1e-12)
+
     t = state.step
     bc1 = 1.0 - config.beta1 ** t
     bc2 = 1.0 - config.beta2 ** t
-
-    for name, p in named_params:
-        if p.grad is None:
-            continue
-        g = p.grad * scale if scale != 1.0 else p.grad
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-        if config.weight_decay > 0.0 and p.data.ndim >= 2:
-            update = update + config.weight_decay * p.data
-        p.data = p.data - config.lr * update
+    flat.m *= config.beta1
+    flat.m += (1.0 - config.beta1) * g
+    g *= g
+    flat.v *= config.beta2
+    flat.v += (1.0 - config.beta2) * g
+    update = flat.m / bc1
+    update /= np.sqrt(flat.v / bc2) + config.eps
+    if config.weight_decay > 0.0 and flat.decayed:
+        update[:flat.decayed] += config.weight_decay * flat.data[:flat.decayed]
+    update *= config.lr
+    flat.data -= update
     return norm

@@ -219,3 +219,127 @@ def test_grad_arrays_not_mutated():
     p.grad = g
     adamw_step([("p", p)], AdamWState(), AdamWConfig(lr=0.1, clip_norm=0.1))
     assert np.array_equal(g, [0.5, -0.5])
+
+
+# -- the flat-buffer step against the per-tensor loop it replaced -------------------
+
+def per_tensor_adamw(named_params, state, config):
+    """The per-tensor AdamW loop that ``adamw_step`` replaced, as its oracle:
+    twelve-odd numpy calls per tensor, a Python sum of per-tensor norms."""
+    total = 0.0
+    for _, p in named_params:
+        if p.grad is not None:
+            total += float((p.grad * p.grad).sum())
+    norm = float(np.sqrt(total))
+    scale = 1.0
+    if config.clip_norm is not None and norm > config.clip_norm:
+        scale = config.clip_norm / (norm + 1e-12)
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - config.beta1 ** t
+    bc2 = 1.0 - config.beta2 ** t
+    for name, p in named_params:
+        if p.grad is None:
+            continue
+        g = p.grad * scale if scale != 1.0 else p.grad
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = config.beta1 * m + (1.0 - config.beta1) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * (g * g)
+        state.m[name] = m
+        state.v[name] = v
+        update = (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        if config.weight_decay > 0.0 and p.data.ndim >= 2:
+            update = update + config.weight_decay * p.data
+        p.data = p.data - config.lr * update
+    return norm
+
+
+# ndim 0, 1 and 2, matrices interleaved with vectors and scalars
+SHAPES = {"w": (3, 4), "b": (4,), "alpha": (), "table": (5, 2), "gamma": (2,),
+          "k": (2, 2, 3)}
+# the tensors with a gradient at each step; the set changes between steps
+ACTIVE = [set(SHAPES), {"w", "b"}, {"w", "alpha", "table"}, set(SHAPES),
+          {"b", "k", "gamma"}, set(SHAPES)]
+
+
+def _twin_params(seed=0):
+    rng = np.random.default_rng(seed)
+    values = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
+    return ([(name, Tensor(values[name], requires_grad=True)) for name in SHAPES],
+            [(name, Tensor(values[name], requires_grad=True)) for name in SHAPES])
+
+
+def _run_twins(config, rebind_at=None, steps=ACTIVE, seed=0):
+    flat_params, loop_params = _twin_params(seed)
+    flat_state, loop_state = AdamWState(), AdamWState()
+    rng = np.random.default_rng(seed + 1)
+    for i, names in enumerate(steps):
+        if i == rebind_at:
+            fresh = rng.normal(size=SHAPES["w"])
+            flat_params[0][1].data = fresh.copy()
+            loop_params[0][1].data = fresh.copy()
+        for (name, p), (_, q) in zip(flat_params, loop_params):
+            grad = rng.normal(size=SHAPES[name]) if name in names else None
+            p.grad, q.grad = grad, None if grad is None else grad.copy()
+        norms = (adamw_step(flat_params, flat_state, config),
+                 per_tensor_adamw(loop_params, loop_state, config))
+        assert norms[0] == pytest.approx(norms[1], rel=1e-15)
+    return flat_params, flat_state, loop_params, loop_state
+
+
+def _assert_twins(flat_params, flat_state, loop_params, loop_state, rtol):
+    assert flat_state.step == loop_state.step
+    assert set(flat_state.m) == set(loop_state.m) == set(flat_state.v)
+    pairs = [(p.data, q.data) for (_, p), (_, q) in zip(flat_params, loop_params)]
+    pairs += [(flat_state.m[n], loop_state.m[n]) for n in loop_state.m]
+    pairs += [(flat_state.v[n], loop_state.v[n]) for n in loop_state.v]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if rtol == 0.0:
+            assert got.tobytes() == want.tobytes()
+        else:   # relative to the array's largest element
+            assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_flat_step_is_bit_equal_to_the_per_tensor_loop_without_clipping():
+    config = AdamWConfig(lr=0.05, weight_decay=0.1)
+    _assert_twins(*_run_twins(config), rtol=0.0)
+
+
+def test_flat_step_matches_the_per_tensor_loop_with_clipping():
+    config = AdamWConfig(lr=0.05, weight_decay=0.1, clip_norm=0.5)
+    _assert_twins(*_run_twins(config), rtol=1e-15)
+
+
+def test_flat_step_picks_up_a_rebound_data_array():
+    config = AdamWConfig(lr=0.05, weight_decay=0.1)
+    flat_params, *rest = _run_twins(config, rebind_at=3)
+    _assert_twins(flat_params, *rest, rtol=0.0)
+
+
+def test_flat_step_data_and_moments_are_views_of_the_flat_buffers():
+    config = AdamWConfig(lr=0.05, weight_decay=0.1)
+    flat_params, state, _, _ = _run_twins(config, steps=ACTIVE[:1])
+    for name, p in flat_params:
+        assert np.shares_memory(p.data, state.flat.data)
+        assert np.shares_memory(state.m[name], state.flat.m)
+        assert np.shares_memory(state.v[name], state.flat.v)
+
+
+def test_all_none_gradients_change_no_parameter():
+    config = AdamWConfig(lr=0.05, weight_decay=0.1)
+    flat_params, state, _, _ = _run_twins(config, steps=ACTIVE[:2])
+    before = [p.data.copy() for _, p in flat_params]
+    moments = {n: (state.m[n].copy(), state.v[n].copy()) for n in state.m}
+    for _, p in flat_params:
+        p.grad = None
+    assert adamw_step(flat_params, state, config) == 0.0
+    for (_, p), old in zip(flat_params, before):
+        assert p.data.tobytes() == old.tobytes()
+    for n, (m, v) in moments.items():
+        assert state.m[n].tobytes() == m.tobytes()
+        assert state.v[n].tobytes() == v.tobytes()
