@@ -5,8 +5,12 @@ classifier for sentiment, a linear classifier over pair features for
 paraphrase detection, and five similarity heads for the 0-5 STS score.
 They read their weights from the model's parameter table by name
 (``heads.sst.weight`` ...; see ``encoder.param_spec``).
-Losses: numerically stable BCE, MSE, and the two contrastive objectives
-(in-batch negatives, optionally with hard negatives).
+Losses: numerically stable BCE, MSE, softmax cross entropy, and the two
+contrastive objectives (in-batch negatives, optionally with hard negatives).
+Each checks its targets' shape (``ShapeMismatchError``) and range
+(``ValueError``). The contrastive objectives are one graph node, InfoNCE
+over cosine similarities, with a hand-written backward: a fixed number of
+whole-array numpy calls whatever the number of candidate batches.
 """
 
 from __future__ import annotations
@@ -112,9 +116,20 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 def ce_loss(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross entropy of [N, K] logits against integer class
-    labels: log-sum-exp of each row minus its label's logit."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return (_logsumexp_rows(logits) - logits[np.arange(logits.shape[0]), labels]).mean()
+    labels of shape [N] in 0..K-1: log-sum-exp of each row minus its
+    label's logit."""
+    logits = ag.as_tensor(logits)
+    raw = np.asarray(labels)
+    if logits.ndim != 2 or raw.shape != logits.shape[:1]:
+        raise ag.ShapeMismatchError(
+            f"ce labels shape {list(raw.shape)} does not match logits shape "
+            f"{list(logits.shape)} (labels [N] for logits [N, K])")
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ValueError(f"ce labels must be integers, got dtype {raw.dtype}")
+    if np.any(raw < 0) or np.any(raw >= logits.shape[1]):
+        raise ValueError(f"ce labels must lie in 0..{logits.shape[1] - 1}")
+    rows = np.arange(logits.shape[0])
+    return (_logsumexp_rows(logits) - logits[rows, raw.astype(np.int64)]).mean()
 
 
 def _logsumexp_rows(x: Tensor) -> Tensor:
@@ -123,24 +138,57 @@ def _logsumexp_rows(x: Tensor) -> Tensor:
     return ag.log(ag.exp(x - Tensor(m)).sum(axis=-1)) + Tensor(m[:, 0])
 
 
-def _normalize_rows(h: Tensor) -> Tensor:
-    n2 = (h * h).sum(axis=-1, keepdims=True)
-    if np.any(n2.data <= 0.0):
-        raise ZeroNormError("contrastive loss over a zero-norm embedding")
-    return h / ag.sqrt(n2)
-
-
 # -- contrastive losses -----------------------------------------------------------
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x's rows scaled to unit length, and the [N, 1] row norms."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    if np.any(norm <= 0.0):
+        raise ZeroNormError("contrastive loss over a zero-norm embedding")
+    return x / norm, norm
+
+
+def _unit_rows_grad(g: np.ndarray, unit: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Gradient for x from the gradient g of x / ||x|| (row-wise)."""
+    return (g - unit * (g * unit).sum(axis=-1, keepdims=True)) / norm
+
 
 def _info_nce(h: Tensor, candidates, tau: float) -> Tensor:
     """Mean InfoNCE over cosine similarities / tau: row i's positive is row
     i of the first candidate batch, every other candidate row a negative,
-    so it is the cross entropy of the similarity rows against labels 0..N-1."""
-    hn = _normalize_rows(h)
-    sims = [matmul(hn, ag.transpose(_normalize_rows(c))) * (1.0 / tau)
-            for c in candidates]
-    sim = sims[0] if len(sims) == 1 else concat(sims, axis=1)
-    return ce_loss(sim, np.arange(h.shape[0]))
+    so it is the cross entropy of the similarity rows against labels 0..N-1.
+
+    One graph node (op "info_nce") whatever the number of candidate
+    batches, each of which must have h's [N, d] shape. The backward is
+    written by hand: dS = (softmax(S) - onehot) * g / N for the logits S,
+    1/tau of that for the cosines, then through both row normalizations.
+    """
+    h = ag.as_tensor(h)
+    candidates = [ag.as_tensor(c) for c in candidates]
+    hn, h_norm = _unit_rows(h.data)
+    for c in candidates:
+        if h.ndim != 2 or c.shape != h.shape:
+            raise ag.ShapeMismatchError(
+                f"contrastive candidates must match the anchors' [N, d] shape "
+                f"{list(h.shape)}, got {list(c.shape)}")
+    n, k = h.shape[0], len(candidates)
+    cn, c_norm = _unit_rows(np.concatenate([c.data for c in candidates]))
+    sim = matmul(ag._wrap(hn), ag._wrap(cn.T)).data * (1.0 / tau)
+    peak = sim.max(axis=-1, keepdims=True)
+    e = np.exp(sim - peak)
+    total = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(n)
+    loss = (np.log(total[:, 0]) + peak[:, 0] - sim[rows, rows]).mean()
+
+    def backward(g):
+        d_cos = e / total
+        d_cos[rows, rows] -= 1.0
+        d_cos *= g * (1.0 / (n * tau))
+        gh = _unit_rows_grad(d_cos @ cn, hn, h_norm)
+        gc = _unit_rows_grad(d_cos.T @ hn, cn, c_norm)
+        return (gh, *(gc[j * n:(j + 1) * n] for j in range(k)))
+
+    return ag._make(loss, (h, *candidates), backward, "info_nce")
 
 
 def unsup_simcse_loss(h: Tensor, h_plus: Tensor, tau: float = 0.05) -> Tensor:
