@@ -4,6 +4,12 @@ The decay term is applied directly to the parameter (lr * wd * theta),
 outside the gradient-moment machinery, and is skipped for vectors and
 scalars (biases, layer-norm parameters, the adaptive-dropout scalars) —
 only matrices and embedding tables shrink.
+
+A step is a fixed number of whole-array numpy operations, whatever the
+number of tensors: the gradients that exist are concatenated into one
+vector (gradient arrays are never mutated), and the moments and the
+parameters live in flat vectors that the step updates in place. Each
+parameter's ``.data`` and its ``m``/``v`` entries are views of them.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ class AdamWState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    flat: "_FlatBuffers | None" = field(default=None, repr=False, compare=False)
+    flat: "_FlatBuffers | None" = field(default=None, repr=False)
 
 
 class _FlatBuffers:
@@ -100,10 +106,6 @@ class _FlatBuffers:
         self.order = sorted(range(len(active)), key=lambda i: active[i][1].ndim < 2)
         tensors = [active[i] for i in self.order]
         self.decayed = sum(p.size for _, p in tensors if p.ndim >= 2)
-        for name, p in tensors:
-            if name in state.m and state.m[name].shape != p.shape:
-                raise ValueError(f"AdamW moments of {name} have shape "
-                                 f"{list(state.m[name].shape)}, its data {list(p.shape)}")
         self.data = np.concatenate([p.data.reshape(-1) for _, p in tensors],
                                    dtype=np.float64)
         self.m, self.v = (np.concatenate([moments[name].reshape(-1) if name in moments
@@ -113,10 +115,9 @@ class _FlatBuffers:
         for name, p in tensors:
             part = slice(offset, offset + p.size)
             offset = part.stop
-            shape = p.shape
-            p.data = self.data[part].reshape(shape)
-            state.m[name] = self.m[part].reshape(shape)
-            state.v[name] = self.v[part].reshape(shape)
+            p.data = self.data[part].reshape(p.shape)
+            state.m[name] = self.m[part].reshape(p.shape)
+            state.v[name] = self.v[part].reshape(p.shape)
         self.views = [(name, p.data) for name, p in active]
 
     def serves(self, active: list[tuple[str, Tensor]]) -> bool:
