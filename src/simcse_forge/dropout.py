@@ -3,9 +3,11 @@ ramps the rate up from zero, and activation-conditioned (standout-style)
 adaptive dropout.
 
 All three sit behind ``apply_dropout``, which the encoder calls at every
-dropout site. Train-mode masks come from the caller's Rng stream, so two
-consecutive calls on the same input draw different masks; that difference is
-the data augmentation the unsupervised contrastive objective relies on.
+dropout site. A train-mode site takes one key from the caller's Rng stream,
+so two consecutive calls on the same input draw different masks; that
+difference is the data augmentation the unsupervised contrastive objective
+relies on. Row i's mask is a function of the key and ``rows[i]``, the
+number the caller gives it (the encoder: its slot), not of the other rows.
 """
 
 from __future__ import annotations
@@ -69,21 +71,11 @@ def _masked(x: Tensor, kept: np.ndarray, scale: float, pi: Tensor | None = None)
     return ag._make(x.data * np.where(kept, scale, 0.0), parents, backward, "dropout")
 
 
-def _site_shape(x: Tensor, part) -> tuple[int, ...]:
-    """The whole site's shape: x's, or (n, ...) when part=(index, n) says x
-    holds only rows index of an n-row site."""
-    return x.shape if part is None else (part[1], *x.shape[1:])
-
-
 def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
-                     part=None) -> Tensor:
+                     rows=None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
     by 1/(1-p) so the expected output equals the input. Identity in eval mode.
-
-    part=(index, n) says x holds only rows index of an n-row site: the mask
-    is drawn over all n rows, as for the whole site, and its picked rows are
-    kept. The draw returns every row, so perfbench's ``rng.mask_units``
-    counts the whole site.
+    rows keys x's rows (default 0..len(x)-1), as in ``Rng.bernoulli``.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
@@ -92,8 +84,7 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
-    kept = rng.bernoulli(keep, _site_shape(x, part), dtype=bool)
-    return _masked(x, kept if part is None else kept[part[0]], 1.0 / keep)
+    return _masked(x, rng.bernoulli(keep, x.shape, dtype=bool, rows=rows), 1.0 / keep)
 
 
 def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
@@ -109,7 +100,7 @@ def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
 def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
                      mode: str, rng: Rng | None,
                      alpha: Tensor | None = None, beta: Tensor | None = None,
-                     part=None) -> Tensor:
+                     rows=None) -> Tensor:
     """Standout-style dropout: keep probability pi_j = sigmoid(alpha*a_j + beta)
     per unit, from that unit's pre-dropout activation a_j.
 
@@ -117,10 +108,8 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
     multiplies by pi, the mask's expectation, because pi is input-dependent
     and there is no single rescaling constant. alpha and beta are learnable;
     in train mode they receive straight-through gradients: pi gets that of
-    x*pi, while the value and x's gradient use the sampled mask.
-
-    part=(index, n) as in ``standard_dropout``; pi exists for the picked
-    rows alone, so the draw compares only those (``Rng.bernoulli(rows=)``).
+    x*pi, while the value and x's gradient use the sampled mask. rows as in
+    ``standard_dropout``.
     """
     if alpha is None:
         alpha = Tensor(policy.alpha)
@@ -131,21 +120,16 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
         return x * pi
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    kept = rng.bernoulli(pi.data, _site_shape(x, part), dtype=bool,
-                         rows=None if part is None else part[0])
-    return _masked(x, kept, 1.0, pi)
+    return _masked(x, rng.bernoulli(pi.data, x.shape, dtype=bool, rows=rows), 1.0, pi)
 
 
 def apply_dropout(x: Tensor, policy: DropoutPolicy, mode: str, step: int,
                   rng: Rng | None, alpha: Tensor | None = None,
-                  beta: Tensor | None = None, part=None) -> Tensor:
-    """Dispatch one dropout site through the configured regime.
-
-    part=(index, n): x is rows index of an n-row site, whose mask is drawn
-    as for all n rows, so the rng stream advances exactly as at a full site.
-    """
+                  beta: Tensor | None = None, rows=None) -> Tensor:
+    """Dispatch one dropout site through the configured regime; rows keys
+    x's rows, as in ``standard_dropout``."""
     if policy.kind == "standard":
-        return standard_dropout(x, policy.p, mode, rng, part)
+        return standard_dropout(x, policy.p, mode, rng, rows)
     if policy.kind == "curriculum":
-        return standard_dropout(x, curriculum_rate(step, policy), mode, rng, part)
-    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta, part=part)
+        return standard_dropout(x, curriculum_rate(step, policy), mode, rng, rows)
+    return adaptive_dropout(x, x, policy, mode, rng, alpha=alpha, beta=beta, rows=rows)

@@ -16,15 +16,17 @@ N rows, one per real token plus position 0 of every sequence, which CLS
 pooling reads even when it is masked. Embeddings, every dropout site, the
 projections, residual adds, layer norms, the GELU feed-forward and pooling
 run on [N, d] rows. Train-mode dropout masks are therefore drawn over
-packed rows only, and the token states of ``encode(..., sequence=True)``
-are zero at the slots the packing skips.
+packed rows only, each keyed by its row's slot b * max_seq_len + t
+(``Rng.bernoulli``), so a sentence's masks do not depend on the other rows
+of its batch. The token states of ``encode(..., sequence=True)`` are zero
+at the slots the packing skips.
 
 CLS-only last block: by default ``encode`` computes only what ``pooled``
 reads, and every caller in the package (the training losses, ``predict``,
 ``dropout_alignment`` and ``embed``) uses that default. Under CLS pooling
 the last block then runs K and V over all N rows and everything else over
-the B [CLS] rows (``Packing.cls``), drawing each dropout mask as for all N
-rows so the rng stream is unchanged. ``sequence=True`` asks for the token
+the B [CLS] rows (``Packing.cls``), whose dropout masks are keyed by their
+slots as in the full pass. ``sequence=True`` asks for the token
 states and runs the full last block; the two passes agree on ``pooled`` to
 rounding (1e-12 relative), not bit for bit.
 
@@ -179,10 +181,15 @@ def init_params(config: EncoderConfig, rng: Rng) -> ModelParams:
 
 
 def _site_dropout(x: Tensor, params: ModelParams, config: EncoderConfig,
-                  mode: str, step: int, rng: Rng | None, part=None) -> Tensor:
-    return apply_dropout(x, config.dropout, mode, step, rng,
-                         alpha=params["adaptive.alpha"], beta=params["adaptive.beta"],
-                         part=part)
+                  mode: str, step: int, rng: Rng | None, rows=None) -> Tensor:
+    return apply_dropout(x, config.dropout, mode, step, rng, alpha=params["adaptive.alpha"],
+                         beta=params["adaptive.beta"], rows=rows)
+
+
+def _slots(packing: Packing, config: EncoderConfig, mode: str) -> np.ndarray | None:
+    """Each packed row's train-mode mask key: its slot b * max_seq_len + t.
+    None in eval mode, which draws nothing."""
+    return None if mode == "eval" else packing.seqs * config.max_seq_len + packing.positions
 
 
 # The cost of one more attention bucket, in score entries (n * T^2, each over
@@ -356,7 +363,7 @@ def embed(token_ids, packing: Packing, params: ModelParams, config: EncoderConfi
     tok = embedding(params["token_embeddings"], ids[packing.seqs, packing.positions])
     pos = embedding(params["position_embeddings"], packing.positions)
     h = layer_norm(tok + pos, params["emb_ln.gamma"], params["emb_ln.beta"])
-    return _site_dropout(h, params, config, mode, step, rng)
+    return _site_dropout(h, params, config, mode, step, rng, _slots(packing, config, mode))
 
 
 def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
@@ -478,20 +485,19 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     Every per-token op runs on the packed rows of ``pack(mask)``.
 
     Eval mode is a pure function of (token_ids, mask, params); train mode
-    consumes the rng at every dropout site, one mask per site over all the
-    packed rows in row order. So when the rows stack several views of the
-    same sentences, one after another, each view draws its own mask
-    entries, and the views differ as separate passes would.
+    takes one key from the rng at every dropout site and keys each packed
+    row's mask by its slot b * max_seq_len + t. So a sentence's masks depend
+    on its batch row and the stream, not on its neighbours, and when the rows
+    stack several views of the same sentences, each view's rows have their
+    own slots and the views differ as separate passes would.
 
     By default the pass computes only what ``pooled`` reads: the result's
     ``sequence`` is None, and under CLS pooling the last block runs only
     what the [CLS] rows need. Its K and V projections still cover all N
     rows; its queries, output projection, both dropout sites, both layer
-    norms and the feed-forward run on the B [CLS] rows (``Packing.cls``).
-    Each of its dropout sites draws its mask as for all N rows and keeps
-    the [CLS] rows, so the rng stream and the [CLS] rows' masks are those
-    of the full pass. Every caller in the package, ``embed`` included,
-    reads only ``pooled`` and uses this default.
+    norms and the feed-forward run on the B [CLS] rows (``Packing.cls``),
+    whose masks, keyed by slot, are the full pass's. Every caller in the
+    package, ``embed`` included, reads only ``pooled`` and uses this default.
 
     sequence=True also returns the [B, T, d] token states and runs the full
     last block. ``pooled`` and every gradient agree between the two passes
@@ -513,13 +519,14 @@ def encode(token_ids, mask, params: ModelParams, config: EncoderConfig,
     h = embed(token_ids, packing, params, config, mode=mode, step=step, rng=rng)
     cls_only = not sequence and config.pooling == "cls_tanh"
     last = packing.cls() if cls_only else None
+    slots = _slots(packing, config, mode)
 
     for i in range(config.num_layers):
         lp = params.scope(f"layers.{i}.")
         query = last if i == config.num_layers - 1 else None
-        part = None if query is None else (query.picked, packing.rows)
+        rows = slots if query is None or slots is None else slots[query.picked]
         site = partial(_site_dropout, params=params, config=config, mode=mode,
-                       step=step, rng=rng, part=part)
+                       step=step, rng=rng, rows=rows)
         h = multi_head_attention(h, packing, lp, config.num_heads, dropout_fn=site,
                                  query=query)
         f = linear(ag.gelu(linear(h, lp["ffn.w1"], lp["ffn.b1"])),

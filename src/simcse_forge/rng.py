@@ -8,6 +8,10 @@ dropout masks and data shuffles reproducible bit-for-bit.
 
 Draws are vectorized over numpy uint64 arrays, so sampling a million-unit
 dropout mask costs one array pass instead of a Python loop.
+
+Output j depends only on the state and j, so a dropout mask is keyed:
+``bernoulli`` takes one output as a key, and a mask row is a function of the
+key and the row's number alone, computed only for the rows it returns.
 """
 
 from __future__ import annotations
@@ -48,17 +52,11 @@ class Rng:
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
-    def _bits53(self, shape) -> np.ndarray:
-        """Next draws as 53-bit integers k, one per entry of shape (a scalar
-        for shape ()); the uniform draw is k * 2**-53."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        k = self._raw(n)
-        k >>= np.uint64(11)
-        return k.reshape(shape) if shape else k[0]
-
     def uniform(self, shape=()) -> np.ndarray:
-        """Uniform draws in [0, 1) with 53-bit resolution."""
-        return self._bits53(shape).astype(np.float64) * 2.0**-53
+        """Uniform draws in [0, 1): an output's top 53 bits k, as k * 2**-53."""
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return u.reshape(shape) if shape else u[0]
 
     def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller on consecutive uniform pairs."""
@@ -75,20 +73,27 @@ class Rng:
         return z.reshape(shape) if shape else z[0]
 
     def bernoulli(self, keep_prob, shape=(), dtype=np.float64, rows=None) -> np.ndarray:
-        """0/1 mask; entry is 1 with probability keep_prob (scalar or array).
-        dtype=bool returns the comparison itself, one byte per entry.
+        """0/1 mask; entry is 1 with probability keep_prob (scalar or array,
+        broadcast against shape). dtype=bool returns the comparison itself.
 
-        Given rows, an index over shape's first axis, returns
-        ``bernoulli(keep_prob, shape)[rows]``, with keep_prob broadcast
-        against the picked rows: the whole shape is drawn, so the stream
-        advances as for a full draw, and only the picked rows are compared."""
+        The stream gives one output, the key, whatever the shape. Entry (i, u)
+        is ``Rng(key).uniform((R, w))[rows[i], u] < keep_prob`` for any R past
+        max(rows), w = prod(shape[1:]); rows holds an integer per row of
+        shape, by default 0..shape[0]-1."""
         keep = np.asarray(keep_prob, dtype=np.float64)
+        shape = tuple(shape) if shape else keep.shape
+        width = int(np.prod(shape[1:], dtype=np.int64))
+        rows = np.arange(shape[0] if shape else 1) if rows is None else rows
+        # counter rows[i]*w + u + 1 of the key's stream, the key added per row
+        base = np.asarray(rows, dtype=np.uint64) * np.uint64(width * _GOLDEN & _MASK64)
+        base += self._raw(1)
+        k = base[:, None] + np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        _finalize(k)
+        k >>= np.uint64(11)
         # k * 2**-53 < keep  <=>  k < keep * 2**53: both scalings by 2**53 are
         # exact and k < 2**53 converts to float64 exactly, so the mask equals
         # uniform() < keep without building the uniform array.
-        k = self._bits53(shape if shape else keep.shape)
-        if rows is not None:
-            k = k[rows]
+        k = k.reshape(shape) if shape else k[0, 0]
         return (k < keep * 2.0**53).astype(dtype, copy=False)
 
     def shuffle(self, items: list) -> None:

@@ -466,6 +466,10 @@ class TwoTierConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        # checked here, not when stage 2 starts, so it fails before stage 1 trains
+        if not self.skip_unsup and self.stage2.batch_size < 2:
+            raise ValueError(f"stage2 batch_size must be >= 2 for in-batch "
+                             f"negatives, got {self.stage2.batch_size}")
 
 
 def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,

@@ -93,8 +93,11 @@ def test_traced_unsup_run_draws_masks_over_real_tokens_only():
     vocab = Vocab.build(SENTENCES)
     config = _tiny_config(vocab)
     real = sum(len(tokenize(s, vocab, config.max_seq_len)) for s in SENTENCES)
-    sites = 1 + 2 * config.num_layers      # embeddings, then attention and FFN per layer
-    assert drawn == 2 * sites * real * config.hidden_dim
+    # per view: the embedding site and the attention and FFN sites of every
+    # layer but the last draw a row per real token; the last layer's two
+    # sites draw the [CLS] rows alone, one per sentence
+    full_sites = 1 + 2 * (config.num_layers - 1)
+    assert drawn == 2 * config.hidden_dim * (full_sites * real + 2 * len(SENTENCES))
 
 
 def test_traced_two_tier_cli_run_records_load_eval_and_save_spans(tmp_path):

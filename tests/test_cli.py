@@ -9,6 +9,7 @@ import pytest
 from simcse_forge import experiments, training
 from simcse_forge.cli import main
 from simcse_forge.checkpoint import load_checkpoint
+from simcse_forge.config import load_run_config
 from simcse_forge.data import SCHEMAS, read_rows
 from simcse_forge.evaluation import emit_report, parse_report_tsv
 from simcse_forge.experiments import EXPERIMENTS, ExperimentConfig
@@ -504,6 +505,42 @@ def test_bad_stage_lr_exit_1_before_any_step(tmp_path, capsys, monkeypatch):
                  "--two_tier.stage2_lr", "-1"]) == 1
     assert capsys.readouterr().err == "error: 'two_tier' stage2: lr must be positive\n"
     assert not run.exists()
+
+
+def _no_stage_trains(monkeypatch):
+    """Replace the stage-1 trainer; returns the list its calls land in."""
+    calls = []
+    monkeypatch.setattr(training, "train_single_task",
+                        lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+def test_stage2_batch_of_one_exit_1_before_stage_1_trains(tmp_path, capsys, monkeypatch):
+    calls = _no_stage_trains(monkeypatch)
+    config = write_config(tmp_path, train={"task": "sts", "epochs": 1},
+                          two_tier={"stage2_batch_size": 1}, data={
+        "sts_train": synth(tmp_path, "sts", 8, "sts_train.tsv", seed=1),
+        "sts_dev": synth(tmp_path, "sts", 4, "sts_dev.tsv", seed=2),
+        "nli": synth(tmp_path, "nli", 4, "nli.tsv", seed=3)})
+    capsys.readouterr()
+    run = tmp_path / "tt"
+    assert main(["train", "two-tier", "--config", config, "--out", str(run)]) == 1
+    assert capsys.readouterr().err == ("error: 'two_tier': stage2 batch_size must be "
+                                       ">= 2 for in-batch negatives, got 1\n")
+    assert calls == [] and not run.exists()
+    # with no unsup stage, a stage-2 batch of 1 is never used and loads
+    skip = json.loads(Path(config).read_text())
+    skip["two_tier"]["skip_unsup"] = True
+    Path(config).write_text(json.dumps(skip))
+    assert load_run_config(config).two_tier_config().stage2.batch_size == 1
+
+
+def test_two_tier_experiment_batch_of_one_exit_1_before_any_trainer(capsys, monkeypatch):
+    calls = _no_stage_trains(monkeypatch)
+    capsys.readouterr()
+    assert main(["experiment", "two-tier-stages", "--batch-size", "1"]) == 1
+    assert "stage2 batch_size must be >= 2" in capsys.readouterr().err
+    assert calls == []
 
 
 def _with_bad_target(tmp_path, kind, name, seed, target):

@@ -337,6 +337,6 @@ def test_dropout_on_picked_rows_is_the_full_site_at_those_rows(kind, mode):
     whole, part = Rng(9), Rng(9)
     want = apply_dropout(Tensor(x), policy, mode, 4, whole, alpha=alpha, beta=beta)
     got = apply_dropout(Tensor(x[rows]), policy, mode, 4, part, alpha=alpha, beta=beta,
-                        part=(rows, len(x)))
+                        rows=rows)
     assert got.data.tobytes() == want.data[rows].tobytes()
     assert part._state == whole._state

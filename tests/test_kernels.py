@@ -64,10 +64,15 @@ def ref_uniform(rng, shape=()):
     return u.reshape(shape) if shape else u[0]
 
 
-def ref_bernoulli(rng, keep_prob, shape=()):
+def ref_bernoulli(rng, keep_prob, shape=(), rows=None):
+    """Rng.bernoulli: one _raw output as a key, then the key's uniform
+    stream over the whole shape (up to the largest picked row) < keep."""
     keep = np.asarray(keep_prob, dtype=np.float64)
-    u = ref_uniform(rng, shape if shape else keep.shape)
-    return (u < keep).astype(np.float64)
+    key = Rng(int(rng._raw(1)[0]))
+    if rows is None:
+        return (ref_uniform(key, shape if shape else keep.shape) < keep).astype(np.float64)
+    whole = ref_uniform(key, (max(rows, default=-1) + 1, *shape[1:]))
+    return (whole[np.asarray(rows, dtype=np.int64)] < keep).astype(np.float64)
 
 
 def ref_splitmix(seed, n):
@@ -282,7 +287,7 @@ def test_bernoulli_per_unit_keep_matches_reference_bits():
 
 
 def test_bernoulli_draw_equal_to_keep_drops():
-    u = Rng(37).uniform((64,))
+    u = Rng(int(Rng(37)._raw(1)[0])).uniform((64,))      # the draw's key stream
     assert same_bits(Rng(37).bernoulli(u, (64,)), np.zeros(64))
     assert same_bits(Rng(37).bernoulli(np.nextafter(u, 2.0), (64,)), np.ones(64))
 
@@ -291,12 +296,15 @@ def test_bernoulli_draw_equal_to_keep_drops():
 @given(seed=st.integers(0, 2**64 - 1),
        shape=st.lists(st.integers(0, 6), min_size=0, max_size=3).map(tuple),
        keep=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.5, 1.5)),
-       per_unit=st.booleans())
-def test_bernoulli_matches_uniform_then_compare(seed, shape, keep, per_unit):
+       per_unit=st.booleans(),
+       rows=st.one_of(st.none(), st.lists(st.integers(0, 40), max_size=6)))
+def test_bernoulli_matches_uniform_then_compare(seed, shape, keep, per_unit, rows):
+    if rows is not None:            # picked rows, in any order, repeats allowed
+        shape = (len(rows), *shape[1:])
     if per_unit:
         keep = Rng(seed ^ 1).uniform(shape) * keep
     a, b = Rng(seed), Rng(seed)
-    ma, mb = a.bernoulli(keep, shape), ref_bernoulli(b, keep, shape)
+    ma, mb = a.bernoulli(keep, shape, rows=rows), ref_bernoulli(b, keep, shape, rows)
     assert type(ma) is type(mb) and same_bits(ma, mb)
     # the next draws (shuffles, init) start at the same stream position
     assert same_bits(a.uniform((4,)), ref_uniform(b, (4,)))

@@ -62,10 +62,9 @@ def test_bernoulli_rows_is_the_full_draw_at_those_rows():
     shape, rows = (9, 5), np.array([0, 3, 4, 8])
     column, full_keep = np.linspace(0.1, 0.9, 5), Rng(4).uniform(shape)
     for keep, picked_keep in ((0.6, 0.6), (column, column), (full_keep, full_keep[rows])):
-        for index in (rows, np.isin(np.arange(9), rows)):
-            whole, part = Rng(21), Rng(21)
-            want = whole.bernoulli(keep, shape, dtype=bool)[index]
-            got = part.bernoulli(picked_keep, shape, dtype=bool, rows=index)
-            assert got.dtype == np.bool_ and got.tobytes() == want.tobytes()
-            assert part._state == whole._state
-            assert np.array_equal(part.uniform((3,)), whole.uniform((3,)))
+        whole, part = Rng(21), Rng(21)
+        want = whole.bernoulli(keep, shape, dtype=bool)[rows]
+        got = part.bernoulli(picked_keep, (len(rows), 5), dtype=bool, rows=rows)
+        assert got.dtype == np.bool_ and got.tobytes() == want.tobytes()
+        assert part._state == whole._state
+        assert np.array_equal(part.uniform((3,)), whole.uniform((3,)))
