@@ -5,7 +5,9 @@ that needs a gradient, a ``Handle``: its place in the computation graph,
 holding its node (parent entries and a backward rule) and its gradient slot,
 but not its array. Calling ``backward()`` on a scalar loss walks the graph in
 reverse topological order and accumulates gradients additively into every
-reachable leaf that requires them.
+reachable leaf that requires them. The walk orders handles alone: a leaf
+has no parents, so it never enters the order, and its gradient is summed
+where each consumer's rule returns it.
 
 The graph holds only what backward reads. A node's parents are the
 operands' handles; a leaf (no node: parameters, inputs) stands for itself.
@@ -177,43 +179,47 @@ class Tensor:
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no gradient path")
 
-        # graph entries: the handles of intermediates, leaves as themselves
-        root = self if self._handle is None else self._handle
-        order: list = []
+        if self._handle is None:            # a leaf loss: its gradient is one
+            self._grad = np.ones_like(self.data)
+            return
+        # depth-first over handles only: a leaf has no parents, so leaving
+        # it off the stack moves no handle in the order
+        root = self._handle
+        order: list[Handle] = []
         seen: set[int] = set()
-        stack: list[tuple] = [(root, False)]
+        stack: list[tuple[Handle, bool]] = [(root, False)]
         while stack:
-            t, expanded = stack.pop()
+            h, expanded = stack.pop()
             if expanded:
-                order.append(t)
+                order.append(h)
                 continue
-            if id(t) in seen:
+            if id(h) in seen:
                 continue
-            if t.node is RELEASED:
+            node = h.node
+            if node is RELEASED:
                 raise GraphReleasedError(
                     "backward() through a graph that an earlier backward() released; "
                     "rebuild the loss with a fresh forward pass")
-            seen.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for p in t.node.parents:
-                    if p.requires_grad and id(p) not in seen:
-                        stack.append((p, False))
+            seen.add(id(h))
+            stack.append((h, True))
+            for p in node.parents:
+                if type(p) is Handle and id(p) not in seen:
+                    stack.append((p, False))
 
         root.grad = np.ones_like(self.data)
         while order:
-            t = order.pop()
-            node = t.node
-            if node is None:
-                continue
-            g, t.grad, t.node = t.grad, None, RELEASED
+            h = order.pop()
+            g, node, h.grad, h.node = h.grad, h.node, None, RELEASED
             if g is None:
                 continue
             for p, gp in zip(node.parents, node.backward_fn(g)):
-                if gp is None or not p.requires_grad:
+                if gp is None:
                     continue
                 # never mutate gradient arrays in place: views may be shared
-                p.grad = gp if p.grad is None else p.grad + gp
+                if type(p) is Handle:
+                    p.grad = gp if p.grad is None else p.grad + gp
+                elif p.requires_grad:
+                    p._grad = gp if p._grad is None else p._grad + gp
 
     # -- operators ---------------------------------------------------------
 
@@ -287,15 +293,20 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     entries and backward_fn, which must capture no operand Tensor (see the
     module docstring) and returns one gradient or None per operand."""
     out = _wrap(np.asarray(data, dtype=np.float64))
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        entries = tuple(p if p._handle is None else p._handle for p in parents)
-        out._handle = Handle(Node(entries, backward_fn, op))
+    if _grad_enabled:
+        for p in parents:           # a plain loop: any() over a generator costs
+            if p.requires_grad:     # more than many small ops themselves
+                out.requires_grad = True
+                entries = tuple([q if q._handle is None else q._handle for q in parents])
+                out._handle = Handle(Node(entries, backward_fn, op))
+                break
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum-reduce a gradient back to the pre-broadcast operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -782,10 +793,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeMismatchError(
             f"layer_norm scale/shift must be [{d}], got {list(gamma.shape)} and {list(beta.shape)}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is ndarray.mean's own arithmetic, without its
+    # Python wrapper; x is centred once
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv_sigma = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_sigma
+    xhat = xc * inv_sigma
     out = gamma.data * xhat + beta.data
     scale = gamma.data if x.requires_grad else None
     rg, rb = gamma.requires_grad, beta.requires_grad
@@ -800,8 +813,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         if scale is not None:
             gxhat = g * scale
             gx = inv_sigma * (gxhat
-                              - gxhat.mean(axis=-1, keepdims=True)
-                              - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+                              - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+                              - xhat * (np.add.reduce(gxhat * xhat, axis=-1,
+                                                      keepdims=True) / d))
         return gx, ggamma, gbeta
 
     return _make(out, (x, gamma, beta), backward, "layer_norm")

@@ -8,6 +8,13 @@ so two consecutive calls on the same input draw different masks; that
 difference is the data augmentation the unsupervised contrastive objective
 relies on. Row i's mask is a function of the key and ``rows[i]``, the
 number the caller gives it (the encoder: its slot), not of the other rows.
+
+Every regime is at most one ``dropout`` graph node per site. Standard and
+curriculum dropout save a bool mask and are the identity in eval mode.
+Adaptive dropout's node takes (x, activations, alpha, beta) in both modes:
+it computes its keep probability, draws the mask or takes its expectation,
+and gives all four inputs their gradients in one rule (straight through
+the sampled mask in train mode).
 """
 
 from __future__ import annotations
@@ -53,24 +60,6 @@ class DropoutPolicy:
                 raise ValueError("curriculum total_steps must be positive")
 
 
-def _masked(x: Tensor, kept: np.ndarray, scale: float, pi: Tensor | None = None) -> Tensor:
-    """Every regime's train-mode node: ``x * where(kept, scale, 0)``, saving
-    the bool mask, bit-identical to x times the float mask. Given the keep
-    probability ``pi``, it also gives pi the straight-through gradient of
-    ``x * pi``, and saves x's array only when pi needs a gradient."""
-    xs = x.data if pi is not None and pi.requires_grad else None
-    pi_shape = None if pi is None else pi.shape
-
-    def backward(g):
-        gx = g * np.where(kept, scale, 0.0)
-        if pi_shape is None:
-            return (gx,)
-        return gx, None if xs is None else ag._unbroadcast(g * xs, pi_shape)
-
-    parents = (x,) if pi is None else (x, pi)
-    return ag._make(x.data * np.where(kept, scale, 0.0), parents, backward, "dropout")
-
-
 def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
                      rows=None) -> Tensor:
     """Inverted dropout: zero each unit with probability p, scale survivors
@@ -84,7 +73,11 @@ def standard_dropout(x: Tensor, p: float, mode: str, rng: Rng | None,
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     keep = 1.0 - p
-    return _masked(x, rng.bernoulli(keep, x.shape, dtype=bool, rows=rows), 1.0 / keep)
+    kept, scale = rng.bernoulli(keep, x.shape, dtype=bool, rows=rows), 1.0 / keep
+    # x * where(kept, scale, 0), bit-identical to x times the float mask,
+    # saving the bool mask alone
+    return ag._make(x.data * np.where(kept, scale, 0.0), (x,),
+                    lambda g: (g * np.where(kept, scale, 0.0),), "dropout")
 
 
 def curriculum_rate(step: int, policy: DropoutPolicy) -> float:
@@ -102,7 +95,8 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
                      alpha: Tensor | None = None, beta: Tensor | None = None,
                      rows=None) -> Tensor:
     """Standout-style dropout: keep probability pi_j = sigmoid(alpha*a_j + beta)
-    per unit, from that unit's pre-dropout activation a_j.
+    per unit, from that unit's pre-dropout activation a_j (activations has
+    x's shape).
 
     Train mode samples Bernoulli(pi) masks with no 1/pi rescaling. Eval mode
     multiplies by pi, the mask's expectation, because pi is input-dependent
@@ -110,17 +104,48 @@ def adaptive_dropout(x: Tensor, activations: Tensor, policy: DropoutPolicy,
     in train mode they receive straight-through gradients: pi gets that of
     x*pi, while the value and x's gradient use the sampled mask. rows as in
     ``standard_dropout``.
+
+    Either mode is one ``dropout`` node over (x, activations, alpha, beta).
+    Its values and gradients are bit-identical to the composite
+    ``x * multiplier`` after ``sigmoid(alpha * activations + beta)``: the
+    rule runs the composite's operations in the same order. It saves the
+    multiplier (the bool mask in train mode), pi, x's array when pi's inputs
+    need a gradient, and the activations' when alpha does.
     """
+    if activations.shape != x.shape:
+        raise ag.ShapeMismatchError(
+            f"adaptive dropout activations must have x's shape {list(x.shape)}, "
+            f"got {list(activations.shape)}")
     if alpha is None:
         alpha = Tensor(policy.alpha)
     if beta is None:
         beta = Tensor(policy.beta)
-    pi = ag.sigmoid(alpha * activations + beta)
-    if mode == "eval":
-        return x * pi
-    if rng is None:
+    if mode != "eval" and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    return _masked(x, rng.bernoulli(pi.data, x.shape, dtype=bool, rows=rows), 1.0, pi)
+    a = activations.data
+    pi = ag._sigmoid(alpha.data * a + beta.data)
+    multiplier = pi if mode == "eval" else rng.bernoulli(pi, x.shape, dtype=bool, rows=rows)
+    rx, rb = x.requires_grad, beta.requires_grad
+    # what each side reads: z = alpha*a + beta's gradient reads x, the
+    # activations' reads alpha, alpha's reads the activations
+    xs = x.data if activations.requires_grad or alpha.requires_grad or rb else None
+    alpha_data = alpha.data if activations.requires_grad else None
+    acts = a if alpha.requires_grad else None
+    alpha_shape, beta_shape = alpha.shape, beta.shape
+
+    def backward(g):
+        gx = g * multiplier if rx else None
+        if xs is None:
+            return gx, None, None, None
+        gz = g * xs                     # pi's gradient, then sigmoid's
+        gz *= pi
+        gz *= 1.0 - pi
+        return (gx, None if alpha_data is None else gz * alpha_data,
+                None if acts is None else ag._unbroadcast(gz * acts, alpha_shape),
+                ag._unbroadcast(gz, beta_shape) if rb else None)
+
+    return ag._make(x.data * multiplier, (x, activations, alpha, beta), backward,
+                    "dropout")
 
 
 def apply_dropout(x: Tensor, policy: DropoutPolicy, mode: str, step: int,

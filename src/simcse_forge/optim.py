@@ -91,41 +91,71 @@ class AdamWState:
 
 
 class _FlatBuffers:
-    """Flat data, m and v vectors over the tensors that have a gradient.
+    """Flat data, m and v vectors over every tensor that has had a gradient.
 
-    Matrices (ndim >= 2) come first, so weight decay reads one leading slice.
-    Each tensor's ``.data`` and its ``m``/``v`` entries become views of the
-    flat vectors, so one whole-array update moves them all. A tensor outside
-    the set keeps its arrays, and its moments stay in ``m``/``v``.
+    Matrices (ndim >= 2) come first, so weight decay reads one leading slice
+    of any set of tensors taken in layout order. Each tensor's ``.data`` and
+    its ``m``/``v`` entries become views of the flat vectors, so one
+    whole-array update moves them all. A step whose tensors with a gradient
+    are only some of the layout's (a multitask step, with one head active)
+    gathers and updates their segments alone, as contiguous runs of the
+    flat vectors cached per set; the others keep their data and moments. A
+    tensor outside the layout keeps its arrays, and its moments stay in
+    ``m``/``v``.
     """
 
-    __slots__ = ("order", "views", "data", "m", "v", "decayed")
+    __slots__ = ("slots", "spans", "data", "m", "v", "subsets")
 
-    def __init__(self, active: list[tuple[str, Tensor]], state: AdamWState):
-        # positions in active, matrices first (a stable sort)
-        self.order = sorted(range(len(active)), key=lambda i: active[i][1].ndim < 2)
-        tensors = [active[i] for i in self.order]
-        self.decayed = sum(p.size for _, p in tensors if p.ndim >= 2)
+    def __init__(self, members: list[tuple[str, Tensor]], state: AdamWState):
+        tensors = sorted(members, key=lambda item: item[1].ndim < 2)  # stable
         self.data = np.concatenate([p.data.reshape(-1) for _, p in tensors],
                                    dtype=np.float64)
         self.m, self.v = (np.concatenate([moments[name].reshape(-1) if name in moments
                                           else np.zeros(p.size) for name, p in tensors])
                           for moments in (state.m, state.v))
+        self.slots: dict[str, tuple[int, np.ndarray]] = {}   # name -> (position, view)
+        self.spans: list[tuple[int, int, bool]] = []        # (start, stop, decayed)
         offset = 0
-        for name, p in tensors:
+        for position, (name, p) in enumerate(tensors):
             part = slice(offset, offset + p.size)
             offset = part.stop
             p.data = self.data[part].reshape(p.shape)
             state.m[name] = self.m[part].reshape(p.shape)
             state.v[name] = self.v[part].reshape(p.shape)
-        self.views = [(name, p.data) for name, p in active]
+            self.slots[name] = (position, p.data)
+            self.spans.append((part.start, part.stop, p.ndim >= 2))
+        # positions of a step's tensors -> (their order, runs, decayed count)
+        self.subsets: dict[tuple[int, ...], tuple] = {}
 
-    def serves(self, active: list[tuple[str, Tensor]]) -> bool:
-        """Whether active names the same tensors in the same order, each
-        ``.data`` still the view handed out here (not rebound by a caller)."""
-        return len(active) == len(self.views) and all(
-            name == kept and p.data is view
-            for (name, p), (kept, view) in zip(active, self.views))
+    def positions(self, active: list[tuple[str, Tensor]]) -> tuple[int, ...] | None:
+        """The layout positions of active's tensors, or None when one is not
+        in the layout or its ``.data`` is not the view handed out here (a
+        caller rebound it)."""
+        key = []
+        for name, p in active:
+            slot = self.slots.get(name)
+            if slot is None or p.data is not slot[1]:
+                return None
+            key.append(slot[0])
+        return tuple(key)
+
+    def subset(self, key: tuple[int, ...]) -> tuple:
+        """For the tensors at layout positions key: the order that sorts them
+        by position, their segments merged into contiguous runs of the flat
+        vectors (one run for the whole layout), and the number of decayed
+        (matrix) elements among them."""
+        plan = self.subsets.get(key)
+        if plan is None:
+            order = sorted(range(len(key)), key=key.__getitem__)
+            spans = [self.spans[key[i]] for i in order]
+            decayed = sum(stop - start for start, stop, matrix in spans if matrix)
+            runs: list[slice] = []
+            for start, stop, _ in spans:
+                if runs and runs[-1].stop == start:
+                    start = runs.pop().start
+                runs.append(slice(start, stop))
+            plan = self.subsets[key] = (order, runs, decayed)
+        return plan
 
 
 def _norm(flat: np.ndarray) -> float:
@@ -146,36 +176,54 @@ def adamw_step(named_params: list[tuple[str, Tensor]], state: AdamWState,
     (their moments do not advance). Gradient arrays are never mutated.
 
     The step is a fixed number of whole-array operations on the flat
-    vectors of ``state.flat``, whatever the number of tensors. They are
-    rebuilt only when the set of tensors with a gradient changes or a caller
-    has rebound a ``.data``. Each element takes the same operations in the
-    same order as a per-tensor update, so only the norm's summation order
-    (and with it a clipped step's scale) differs from one.
+    vectors of ``state.flat``, or on the gathered segments of the tensors
+    with a gradient when those are not the whole layout, whatever the
+    number of tensors. The layout is rebuilt only when a tensor has its
+    first gradient or a caller has rebound a ``.data``. Each element takes
+    the same operations in the same order as a per-tensor update, so only
+    the norm's summation order (and with it a clipped step's scale) differs
+    from one.
     """
     active = [(name, p) for name, p in named_params if p.grad is not None]
     state.step += 1
     if not active:
         return 0.0
     flat = state.flat
-    if flat is None or not flat.serves(active):
-        flat = state.flat = _FlatBuffers(active, state)
-    g = np.concatenate([active[i][1].grad.reshape(-1) for i in flat.order])
+    key = None if flat is None else flat.positions(active)
+    if key is None:
+        known = flat.slots if flat is not None else {}
+        flat = state.flat = _FlatBuffers(
+            [(name, p) for name, p in named_params
+             if p.grad is not None or name in known], state)
+        key = flat.positions(active)
+    order, runs, decayed = flat.subset(key)
+    g = np.concatenate([active[i][1].grad.reshape(-1) for i in order])
     norm = _norm(g)
     if config.clip_norm is not None and norm > config.clip_norm:
         g *= config.clip_norm / (norm + 1e-12)
 
+    # one run is a view, updated in place; several are gathered, then put back
+    m, v, data = (vec[runs[0]] if len(runs) == 1 else
+                  np.concatenate([vec[run] for run in runs])
+                  for vec in (flat.m, flat.v, flat.data))
     t = state.step
     bc1 = 1.0 - config.beta1 ** t
     bc2 = 1.0 - config.beta2 ** t
-    flat.m *= config.beta1
-    flat.m += (1.0 - config.beta1) * g
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
     g *= g
-    flat.v *= config.beta2
-    flat.v += (1.0 - config.beta2) * g
-    update = flat.m / bc1
-    update /= np.sqrt(flat.v / bc2) + config.eps
-    if config.weight_decay > 0.0 and flat.decayed:
-        update[:flat.decayed] += config.weight_decay * flat.data[:flat.decayed]
+    v *= config.beta2
+    v += (1.0 - config.beta2) * g
+    update = m / bc1
+    update /= np.sqrt(v / bc2) + config.eps
+    if config.weight_decay > 0.0 and decayed:
+        update[:decayed] += config.weight_decay * data[:decayed]
     update *= config.lr
-    flat.data -= update
+    data -= update
+    if len(runs) > 1:
+        offset = 0
+        for run in runs:
+            part = slice(offset, offset + run.stop - run.start)
+            offset = part.stop
+            flat.m[run], flat.v[run], flat.data[run] = m[part], v[part], data[part]
     return norm

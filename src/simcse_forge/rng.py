@@ -16,12 +16,16 @@ key and the row's number alone, computed only for the rows it returns.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -51,6 +55,14 @@ class Rng:
         _finalize(z)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
+
+    def _key(self) -> int:
+        """The next output as a Python int: ``_raw(1)[0]`` with the same state
+        change, in integer arithmetic rather than a one-element array pass."""
+        self._state = z = (self._state + _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
+        return z ^ (z >> 31)
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1): an output's top 53 bits k, as k * 2**-53."""
@@ -82,11 +94,11 @@ class Rng:
         shape, by default 0..shape[0]-1."""
         keep = np.asarray(keep_prob, dtype=np.float64)
         shape = tuple(shape) if shape else keep.shape
-        width = int(np.prod(shape[1:], dtype=np.int64))
+        width = math.prod(shape[1:])
         rows = np.arange(shape[0] if shape else 1) if rows is None else rows
         # counter rows[i]*w + u + 1 of the key's stream, the key added per row
         base = np.asarray(rows, dtype=np.uint64) * np.uint64(width * _GOLDEN & _MASK64)
-        base += self._raw(1)
+        base += np.uint64(self._key())
         k = base[:, None] + np.arange(1, width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         _finalize(k)
         k >>= np.uint64(11)

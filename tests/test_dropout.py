@@ -240,39 +240,70 @@ def test_adaptive_train_straight_through_gradients():
     assert beta.grad == pytest.approx(float(np.sum(x.data * dpi)), rel=1e-12)
 
 
-def composite_adaptive_dropout(x, alpha, beta, rng):
-    """The straight-through product the dropout node replaces: value x*mask
-    with a float 0/1 mask, gradient as if the op were x*pi."""
-    pi = ag.sigmoid(alpha * x + beta)
+def composite_adaptive_dropout(x, activations, alpha, beta, mode, rng):
+    """The composite the one adaptive node replaces: pi = sigmoid(alpha * a +
+    beta) as three nodes, then in eval mode x * pi, and in train mode the
+    value x*mask with a float 0/1 mask and the gradient as if the op were
+    x*pi."""
+    pi = ag.sigmoid(alpha * activations + beta)
+    if mode == "eval":
+        return x * pi
     return x * Tensor(rng.bernoulli(pi.data, x.shape)) + x * (pi - pi.detach())
 
 
-def node_adaptive_dropout(x, alpha, beta, rng):
-    return adaptive_dropout(x, x, DropoutPolicy(kind="adaptive"), "train", rng,
+def node_adaptive_dropout(x, activations, alpha, beta, mode, rng):
+    return adaptive_dropout(x, activations, DropoutPolicy(kind="adaptive"), mode, rng,
                             alpha=alpha, beta=beta)
 
 
-@pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.7, -0.2)],
-                         ids=["policy-default", "alpha0.7-beta-0.2"])
-def test_adaptive_node_is_bit_identical_to_the_straight_through_composite(a, b):
+# (alpha, beta, activations is x, mode); the encoder's case is the plain id
+_ADAPTIVE_CASES = [
+    pytest.param(a, b, shared, mode,
+                 id="-".join(([] if shared else ["own-activations"])
+                             + ([] if mode == "train" else [mode]) + [name]))
+    for mode in ("train", "eval") for shared in (True, False)
+    for (a, b), name in (((0.0, 0.0), "policy-default"),
+                         ((0.7, -0.2), "alpha0.7-beta-0.2"))]
+
+
+@pytest.mark.parametrize("a, b, shared, mode", _ADAPTIVE_CASES)
+def test_adaptive_node_is_bit_identical_to_the_straight_through_composite(a, b, shared, mode):
     data = Rng(3).normal((16, 8), std=2.0)          # mixed signs
+    acts = Rng(5).normal((16, 8), std=2.0)
     g = Rng(4).normal((16, 8))                      # mixed-sign incoming gradient
     runs = []
     for build in (node_adaptive_dropout, composite_adaptive_dropout):
         x = Tensor(data, requires_grad=True)
+        activations = x if shared else Tensor(acts, requires_grad=True)
         alpha, beta = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         rng = Rng(11)
-        out = build(x, alpha, beta, rng)
+        out = build(x, activations, alpha, beta, mode, rng)
         (out * Tensor(g)).sum().backward()          # out's gradient is g exactly
-        runs.append((out.data, x.grad, alpha.grad, beta.grad, rng._state))
-    (out, gx, ga, gb, state), (ref, rgx, rga, rgb, ref_state) = runs
-    for got, want in ((out, ref), (gx, rgx), (ga, rga), (gb, rgb)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        runs.append((out.data, x.grad, activations.grad, alpha.grad, beta.grad,
+                     rng._state))
+    *got, state = runs[0]
+    *want, ref_state = runs[1]
+    for have, ref in zip(got, want):
+        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes()
     assert state == ref_state
-    # negative inputs give -0.0 at dropped units; at alpha 0 the pi path adds
-    # signed zeros to x's gradient, whose sign must survive as well
-    assert signed_zeros(out) > 0
-    assert signed_zeros(gx) > 0 or a != 0.0
+    if mode == "train":
+        # negative inputs give -0.0 at dropped units; at alpha 0 the pi path
+        # adds signed zeros to x's gradient, whose sign must survive as well
+        assert signed_zeros(got[0]) > 0
+        assert signed_zeros(got[1]) > 0 or a != 0.0 or not shared
+
+
+def test_adaptive_node_is_one_node_over_its_four_inputs():
+    x = Tensor(Rng(3).normal((4, 3)), requires_grad=True)
+    alpha, beta = Tensor(0.5, requires_grad=True), Tensor(0.1, requires_grad=True)
+    for mode in ("train", "eval"):
+        out = adaptive_dropout(x, x, DropoutPolicy(kind="adaptive"), mode, Rng(1),
+                               alpha=alpha, beta=beta)
+        assert out.node.op == "dropout"
+        assert out.node.parents == (x, x, alpha, beta)
+    with pytest.raises(ag.ShapeMismatchError, match="x's shape"):
+        adaptive_dropout(x, Tensor(np.ones(3)), DropoutPolicy(kind="adaptive"), "eval",
+                         None)
 
 
 def test_adaptive_eval_gradient_matches_finite_difference():
@@ -291,6 +322,30 @@ def test_adaptive_eval_gradient_matches_finite_difference():
 
     fd = ag.finite_diff_grad(f, Tensor(x0)).data
     assert np.max(np.abs(x.grad - fd) / np.maximum(1.0, np.abs(fd))) < 1e-4
+
+
+def test_adaptive_eval_node_gradients_match_finite_differences():
+    # every input of the node on its own: x, the activations, alpha and beta
+    policy = DropoutPolicy(kind="adaptive")
+    values = {"x": Rng(6).normal((3, 4)), "activations": Rng(7).normal((3, 4)),
+              "alpha": np.array(0.8), "beta": np.array(-0.3)}
+    weights = Rng(8).normal((3, 4))                 # a loss that is not a plain sum
+
+    def loss(inputs):
+        out = adaptive_dropout(inputs["x"], inputs["activations"], policy, "eval", None,
+                               alpha=inputs["alpha"], beta=inputs["beta"])
+        return (out * Tensor(weights)).sum()
+
+    tensors = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+    loss(tensors).backward()
+    for name, value in values.items():
+        def f(t, name=name):
+            return loss({**{k: Tensor(v) for k, v in values.items()}, name: t})
+
+        fd = ag.finite_diff_grad(f, Tensor(value)).data
+        got = tensors[name].grad
+        assert got.shape == fd.shape
+        assert np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd))) < 1e-7, name
 
 
 # -- dispatcher ----------------------------------------------------------------

@@ -60,6 +60,70 @@ def test_new_loss_on_a_walked_intermediate_raises_before_any_rule_runs():
     assert np.array_equal(w.grad, before[1])
 
 
+def reference_backward(loss):
+    """Tensor.backward's walk before it left leaves off its stack: leaves
+    join the depth-first order and are read through .node and .grad."""
+    root = loss if loss._handle is None else loss._handle
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+            continue
+        if id(t) in seen:
+            continue
+        if t.node is ag.RELEASED:
+            raise GraphReleasedError("released")
+        seen.add(id(t))
+        stack.append((t, True))
+        if t.node is not None:
+            for p in t.node.parents:
+                if p.requires_grad and id(p) not in seen:
+                    stack.append((p, False))
+    root.grad = np.ones_like(loss.data)
+    while order:
+        t = order.pop()
+        node = t.node
+        if node is None:
+            continue
+        g, t.grad, t.node = t.grad, None, ag.RELEASED
+        if g is None:
+            continue
+        for p, gp in zip(node.parents, node.backward_fn(g)):
+            if gp is None or not p.requires_grad:
+                continue
+            p.grad = gp if p.grad is None else p.grad + gp
+
+
+def test_handle_walk_gives_the_leaf_walks_gradients_bit_for_bit():
+    # a train-mode encoder step: each layer's input h feeds Q, K, V and the
+    # residual, so its gradient is a sum of four terms in walk order, and
+    # adaptive dropout gives each site's input two
+    config = EncoderConfig(vocab_size=40, hidden_dim=16, num_layers=2, num_heads=2,
+                           ffn_dim=32, max_seq_len=16,
+                           dropout=DropoutPolicy(kind="adaptive", alpha=1.0, beta=1.0))
+    rng = np.random.default_rng(5)
+    lengths = rng.integers(3, 15, size=6)
+    mask = (np.arange(14)[None, :] < lengths[:, None]).astype(np.float64)
+    ids = rng.integers(4, 40, size=mask.shape) * mask.astype(np.int64)
+    ids[:, 0] = 1
+    runs = []
+    for walk in (Tensor.backward, reference_backward):
+        params = init_params(config, Rng(0))
+        dropout_rng = Rng(1)
+        h, h_plus = (encode(ids, mask, params, config, mode="train",
+                            rng=dropout_rng).pooled for _ in range(2))
+        walk(unsup_simcse_loss(h, h_plus))
+        runs.append({name: p.grad for name, p in params.items()})
+    got, want = runs
+    assert [n for n, g in got.items() if g is None] == [n for n, g in want.items()
+                                                          if g is None]
+    assert sum(g is not None for g in got.values()) > 20
+    for name, g in want.items():
+        if g is not None:
+            assert got[name].tobytes() == g.tobytes(), name
+
+
 def test_leaf_loss_keeps_its_grad():
     x = Tensor([2.0], requires_grad=True)
     x.backward()

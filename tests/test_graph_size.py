@@ -15,7 +15,7 @@ import pytest
 from simcse_forge import training
 from simcse_forge import autograd
 from simcse_forge.autograd import Tensor
-from simcse_forge.data import Vocab, pad_batch, tokenize
+from simcse_forge.data import Vocab, examples_from_rows, pad_batch, tokenize
 from simcse_forge.dropout import DropoutPolicy
 from simcse_forge.encoder import EncoderConfig, encode, init_params
 from simcse_forge.objectives import unsup_simcse_loss
@@ -82,9 +82,9 @@ def test_unpadded_run_builds_no_more_nodes_than_the_unbucketed_layout(layers, mo
 
 
 @pytest.mark.parametrize("layers", [1, 2])
-def test_adaptive_dropout_adds_three_nodes_per_site(layers):
-    # sigmoid(alpha * a + beta) is three nodes; the mask runs through the
-    # same one dropout node as standard dropout's
+def test_adaptive_dropout_adds_no_node_over_standard(layers):
+    # keep probability, mask and straight-through gradient are all one
+    # dropout node, as standard dropout's mask is
     tracing = _load_tracing()
     vocab = Vocab.build(SENTENCES)
     ids, mask = pad_batch([tokenize(s, vocab, 12) for s in SENTENCES])
@@ -95,8 +95,7 @@ def test_adaptive_dropout_adds_three_nodes_per_site(layers):
         params = init_params(config, Rng(0))
         pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1)).pooled
         counts.append(tracing._graph_nodes(pooled))
-    sites = 1 + 2 * layers
-    assert counts[1] - counts[0] == 3 * sites
+    assert counts[1] == counts[0]
 
 
 def cls_only_nodes_per_encode(layers: int) -> int:
@@ -143,3 +142,27 @@ def test_unsup_run_pins_the_cls_only_node_count(layers, monkeypatch):
                                              rng=Rng(1), sequence=sequence).pooled)
                  for sequence in (True, False))
     assert full == cls == cls_only_nodes_per_encode(layers)
+
+
+def test_two_tier_size_adaptive_sup_step_pins_26_nodes(monkeypatch):
+    # the two-tier toy encoder (d=16, one layer) under adaptive dropout: one
+    # encode of the anchor, positive and hard-negative columns, a row-block
+    # gather per column and the one info_nce node
+    tracing = _load_tracing()
+    vocab = Vocab.build(SENTENCES)
+    rows = list(zip(SENTENCES, SENTENCES[1:], SENTENCES[2:]))[:4]
+    triplets = examples_from_rows(rows, "triplet", vocab, 16)
+    config = EncoderConfig(vocab_size=len(vocab), hidden_dim=16, num_layers=1,
+                           num_heads=2, ffn_dim=32, max_seq_len=16,
+                           dropout=DropoutPolicy(kind="adaptive"))
+    counts = []
+    backward = autograd.Tensor.backward
+
+    def counted(loss):
+        counts.append(tracing._graph_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(autograd.Tensor, "backward", counted)
+    tc = training.TrainConfig(task="sts", epochs=1, batch_size=2, lr=1e-3)
+    training.train_sup_simcse(tc, config, vocab, triplets, init_params(config, Rng(0)))
+    assert counts == [cls_only_nodes_per_encode(1) + 3 + 1] * 2 == [26, 26]

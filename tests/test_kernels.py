@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simcse_forge import autograd as ag
@@ -85,6 +85,21 @@ def ref_splitmix(seed, n):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def ref_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """layer_norm through ndarray.mean, centring twice: its value and the
+    gradients of x, gamma and beta."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_sigma = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_sigma
+    lead = tuple(range(g.ndim - 1))
+    gxhat = g * gamma
+    gx = inv_sigma * (gxhat
+                      - gxhat.mean(axis=-1, keepdims=True)
+                      - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    return gamma * xhat + beta, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 # -- helpers --------------------------------------------------------------------
@@ -250,7 +265,30 @@ def test_binary_broadcast_gradients_match_reference_bits(op):
     assert same_bits(gb, gb_ref)
 
 
+@pytest.mark.parametrize("shape", [(13, 6), (3, 5, 12), (4, 1)], ids=str)
+def test_layer_norm_matches_the_mean_formula_bits(shape):
+    x, g = inputs(shape, seed=8)
+    d = shape[-1]
+    gamma, beta = Rng(9).normal((d,)), Rng(10).normal((d,))
+    y = ag.layer_norm(leaf(x), leaf(gamma), leaf(beta))
+    got = (y.data, *y.node.backward_fn(frozen(g)))
+    for have, want in zip(got, ref_layer_norm(x, gamma, beta, g)):
+        assert same_bits(have, want)
+
+
 # -- SplitMix64 masks ----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=0)
+@example(seed=2**64 - 1)
+def test_key_is_the_next_raw_output(seed):
+    a, b = Rng(seed), Rng(seed)
+    for _ in range(2):                  # twice: the state moves as _raw(1)'s
+        key = a._key()
+        assert type(key) is int and key == int(b._raw(1)[0])
+        assert a._state == b._state
+
 
 def test_raw_matches_scalar_splitmix():
     r = Rng(2**64 - 3)

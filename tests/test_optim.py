@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from simcse_forge import optim
 from simcse_forge.autograd import Tensor
 from simcse_forge.optim import (AdamWConfig, AdamWState, adamw_step,
                                 check_field_types, global_grad_norm)
@@ -343,3 +344,45 @@ def test_all_none_gradients_change_no_parameter():
     for n, (m, v) in moments.items():
         assert state.m[n].tobytes() == m.tobytes()
         assert state.v[n].tobytes() == v.tobytes()
+
+
+def test_flat_step_picks_up_data_rebound_while_inactive():
+    # w has no gradient at step 4 and takes one again at step 5
+    assert "w" not in ACTIVE[4] and "w" in ACTIVE[5]
+    config = AdamWConfig(lr=0.05, weight_decay=0.1)
+    flat_params, *rest = _run_twins(config, rebind_at=4)
+    _assert_twins(flat_params, *rest, rtol=0.0)
+
+
+# a shared body and three heads taking turns, as in multitask training
+ROTATION = [{"w", "b", "alpha", head} for head in ("table", "gamma", "k")] * 3
+
+
+def counted_builds(monkeypatch) -> list[list[str]]:
+    """The members of every flat layout adamw_step builds from now on."""
+    builds = []
+
+    class Counted(optim._FlatBuffers):
+        __slots__ = ()
+
+        def __init__(self, members, state):
+            builds.append([name for name, _ in members])
+            super().__init__(members, state)
+
+    monkeypatch.setattr(optim, "_FlatBuffers", Counted)
+    return builds
+
+
+@pytest.mark.parametrize("clip_norm, rtol", [(None, 0.0), (0.5, 1e-15)])
+def test_rotating_heads_build_the_layout_once_per_new_tensor(monkeypatch, clip_norm,
+                                                             rtol):
+    builds = counted_builds(monkeypatch)
+    config = AdamWConfig(lr=0.05, weight_decay=0.1, clip_norm=clip_norm)
+    flat_params, state, *rest = _run_twins(config, steps=ROTATION)
+    _assert_twins(flat_params, state, *rest, rtol=rtol)
+    # one layout per head that first takes a turn; the last holds every
+    # tensor in the callers' order, each one's data a view of it
+    assert len(builds) == 3
+    assert builds[-1] == ["w", "b", "alpha", "table", "gamma", "k"]
+    for _, p in flat_params:
+        assert np.shares_memory(p.data, state.flat.data)

@@ -147,21 +147,29 @@ def test_unpadded_batch_keeps_its_qkv_rows_as_the_core_reads_them(monkeypatch):
 
 
 def test_dropout_node_saves_a_one_byte_mask():
-    # adaptive runs the same node; it also keeps x's own array, which the
-    # straight-through gradient of its keep probability reads
+    # standard dropout saves its bool mask alone; the adaptive node saves its
+    # bool mask, x's own array (the straight-through gradient of the keep
+    # probability reads it, and so does alpha's) and the keep probability pi
     n, d = 37, 8
     x = Tensor(Rng(2).normal((n, d)), requires_grad=True)
     alpha, beta = Tensor(0.7, requires_grad=True), Tensor(-0.2, requires_grad=True)
     standard = standard_dropout(x, 0.25, "train", Rng(3))
     adaptive = adaptive_dropout(x, x, DropoutPolicy(kind="adaptive"), "train", Rng(3),
                                 alpha=alpha, beta=beta)
-    for out, others in ((standard, 0), (adaptive, 1)):
+    pi = ag._sigmoid(0.7 * x.data - 0.2)
+    for out, full_size in ((standard, 0), (adaptive, 2)):
         assert out.node.op == "dropout"
         arrays = [v for v in saved(out.node) if isinstance(v, np.ndarray)]
         masks = [a for a in arrays if a.dtype == np.bool_]
         assert len(masks) == 1 and masks[0].nbytes == n * d
-        rest = [a for a in arrays if a is not masks[0]]
-        assert len(rest) == others and all(a is x.data for a in rest)
+        rest = {id(a): a for a in arrays if a is not masks[0] and a.size > 1}
+        assert len(rest) == full_size
+        if full_size:
+            assert id(x.data) in rest
+            (kept_pi,) = [a for a in rest.values() if a is not x.data]
+            assert kept_pi.tobytes() == pi.tobytes()
+        # what remains is 0-d: alpha's value, which the activations' gradient reads
+        assert all(a.ndim == 0 for a in arrays if a.size == 1)
 
 
 def test_gelu_node_saves_only_its_slope(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from simcse_forge import optim
 from simcse_forge.checkpoint import params_hash, save_checkpoint
 from simcse_forge.data import (SYNTH_SCHEMAS, DataError, Vocab,
                                examples_from_rows, sentences_of,
@@ -182,6 +183,24 @@ def test_multitask_round_robin_trains_all_heads():
         assert entry["dev_metric"] == pytest.approx(
             np.mean([entry["sst_accuracy"], entry["paraphrase_accuracy"],
                      entry["sts_pearson"]]), abs=1e-12)
+
+
+def test_multitask_round_robin_builds_the_optimizer_layout_once_per_head(monkeypatch):
+    builds = []
+    flat_buffers = optim._FlatBuffers
+
+    def counted(members, state):
+        builds.append(len(members))
+        return flat_buffers(members, state)
+
+    monkeypatch.setattr(optim, "_FlatBuffers", counted)
+    vocab, datasets = multitask_data(20)
+    tc = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=3)
+    ck = train_multitask(tc, toy_encoder_config(vocab, p=0.1), vocab, datasets)
+    # 18 steps; a layout is built when a head first has a gradient: sst's,
+    # then paraphrase's (the cos_sigmoid STS head has no parameters)
+    assert ck.history[-1]["epoch"] == 1
+    assert len(builds) == 2 and builds[0] < builds[1]
 
 
 def test_multitask_eval_every_adds_step_entries():
