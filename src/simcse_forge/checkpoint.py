@@ -1,23 +1,21 @@
-"""Checkpoint serialization.
+"""Checkpoint serialization, format 2.
 
 Binary layout (all integers little-endian):
 
     bytes 0..3    magic "SCF1"
     bytes 4..7    u32 header length
     header        UTF-8 JSON: format version, stage tag, encoder config,
-                  vocab token list, training history, and an array manifest
-                  of (name, shape, byte offset into the body)
-    body          the named parameter arrays, raw float64 little-endian,
-                  in manifest order
-    trailer       u32 CRC32 of the body
+                  vocab token list and training history
+    body          every ``encoder.param_spec(config)`` array in spec order,
+                  raw float64 little-endian
+    trailer       u32 CRC32 of every byte before it
 
-The JSON header is written with sorted keys and fixed separators, so a
-checkpoint's bytes are a pure function of its contents — two identically
-seeded runs produce identical files. The CRC covers the body only; the
-loader checks the header's fields, types, stage, config and manifest against
-the parameter table (``encoder.param_spec``) instead, checks that the
-vocabulary has no duplicate token and fits the config's ``vocab_size``, and
-reports every mismatch as an IntegrityError.
+The parameter table is the layout: the header names no array, and the body
+must hold exactly the spec's bytes. The JSON header is written with sorted
+keys and fixed separators, so a checkpoint's bytes are a pure function of
+its contents — two identically seeded runs produce identical files. A
+format-1 file (an array manifest in the header, a CRC over the body only)
+is refused, and so is every other mismatch, as an IntegrityError.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from .dropout import DropoutPolicy
 from .encoder import EncoderConfig, ModelParams, param_spec
 
 MAGIC = b"SCF1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 STAGES = ("baseline", "unsup_simcse", "sup_simcse", "two_tier", "transfer")
 
 
@@ -47,8 +46,7 @@ class IntegrityError(ValueError):
 
 
 # Top-level header fields besides the version, with the JSON type each holds.
-_HEADER_FIELDS = {"stage": str, "config": dict, "vocab": list, "history": list,
-                  "arrays": list, "body_size": int}
+_HEADER_FIELDS = {"stage": str, "config": dict, "vocab": list, "history": list}
 
 
 @dataclass
@@ -58,7 +56,6 @@ class Checkpoint:
     stage: str = "baseline"
     history: list[dict] = field(default_factory=list)
     vocab_tokens: list[str] = field(default_factory=list)
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -92,29 +89,22 @@ def params_hash(params: ModelParams) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    body = bytearray()
-    manifest = []
-    for name, t in ckpt.params.named_parameters():
-        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        manifest.append({"name": name, "shape": list(t.shape),
-                         "offset": len(body)})
-        body.extend(raw)
-    header = {
-        "version": ckpt.version,
-        "stage": ckpt.stage,
-        "config": config_to_dict(ckpt.config),
-        "vocab": list(ckpt.vocab_tokens),
-        "history": ckpt.history,
-        "arrays": manifest,
-        "body_size": len(body),
-    }
+    header = {"version": FORMAT_VERSION, "stage": ckpt.stage,
+              "config": config_to_dict(ckpt.config),
+              "vocab": list(ckpt.vocab_tokens), "history": ckpt.history}
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", len(encoded)), encoded]
+    for name, shape, _ in param_spec(ckpt.config):
+        data = ckpt.params[name].data
+        if data.shape != shape:
+            raise ValueError(f"parameter {name!r} is {data.shape}, config says {shape}")
+        parts.append(np.ascontiguousarray(data, dtype="<f8"))
+    crc = 0
     with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(bytes(body))
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+        for part in parts:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -142,6 +132,10 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise IntegrityError(
             f"{p}: format version {version} unsupported (expected {FORMAT_VERSION})")
+    body_end = len(blob) - 4
+    (crc,) = struct.unpack_from("<I", blob, body_end)
+    if zlib.crc32(memoryview(blob)[:body_end]) != crc:
+        raise IntegrityError(f"{p}: checksum mismatch")
     for key, kind in _HEADER_FIELDS.items():
         if not isinstance(header.get(key), kind):
             raise IntegrityError(
@@ -150,15 +144,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{p}: unknown stage {header['stage']!r}")
     if not all(isinstance(token, str) for token in header["vocab"]):
         raise IntegrityError(f"{p}: vocabulary holds a non-string token")
-    body_size = header["body_size"]
-    body_end = header_end + body_size
-    if body_size < 0 or len(blob) < body_end + 4:
-        raise IntegrityError(f"{p}: truncated body "
-                             f"(expected {body_size} bytes)")
-    body = blob[header_end:body_end]
-    (crc,) = struct.unpack_from("<I", blob, body_end)
-    if zlib.crc32(body) != crc:
-        raise IntegrityError(f"{p}: body checksum mismatch")
 
     config = config_from_dict(header["config"])
     vocab, seen = header["vocab"], set()
@@ -170,27 +155,16 @@ def load_checkpoint(path) -> Checkpoint:
     if len(vocab) > room:
         raise IntegrityError(f"{p}: vocabulary has {len(vocab)} tokens, but config "
                              f"vocab_size {config.vocab_size} holds {room}")
-    shapes = {name: shape for name, shape, _ in param_spec(config)}
-    arrays = {}
-    for entry in header["arrays"]:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not isinstance(name, str) or name not in shapes:
-            raise IntegrityError(f"{p}: unexpected array {name!r}")
-        shape, offset = shapes[name], entry.get("offset")
-        if entry.get("shape") != list(shape):
-            raise IntegrityError(f"{p}: array {name!r} shape {entry.get('shape')} "
-                                 f"!= config shape {list(shape)}")
-        if type(offset) is not int or offset < 0:
-            raise IntegrityError(f"{p}: array {name!r} offset {offset!r} is invalid")
-        end = offset + 8 * int(np.prod(shape, dtype=np.int64))
-        if end > body_size:
-            raise IntegrityError(f"{p}: array {name!r} overruns body")
-        arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape)
-    missing = set(shapes) - set(arrays)
-    if missing:
-        raise IntegrityError(f"{p}: missing arrays {sorted(missing)}")
-    params = ModelParams((name, Tensor(arrays[name], requires_grad=True))
-                         for name in shapes)
+    spec = param_spec(config)
+    expected = 8 * sum(math.prod(shape) for _, shape, _ in spec)
+    if body_end - header_end != expected:
+        raise IntegrityError(f"{p}: body holds {body_end - header_end} bytes, "
+                             f"but the config's parameters take {expected}")
+    params, offset = ModelParams(), header_end
+    for name, shape, _ in spec:   # Tensor copies each array out of the file's bytes
+        count = math.prod(shape)
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        params[name] = Tensor(data.reshape(shape), requires_grad=True)
+        offset += 8 * count
     return Checkpoint(config=config, params=params, stage=header["stage"],
-                      history=header["history"], vocab_tokens=vocab,
-                      version=version)
+                      history=header["history"], vocab_tokens=vocab)

@@ -1,7 +1,8 @@
 """Command-line surface: train / eval / embed / synth / experiment.
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
-3 checkpoint integrity problem. Training writes a per-run directory
+Exit codes: 0 success, 1 usage, configuration or unwritable output problem,
+2 data problem, 3 checkpoint integrity problem. Every command that writes a
+file creates its parent directories. Training writes a per-run directory
 (timestamp + config hash under ./runs, or --out) holding checkpoint.ckpt,
 metrics.tsv, vocab.txt, and manifest.json; everything except the manifest's
 wall time is a pure function of (config, seed, data).
@@ -358,10 +359,17 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _out_file(path) -> Path:
+    """path, with its parent directories created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def cmd_synth(args) -> int:
     seed = load_run_config(None, seed_flag=args.seed).seed
     rows = synth_toy_corpus(args.kind, args.size, Rng(seed))
-    write_tsv(args.out, SYNTH_SCHEMAS[args.kind], rows)
+    write_tsv(_out_file(args.out), SYNTH_SCHEMAS[args.kind], rows)
     logger.info("%d rows written to %s", len(rows), args.out)
     return EXIT_OK
 
@@ -371,7 +379,7 @@ def cmd_experiment(args) -> int:
     reports = EXPERIMENTS[args.name](experiment_config_from_args(args))
     print(emit_report(reports, format="pretty"), end="")
     if args.out:
-        Path(args.out).write_text(emit_report(reports), encoding="utf-8")
+        _out_file(args.out).write_text(emit_report(reports), encoding="utf-8")
     return EXIT_OK
 
 
@@ -399,8 +407,12 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError) as exc:   # UsageError and ConfigError too
+    except ValueError as exc:   # UsageError and ConfigError too
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:      # input files fail as data or checkpoint errors
+        where = f" {exc.filename}" if exc.filename else ""
+        print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -44,7 +44,7 @@ rows, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
-the names are the checkpoint manifest names (``layers.0.attn.wq``,
+a checkpoint's body holds the arrays in that order (``layers.0.attn.wq``,
 ``heads.sst.weight``, ``adaptive.alpha``, ...).
 """
 
@@ -134,7 +134,7 @@ class EncodeResult(NamedTuple):
 def param_spec(config: EncoderConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, init) of every parameter: the one table of the layout.
 
-    Its order is the checkpoint manifest order and the draw order of the
+    Its order is the checkpoint body's order and the draw order of the
     N(0, 0.02) weights (embeddings, layers in order, pooler, heads), so a
     seed pins every weight. init is "normal" for N(0, 0.02), "zeros",
     "ones", or "alpha"/"beta" for the dropout policy's adaptive scalars.

@@ -164,11 +164,6 @@ def _norm(flat: np.ndarray) -> float:
     return float(np.sqrt((flat * flat).sum()))
 
 
-def global_grad_norm(named_params: list[tuple[str, Tensor]]) -> float:
-    grads = [p.grad.reshape(-1) for _, p in named_params if p.grad is not None]
-    return _norm(np.concatenate(grads)) if grads else 0.0
-
-
 def adamw_step(named_params: list[tuple[str, Tensor]], state: AdamWState,
                config: AdamWConfig) -> float:
     """One optimizer step over (name, tensor) pairs; returns the pre-clip

@@ -10,7 +10,9 @@ purpose, regenerate that file with
 
     python tests/golden_matrix.py --write
 
-which prints the runs whose bytes changed against the file it replaces.
+which prints, for each run whose bytes changed against the file it
+replaces, the digest keys that moved (``standard/two-tier:
+checkpoint_sha256``).
 
 It pins one BLAS thread before numpy loads, since training bytes depend
 on the BLAS thread count, and imports the package from this checkout's
@@ -171,14 +173,19 @@ def run_matrix(tmp: Path) -> dict:
 
 
 def changed_runs(old: dict, new: dict) -> list[str]:
-    """The runs of new whose bytes differ from old's, or that old lacks,
-    then the runs old has and new lacks."""
+    """One "run: key, key" line per run of new whose digests differ from
+    old's (every digest, for a run old lacks), naming the keys that moved,
+    then one "run: gone" line per run old has and new lacks."""
     def digest(entry):
         return {k: v for k, v in entry.items() if k.endswith(("_hash", "_sha256"))}
 
-    moved = [name for name, entry in new["runs"].items()
-             if digest(entry) != digest(old["runs"].get(name, {}))]
-    return moved + [name for name in old["runs"] if name not in new["runs"]]
+    moved = []
+    for name, entry in new["runs"].items():
+        was, now = digest(old["runs"].get(name, {})), digest(entry)
+        keys = sorted(k for k in was.keys() | now.keys() if was.get(k) != now.get(k))
+        if keys:
+            moved.append(f"{name}: {', '.join(keys)}")
+    return moved + [f"{name}: gone" for name in old["runs"] if name not in new["runs"]]
 
 
 def main_() -> None:

@@ -82,6 +82,30 @@ def test_synth_env_seed(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_synth_and_experiment_create_parent_directories(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "sst", "5", "data/sst.tsv"]) == 0
+    assert len(read_rows(tmp_path / "data" / "sst.tsv", "classification")) == 5
+    assert main(["experiment", "dropout", "--train-size", "8", "--dev-size", "4",
+                 "--epochs", "1", "--out", "res/deep/x.tsv"]) == 0
+    assert parse_report_tsv((tmp_path / "res" / "deep" / "x.tsv").read_text())
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+def test_unwritable_output_path_exit_1_naming_it(tmp_path, capsys, command, where):
+    (tmp_path / "afile").write_text("x")
+    out = tmp_path / "afile" / "x.tsv" if where == "under-a-file" else tmp_path
+    argv = (["synth", "sst", "5", str(out)] if command == "synth" else
+            ["experiment", "dropout", "--train-size", "8", "--dev-size", "4",
+             "--epochs", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    named = tmp_path / "afile" if where == "under-a-file" else tmp_path
+    assert err.startswith(f"error: cannot write {named}: ") and "Errno" not in err
+
+
 # -- train ------------------------------------------------------------------------
 
 def test_train_single_writes_run_directory(sst_run):

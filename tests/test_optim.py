@@ -9,7 +9,7 @@ import pytest
 from simcse_forge import optim
 from simcse_forge.autograd import Tensor
 from simcse_forge.optim import (AdamWConfig, AdamWState, adamw_step,
-                                check_field_types, global_grad_norm)
+                                check_field_types)
 
 
 def one_param(value, grad=None, ndim2=False):
@@ -204,14 +204,6 @@ def test_clip_norm_scales_update():
     q.grad = np.array([30.0, 40.0]) / 50.0 * (1.0 / (1.0 + 1e-12 / 50.0))
     adamw_step([("q", q)], AdamWState(), AdamWConfig(lr=0.1))
     assert np.allclose(p.data, q.data, atol=1e-12)
-
-
-def test_global_grad_norm():
-    a = Tensor(np.array([3.0]), requires_grad=True)
-    b = Tensor(np.array([4.0]), requires_grad=True)
-    a.grad = np.array([3.0])
-    b.grad = np.array([4.0])
-    assert global_grad_norm([("a", a), ("b", b)]) == pytest.approx(5.0)
 
 
 def test_grad_arrays_not_mutated():
