@@ -1,8 +1,8 @@
 """Command-line surface: train / eval / embed / synth / experiment.
 
 Exit codes: 0 success, 1 usage, configuration or unwritable output problem,
-2 data problem, 3 checkpoint integrity problem. Every command that writes a
-file creates its parent directories. Training writes a per-run directory
+2 data problem, 3 checkpoint integrity problem. Every command checks where
+it writes before any work (``_output``). Training writes a per-run directory
 (timestamp + config hash under ./runs, or --out) holding checkpoint.ckpt,
 metrics.tsv, vocab.txt, and manifest.json; everything except the manifest's
 wall time is a pure function of (config, seed, data).
@@ -130,6 +130,26 @@ def parse_dotted_overrides(extras) -> list[tuple[str, str]]:
     return overrides
 
 
+def _output(path, *names: str):
+    """Check the file ``path``, or the files ``names`` in directory ``path``,
+    before any work: a UsageError names a non-directory on the way or a
+    target of the wrong kind. ``place(name)`` (``place()`` for ``path``)
+    creates a file's parents as it is written, so a refused run makes none."""
+    path = Path(path)
+    for target in [path / name for name in names] or [path]:
+        for part in reversed(target.parents):
+            if part.exists() and not part.is_dir():
+                raise UsageError(f"cannot write {part}: it is not a directory")
+        if target.is_dir():
+            raise UsageError(f"cannot write {target}: it is a directory")
+
+    def place(name: str = "") -> Path:
+        file = path / name
+        file.parent.mkdir(parents=True, exist_ok=True)
+        return file
+    return place
+
+
 # -- train -------------------------------------------------------------------------
 
 def _require(config: RunConfig, name: str) -> str:
@@ -192,9 +212,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
 
 
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
-    if not dev:
-        return []
-    return [report_row(model, task, ckpt, dev, config.train.batch_size)]
+    return [report_row(model, task, ckpt, dev, config.train.batch_size)] if dev else []
 
 
 def _train_single(config: RunConfig):
@@ -262,16 +280,6 @@ _DISPATCH = {"single": _train_single, "multitask": _train_multitask,
              "two-tier": _train_two_tier, "transfer": _train_transfer}
 
 
-def _make_out_dir(config: RunConfig) -> Path:
-    if config.out:
-        out = Path(config.out)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        out = Path("runs") / f"{stamp}-{config_hash(config)}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_train(args) -> int:
     if args.variant in ("unsup-simcse", "sup-simcse", "transfer"):
         for path, _ in args.overrides:   # their encoder is the checkpoint's
@@ -284,21 +292,23 @@ def cmd_train(args) -> int:
     if args.out:
         config.out = args.out
     started = time.time()
+    out = config.out or f"runs/{time.strftime('%Y%m%d-%H%M%S')}-{config_hash(config)}"
+    outputs = ("checkpoint.ckpt", "metrics.tsv", "vocab.txt")
+    place = _output(out, *outputs, "manifest.json")
     vocab, ckpt, reports = _DISPATCH[args.variant](config)
-    out = _make_out_dir(config)
-    save_checkpoint(ckpt, out / "checkpoint.ckpt")
-    (out / "metrics.tsv").write_text(emit_report(reports), encoding="utf-8")
-    vocab.save(out / "vocab.txt")
+    save_checkpoint(ckpt, place("checkpoint.ckpt"))
+    place("metrics.tsv").write_text(emit_report(reports), encoding="utf-8")
+    vocab.save(place("vocab.txt"))
     manifest = {
         "command": f"train {args.variant}",
         "config": config.to_dict(),
         "seed": config.seed,
         "params_hash": params_hash(ckpt.params),
         "stage": ckpt.stage,
-        "outputs": ["checkpoint.ckpt", "metrics.tsv", "vocab.txt"],
+        "outputs": list(outputs),
         "wall_time_s": round(time.time() - started, 3),
     }
-    (out / "manifest.json").write_text(
+    place("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if reports:
         print(emit_report(reports, format="pretty"), end="")
@@ -315,6 +325,7 @@ def _checkpoint_vocab(ckpt: Checkpoint) -> Vocab:
 
 
 def cmd_eval(args) -> int:
+    place = _output(args.out or ".", "heatmap.csv") if args.task == "sts" else None
     ckpt = load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(ckpt)
     task = args.task
@@ -326,14 +337,14 @@ def cmd_eval(args) -> int:
     print(emit_report([report], format="pretty"), end="")
     if task == "sts":
         _, csv_text = similarity_heatmap(golds, preds)
-        out = Path(args.out) if args.out else Path(".")
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "heatmap.csv").write_text(csv_text, encoding="utf-8")
-        logger.info("heatmap written to %s", out / "heatmap.csv")
+        path = place("heatmap.csv")
+        path.write_text(csv_text, encoding="utf-8")
+        logger.info("heatmap written to %s", path)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
+    place = _output(args.out or ".", "embeddings.tsv")
     ckpt = load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(ckpt)
     lines = _read_sentence_file(args.sentences)
@@ -346,40 +357,34 @@ def cmd_embed(args) -> int:
             ids, mask = pad_batch(token_lists[start:start + args.batch_size])
             vectors.append(encode(ids, mask, ckpt.params, ckpt.config).pooled.data)
     matrix = np.concatenate(vectors, axis=0)
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "embeddings.tsv"
+    path = place("embeddings.tsv")
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("sentence\t" + "\t".join(f"e{i}" for i in
                                           range(matrix.shape[1])) + "\n")
         for sentence, row in zip(lines, matrix):
             fh.write(sentence.replace("\t", " ") + "\t"
-                     + "\t".join(repr(float(v)) for v in row) + "\n")
+                     + "\t".join(map(repr, row.tolist())) + "\n")
     logger.info("%d embeddings written to %s", len(lines), path)
     return EXIT_OK
 
 
-def _out_file(path) -> Path:
-    """path, with its parent directories created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def cmd_synth(args) -> int:
     seed = load_run_config(None, seed_flag=args.seed).seed
+    place = _output(args.out)
     rows = synth_toy_corpus(args.kind, args.size, Rng(seed))
-    write_tsv(_out_file(args.out), SYNTH_SCHEMAS[args.kind], rows)
+    write_tsv(place(), SYNTH_SCHEMAS[args.kind], rows)
     logger.info("%d rows written to %s", len(rows), args.out)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
     args.seed = load_run_config(None, seed_flag=args.seed).seed
-    reports = EXPERIMENTS[args.name](experiment_config_from_args(args))
+    config = experiment_config_from_args(args)
+    place = _output(args.out) if args.out else None
+    reports = EXPERIMENTS[args.name](config)
     print(emit_report(reports, format="pretty"), end="")
-    if args.out:
-        _out_file(args.out).write_text(emit_report(reports), encoding="utf-8")
+    if place:
+        place().write_text(emit_report(reports), encoding="utf-8")
     return EXIT_OK
 
 
@@ -401,15 +406,10 @@ def main(argv=None) -> int:
             raise UsageError(f"{args.command} takes no overrides: "
                              f"{args.overrides[0][0]}")
         return args.func(args)
-    except IntegrityError as exc:
+    except ValueError as exc:   # UsageError and ConfigError are usage errors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:   # UsageError and ConfigError too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return (EXIT_INTEGRITY if isinstance(exc, IntegrityError) else
+                EXIT_DATA if isinstance(exc, DataError) else EXIT_USAGE)
     except OSError as exc:      # input files fail as data or checkpoint errors
         where = f" {exc.filename}" if exc.filename else ""
         print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)

@@ -175,7 +175,11 @@ def apply_overrides(d: dict, overrides) -> None:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {path!r} crosses a non-section")
-        node[parts[-1]] = parse_override_value(raw)
+        try:
+            node[parts[-1]] = parse_override_value(raw)
+        except RecursionError:
+            raise ConfigError(f"override {path!r}: value nested too deeply "
+                              f"to parse") from None
 
 
 def load_run_config(path=None, overrides=(), seed_flag: int | None = None,

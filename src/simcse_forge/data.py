@@ -191,15 +191,18 @@ def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     rows: list[tuple[str, ...]] = []
     reader = csv.reader(io.StringIO(read_text(p), newline=""), delimiter="\t",
                         quotechar='"')
-    header = next(reader, None)
-    if header is None or tuple(header) != columns:
-        raise DataError(
-            f"{p}: expected header {list(columns)}, got {header}")
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(columns):
-            raise DataError(f"{p}:{line_no}: expected {len(columns)} columns, "
-                            f"got {len(row)}")
-        rows.append(tuple(row))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != columns:
+            raise DataError(
+                f"{p}: expected header {list(columns)}, got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(columns):
+                raise DataError(f"{p}:{line_no}: expected {len(columns)} columns, "
+                                f"got {len(row)}")
+            rows.append(tuple(row))
+    except csv.Error as exc:    # a field past csv's size limit, say
+        raise DataError(f"{p}:{reader.line_num}: {exc}") from None
     return rows
 
 

@@ -14,6 +14,7 @@ parameter's ``.data`` and its ``m``/``v`` entries are views of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +31,8 @@ def _is_int(value) -> bool:
 # declared type -> (what the error says a value must be, the test it passes)
 _TYPE_RULES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)
+              and math.isfinite(v)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
@@ -40,9 +42,10 @@ def check_field_types(obj, prefix: str = "") -> None:
     """Check each field of the dataclass ``obj`` against its declared type.
 
     int takes a Python or numpy int but not a bool, float any such int or a
-    float, bool only a bool and str only a str; ``X | None`` also takes None.
-    Fields of any other type (a nested config) are skipped. The types are
-    read as the strings ``from __future__ import annotations`` leaves.
+    finite float, bool only a bool and str only a str; ``X | None`` also
+    takes None. Fields of any other type (a nested config) are skipped. The
+    types are read as the strings ``from __future__ import annotations``
+    leaves.
     """
     for f in fields(obj):
         kind, _, rest = f.type.partition(" | ")

@@ -330,6 +330,19 @@ def test_bernoulli_draw_equal_to_keep_drops():
     assert same_bits(Rng(37).bernoulli(np.nextafter(u, 2.0), (64,)), np.ones(64))
 
 
+@pytest.mark.parametrize("keep", [0.0, 1.0, 0.9, "array"])
+def test_bernoulli_is_the_key_streams_uniform_below_keep(keep):
+    # a scalar keep is compared as an integer, an array keep as a float
+    shape = (40, 25)
+    if keep == "array":
+        keep = frozen(Rng(3).uniform(shape))
+    key = Rng(41)._key()
+    want = Rng(key).uniform(shape) < keep
+    got = Rng(41).bernoulli(keep, shape, dtype=bool)
+    assert same_bits(got, want)
+    assert got.any() == (np.max(keep) > 0) and got.all() == (np.min(keep) == 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        shape=st.lists(st.integers(0, 6), min_size=0, max_size=3).map(tuple),
