@@ -212,7 +212,9 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
 
 
 def _final_report(model: str, task: str, ckpt, config: RunConfig, dev):
-    return [report_row(model, task, ckpt, dev, config.train.batch_size)] if dev else []
+    if not dev:
+        return []
+    return [report_row(model, task, ckpt, dev, config.train.batch_size)]
 
 
 def _train_single(config: RunConfig):

@@ -42,13 +42,14 @@ class DataError(ValueError):
 
 def read_text(path) -> str:
     """The whole of a UTF-8 text file, line endings untranslated; a missing
-    or unreadable file or undecodable bytes are a DataError."""
+    or unreadable file or undecodable bytes are a DataError. A path that
+    cannot be opened is quoted, so a newline in it keeps the error one line."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
-        raise DataError(f"file not found: {path}") from None
+        raise DataError(f"file not found: {str(path)!r}") from None
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+        raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
 

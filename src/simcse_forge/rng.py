@@ -104,17 +104,9 @@ class Rng:
         k >>= np.uint64(11)
         # k * 2**-53 < keep  <=>  k < keep * 2**53: both scalings by 2**53 are
         # exact and k < 2**53 converts to float64 exactly, so the mask equals
-        # uniform() < keep without building the uniform array. For an integer
-        # k that is k < ceil(keep * 2**53), so a scalar keep, clipped to [0, 1]
-        # (NaN to 0), compares in uint64 and k is not converted; a per-unit
-        # keep array would cost more to convert than k does.
-        if keep.ndim:
-            limit = keep * 2.0**53
-        else:
-            limit = np.uint64(math.ceil(min(float(keep), 1.0) * 2.0**53)
-                              if keep > 0 else 0)
+        # uniform() < keep without building the uniform array.
         k = k.reshape(shape) if shape else k[0, 0]
-        return (k < limit).astype(dtype, copy=False)
+        return (k < keep * 2.0**53).astype(dtype, copy=False)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

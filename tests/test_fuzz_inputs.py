@@ -15,7 +15,7 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simcse_forge import cli
@@ -101,7 +101,7 @@ def _assert_refused(code, err, codes=(2,)):
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_read_rows_and_load_tsv_on_a_damaged_file(fuzz, data):
     d, good, vocab = fuzz
     kind = data.draw(st.sampled_from(KINDS), label="kind")
@@ -121,7 +121,7 @@ def test_read_rows_and_load_tsv_on_a_damaged_file(fuzz, data):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_eval_on_a_damaged_dataset_exit_2_or_scores_it(fuzz, data):
     d, good, _ = fuzz
     task = data.draw(st.sampled_from([k for k in KINDS if k != "nli"]), label="task")
@@ -137,7 +137,7 @@ def test_eval_on_a_damaged_dataset_exit_2_or_scores_it(fuzz, data):
 
 
 @given(data=st.data())
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_a_damaged_vocab_file_exit_2_or_loads(fuzz, data):
     d, good, _ = fuzz
     blob = good["vocab"]
@@ -180,7 +180,8 @@ VALUES = st.one_of(
 
 @given(overrides=st.lists(st.tuples(st.sampled_from(SECTIONS), st.sampled_from(KEYS),
                                     VALUES), min_size=1, max_size=3))
-@settings(max_examples=150, deadline=None, database=None)
+@example(overrides=[("data", "train", "\n")])   # a path with a newline in it
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_dotted_overrides_exit_1_or_2_or_reach_training(fuzz, overrides):
     d, _, _ = fuzz
     argv = ["train", "single", "--config", str(d / "run.json"), "--out", str(d / "run")]

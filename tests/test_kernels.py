@@ -332,7 +332,7 @@ def test_bernoulli_draw_equal_to_keep_drops():
 
 @pytest.mark.parametrize("keep", [0.0, 1.0, 0.9, "array"])
 def test_bernoulli_is_the_key_streams_uniform_below_keep(keep):
-    # a scalar keep is compared as an integer, an array keep as a float
+    # the mask is the key stream's uniform draw below keep, scalar or array
     shape = (40, 25)
     if keep == "array":
         keep = frozen(Rng(3).uniform(shape))
