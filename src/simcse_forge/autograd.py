@@ -753,29 +753,52 @@ def gelu(a) -> Tensor:
 
 # -- composite primitives --------------------------------------------------
 
-def softmax(a, scale: float = 1.0, bias: np.ndarray | None = None) -> Tensor:
+def softmax(a, scale: float = 1.0, bias: np.ndarray | None = None,
+            out: np.ndarray | None = None, stats: list | None = None) -> Tensor:
     """Softmax over the last axis of ``a * scale + bias``, computed with max
     subtraction. bias is a constant (no gradient) that broadcasts against a,
     such as attention's -1e9 mask offsets. Folding both in here spares two
     full-size temporaries, and the values and gradients are bit-identical to
-    the separate multiply, add and softmax."""
+    the separate multiply, add and softmax. out and stats are
+    ``softmax_probs``'s: out may be a's own array when the caller needs it no
+    more."""
     a = as_tensor(a)
     if a.shape[-1] < 1:
         raise ShapeMismatchError("softmax needs a non-empty last axis")
-    out = np.multiply(a.data, scale)
+    out = softmax_probs(a.data, scale, bias, out, stats)
+    return _make(out, (a,), lambda g: (softmax_grad(g, out, scale),), "softmax")
+
+
+def softmax_probs(x: np.ndarray, scale: float = 1.0, bias: np.ndarray | None = None,
+                  out: np.ndarray | None = None, stats=None) -> np.ndarray:
+    """``softmax``'s output array for the array x, written into out when
+    given (out may be x). The reductions are ndarray.max's and .sum's own
+    ufunc calls, without their Python wrappers.
+
+    stats, an empty list, is filled with the row max and row sum ([..., 1])
+    this call computes. Given such a pair back, a call on the same x, scale
+    and bias skips both reductions and returns the first call's output bit
+    for bit, since every other step takes the same operands: so a backward
+    can rebuild a softmax output instead of keeping it.
+    """
+    out = np.multiply(x, scale, out=out)
     if bias is not None:
         out += bias
-    out -= out.max(axis=-1, keepdims=True)
+    rebuild = bool(stats)
+    top = stats[0] if rebuild else np.maximum.reduce(out, axis=-1, keepdims=True)
+    out -= top
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-
-    return _make(out, (a,), lambda g: (softmax_grad(g, out, scale),), "softmax")
+    total = stats[1] if rebuild else np.add.reduce(out, axis=-1, keepdims=True)
+    out /= total
+    if stats is not None and not rebuild:
+        stats += [top, total]
+    return out
 
 
 def softmax_grad(g: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
     """softmax's gradient for ``a`` from its output and output gradient g."""
     gx = g * out
-    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    np.subtract(g, np.add.reduce(gx, axis=-1, keepdims=True), out=gx)
     gx *= out
     gx *= scale
     return gx

@@ -115,6 +115,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"checkpoint not found: {p}") from None
     except OSError as exc:
         raise IntegrityError(f"cannot read checkpoint {p}: {exc.strerror}") from None
+    except ValueError as exc:       # a NUL byte in the path
+        raise IntegrityError(f"cannot read checkpoint {str(p)!r}: {exc}") from None
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise IntegrityError(f"{p}: not a checkpoint file (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, 4)

@@ -132,11 +132,14 @@ def parse_dotted_overrides(extras) -> list[tuple[str, str]]:
 
 def _output(path, *names: str):
     """Check the file ``path``, or the files ``names`` in directory ``path``,
-    before any work: a UsageError names a non-directory on the way or a
-    target of the wrong kind. ``place(name)`` (``place()`` for ``path``)
-    creates a file's parents as it is written, so a refused run makes none."""
+    before any work: a UsageError names a non-directory on the way, a
+    target of the wrong kind or a path holding a NUL byte. ``place(name)``
+    (``place()`` for ``path``) creates a file's parents as it is written, so
+    a refused run makes none."""
     path = Path(path)
     for target in [path / name for name in names] or [path]:
+        if "\0" in str(target):
+            raise UsageError(f"cannot write {str(target)!r}: embedded null byte")
         for part in reversed(target.parents):
             if part.exists() and not part.is_dir():
                 raise UsageError(f"cannot write {part}: it is not a directory")

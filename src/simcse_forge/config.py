@@ -196,6 +196,8 @@ def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
             raise ConfigError(f"{p}: not valid UTF-8 text (byte {exc.start})") from None
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{p}: invalid JSON ({exc})") from None
+        except ValueError as exc:   # a NUL byte in the path
+            raise ConfigError(f"cannot read config file {str(p)!r}: {exc}") from None
         if not isinstance(d, dict):
             raise ConfigError(f"{p}: top level must be a JSON object")
     else:

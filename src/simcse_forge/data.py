@@ -42,8 +42,9 @@ class DataError(ValueError):
 
 def read_text(path) -> str:
     """The whole of a UTF-8 text file, line endings untranslated; a missing
-    or unreadable file or undecodable bytes are a DataError. A path that
-    cannot be opened is quoted, so a newline in it keeps the error one line."""
+    or unreadable file, a path holding a NUL byte or undecodable bytes are a
+    DataError. A path that cannot be opened is quoted, so a newline or NUL in
+    it keeps the error one printable line."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except FileNotFoundError:
@@ -52,6 +53,8 @@ def read_text(path) -> str:
         raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
+    except ValueError as exc:       # a NUL byte in the path
+        raise DataError(f"cannot read {str(path)!r}: {exc}") from None
 
 
 def split_words(text: str) -> list[str]:
@@ -94,7 +97,15 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        return cls.from_tokens(read_text(path).splitlines())
+        """One token per line; a repeated token is a DataError naming the
+        file, the token and both of its lines."""
+        tokens = read_text(path).splitlines()
+        first: dict[str, int] = {}
+        for line, token in enumerate(tokens, 1):
+            if first.setdefault(token, line) != line:
+                raise DataError(f"{path}:{line}: vocab token {token!r} repeats "
+                                f"line {first[token]}")
+        return cls.from_tokens(tokens)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocab":

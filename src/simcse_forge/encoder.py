@@ -38,9 +38,10 @@ plus a per-bucket cost C measured in score entries (``_BUCKET_COST``), by a
 DP over the distinct extents. ``attention_core`` then runs the masked
 T x T scores, softmax and context of every bucket at [n_g, H, T_g, T_g] as
 one graph node per layer: it places the Q/K/V rows into each bucket's
-per-head blocks, and its backward writes each row's gradient once. A batch
-with no padding is one bucket at the full T whose blocks are views of the
-rows, not copies.
+per-head blocks, keeps those blocks and the softmax's row max and sum
+rather than the T x T probabilities, which its backward rebuilds bit for
+bit, and writes each row's gradient once. A batch with no padding is one
+bucket at the full T whose blocks are views of the rows, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
@@ -407,28 +408,46 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
     ``query`` (default: every packed row, M = N), which is bucketed like it.
     Bucket g runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for
     the [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows.
-    The backward computes every bucket's score, softmax and context
-    gradients with the numpy calls and operand layouts of separate matmul
-    and softmax nodes, so its values are theirs bit for bit, and writes each
-    row's q, k and v gradient once.
 
-    The backward reads only the per-bucket blocks it saves. In a padded
-    batch they are copies, so the q, k and v rows are freed once the caller
-    drops them; without padding the blocks are views that keep the rows.
+    The node keeps each bucket's Q, K and V blocks ([n_g, H, ., hd]) and its
+    softmax's row max and row sum ([n_g, H, Q_g, 1]), and no attention
+    probabilities: the forward computes each bucket's [n_g, H, Q_g, T_g]
+    softmax in place over its scores and frees it once its context is
+    taken, and the backward rebuilds it from the kept Q and K blocks and row
+    statistics with the same numpy calls on the same operands
+    (``autograd.softmax_probs``), so it is the forward's bit for bit. The
+    score, softmax and context gradients then take the numpy calls and
+    operand layouts of separate matmul and softmax nodes, whose values they
+    equal bit for bit, and each row's q, k and v gradient is written once.
+    In a padded batch the blocks are copies, so the q, k and v rows
+    are freed once the caller drops them; without padding the blocks are
+    views that keep the rows. When no operand needs a gradient the node
+    keeps nothing, and no bucket's blocks outlive its own context.
     """
     query = packing if query is None else query
     scale = 1.0 / np.sqrt(q.shape[1] // num_heads)
-    saved = []                  # (qb, kb, vb, w) per bucket, all [n, H, ., .]
-    for bucket, qbucket in zip(packing.buckets, query.buckets):
+    keep = ag._grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    saved = []      # per bucket: qb, kb, vb [n, H, ., hd]; row max, row sum [n, H, Q, 1]
+
+    def context(bucket: Bucket, qbucket: Bucket) -> np.ndarray:
         qb = _to_heads(q.data, qbucket, num_heads)
         kb, vb = (_to_heads(x.data, bucket, num_heads) for x in (k, v))
-        w = softmax(ag._wrap(qb @ kb.swapaxes(-1, -2)), scale=scale, bias=bucket.bias).data
-        saved.append((qb, kb, vb, w))
-    ctx = _to_rows([w @ vb for _, _, vb, w in saved], query)
+        scores = qb @ kb.swapaxes(-1, -2)
+        stats = [] if keep else None
+        w = softmax(ag._wrap(scores), scale=scale, bias=bucket.bias, out=scores,
+                    stats=stats).data
+        if keep:
+            saved.append((qb, kb, vb, *stats))
+        return w @ vb
+
+    ctx = _to_rows((context(*pair) for pair in zip(packing.buckets, query.buckets)), query)
 
     def backward(g):
         grads = ([], [], [])
-        for qbucket, (qb, kb, vb, w) in zip(query.buckets, saved):
+        for bucket, qbucket, (qb, kb, vb, *stats) in zip(packing.buckets, query.buckets,
+                                                         saved):
+            scores = qb @ kb.swapaxes(-1, -2)
+            w = ag.softmax_probs(scores, scale, bucket.bias, out=scores, stats=stats)
             gc = _to_heads(g, qbucket, num_heads)
             gw = gc @ vb.swapaxes(-1, -2)
             gs = ag.softmax_grad(gw, w, scale)

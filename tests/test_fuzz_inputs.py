@@ -209,3 +209,41 @@ def test_a_field_past_the_csv_size_limit_exit_2(fuzz):
     code, err = _main(["eval", str(d / "model.ckpt"), "--data", str(path),
                        "--task", "sst"])
     _assert_refused(code, err)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_damaged_run_config_exit_1_or_reaches_training(fuzz, data):
+    # one byte of a valid run.json XORed: the config loads and the stubbed
+    # trainer runs (exit 0), or the run is refused as a usage error (exit 1)
+    d, _, vocab = fuzz
+    config = EncoderConfig(vocab_size=len(vocab), **ENCODER)
+    trained = Checkpoint(config=config, params=init_params(config, Rng(0)),
+                         vocab_tokens=vocab.tokens())
+    blob = json.dumps({
+        "seed": 3, "encoder": ENCODER, "dropout": {"kind": "standard", "p": 0.1},
+        "optim": {"lr": 0.001, "weight_decay": 0.01},
+        "train": {"task": "sst", "epochs": 1, "batch_size": 4}}).encode()
+    damaged = bytearray(blob)
+    # most bytes are keys and punctuation, where any change is refused; bit
+    # flips of digits and spaces often leave a valid config, so both outcomes show
+    values = [i for i, byte in enumerate(blob) if chr(byte) in "0123456789 "]
+    pos = st.one_of(st.integers(0, len(blob) - 1), st.sampled_from(values))
+    mask = st.one_of(st.sampled_from([1 << bit for bit in range(8)]), st.integers(1, 255))
+    damaged[data.draw(pos, label="position")] ^= data.draw(mask, label="mask")
+    path = d / "damaged_run.json"
+    path.write_bytes(bytes(damaged))
+    calls = []
+
+    def trainer(*args, **kwargs):
+        calls.append(args)
+        return trained
+
+    with mock.patch.object(cli, "train_single_task", trainer):
+        code, err = _main(["train", "single", "--config", str(path),
+                           "--data.train", str(d / "sst.tsv"), "--out", str(d / "xor_run")])
+    if code == 0:
+        assert len(calls) == 1, err
+    else:
+        assert not calls
+        _assert_refused(code, err, codes=(1,))

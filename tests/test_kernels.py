@@ -183,6 +183,48 @@ def test_softmax_folds_scale_and_bias_bit_for_bit():
     assert np.all(out[1, ..., -2:] == 0.0)
 
 
+def method_softmax(x, g, scale, bias):
+    """softmax and its gradient in the op order of the kernels, with the
+    ndarray .max() and .sum() methods for the reductions."""
+    out = np.multiply(x, scale)
+    if bias is not None:
+        out += bias
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    gx = g * out
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= out
+    gx *= scale
+    return out, gx
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_softmax_reductions_match_the_method_formula_bits(masked):
+    # the kernels call np.maximum.reduce and np.add.reduce, the ufuncs behind
+    # ndarray.max and .sum; softmax_probs, in place or not, is softmax's output
+    x, g = inputs((3, 2, 5, 6), seed=5)
+    bias = None
+    if masked:
+        bias = np.zeros((3, 1, 1, 6))
+        bias[0, ..., 4:] = -1e9
+        bias[2, ..., 1:] = -1e9          # rows with one unmasked key
+    scale = 1.0 / np.sqrt(8.0)
+    out, gx = run_unary(lambda t: ag.softmax(t, scale=scale, bias=bias), x, g)
+    ref_out, ref_gx = method_softmax(x, g, scale, bias)
+    assert same_bits(out, ref_out) and same_bits(gx, ref_gx)
+    assert same_bits(ag.softmax_probs(x, scale, bias), ref_out)
+    scratch = x.copy()
+    assert ag.softmax_probs(scratch, scale, bias, out=scratch) is scratch
+    assert same_bits(scratch, ref_out)
+    assert same_bits(ag.softmax_grad(g, ref_out, scale), ref_gx)
+    # the row statistics one call fills rebuild its output without reductions
+    stats = []
+    assert same_bits(ag.softmax_probs(x, scale, bias, stats=stats), ref_out)
+    assert [s.shape for s in stats] == [(3, 2, 5, 1)] * 2
+    assert same_bits(ag.softmax_probs(x, scale, bias, stats=stats), ref_out)
+
+
 def test_gelu_close_to_pow_cube():
     """x*x*x differs from x**3 by about an ulp. 1 + tanh(.) cancels for
     negative x, so there the output carries an absolute error near

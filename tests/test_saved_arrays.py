@@ -226,3 +226,26 @@ def test_gelu_without_a_gradient_saves_nothing_and_keeps_its_bytes():
     for out in (plain, constant):
         assert out.node is None and not out.requires_grad
         assert out.data.tobytes() == graded.data.tobytes()
+
+
+def test_attention_node_keeps_no_probability_block():
+    # the core keeps each bucket's Q, K and V blocks and rebuilds the softmax
+    # output in backward, so no [n, H, Q, T] array outlives the forward pass
+    config = EncoderConfig(vocab_size=30, hidden_dim=8, num_layers=2, num_heads=2,
+                           ffn_dim=16, max_seq_len=64,
+                           dropout=DropoutPolicy(kind="standard", p=0.2))
+    params = init_params(config, Rng(0))
+    ids, mask = padded_batch([3, 2, 3, 60, 25, 3, 25, 24], t=62)
+    assert len(pack(mask).buckets) >= 3
+    hd = config.hidden_dim // config.num_heads
+    for sequence in (True, False):
+        pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1),
+                        sequence=sequence).pooled
+        nodes = [n for n in graph_nodes(pooled.sum()) if n.op == "attention"]
+        assert len(nodes) == config.num_layers
+        for node in nodes:
+            blocks = [v for v in saved(node) if isinstance(v, np.ndarray) and v.ndim == 4]
+            assert blocks
+            for block in blocks:
+                assert block.shape[1] == config.num_heads, block.shape
+                assert block.shape[-1] in (hd, 1), block.shape
