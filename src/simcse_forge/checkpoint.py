@@ -112,9 +112,9 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         blob = p.read_bytes()
     except FileNotFoundError:
-        raise IntegrityError(f"checkpoint not found: {p}") from None
+        raise IntegrityError(f"checkpoint not found: {str(p)!r}") from None
     except OSError as exc:
-        raise IntegrityError(f"cannot read checkpoint {p}: {exc.strerror}") from None
+        raise IntegrityError(f"cannot read checkpoint {str(p)!r}: {exc.strerror}") from None
     except ValueError as exc:       # a NUL byte in the path
         raise IntegrityError(f"cannot read checkpoint {str(p)!r}: {exc}") from None
     if len(blob) < 8 or blob[:4] != MAGIC:

@@ -142,9 +142,9 @@ def _output(path, *names: str):
             raise UsageError(f"cannot write {str(target)!r}: embedded null byte")
         for part in reversed(target.parents):
             if part.exists() and not part.is_dir():
-                raise UsageError(f"cannot write {part}: it is not a directory")
+                raise UsageError(f"cannot write {str(part)!r}: it is not a directory")
         if target.is_dir():
-            raise UsageError(f"cannot write {target}: it is a directory")
+            raise UsageError(f"cannot write {str(target)!r}: it is a directory")
 
     def place(name: str = "") -> Path:
         file = path / name
@@ -175,7 +175,7 @@ def _load_scored(path, task: str, vocab: Vocab, max_len: int):
     examples = load_tsv(path, SYNTH_SCHEMAS[task], vocab, max_len)
     need = 2 if task == "sts" else 1
     if len(examples) < need:
-        raise DataError(f"{path}: {'empty' if not examples else 'too small a'} "
+        raise DataError(f"{str(path)!r}: {'empty' if not examples else 'too small a'} "
                         f"dataset, it has {len(examples)} example(s) and "
                         f"scoring {task} needs at least {need}")
     return examples
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         return (EXIT_INTEGRITY if isinstance(exc, IntegrityError) else
                 EXIT_DATA if isinstance(exc, DataError) else EXIT_USAGE)
     except OSError as exc:      # input files fail as data or checkpoint errors
-        where = f" {exc.filename}" if exc.filename else ""
+        where = f" {str(exc.filename)!r}" if exc.filename else ""
         print(f"error: cannot write{where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -189,13 +189,13 @@ def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
         try:
             d = json.loads(p.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise ConfigError(f"config file not found: {p}") from None
+            raise ConfigError(f"config file not found: {str(p)!r}") from None
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
+            raise ConfigError(f"cannot read config file {str(p)!r}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"{p}: not valid UTF-8 text (byte {exc.start})") from None
+            raise ConfigError(f"{str(p)!r}: not valid UTF-8 text (byte {exc.start})") from None
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{p}: invalid JSON ({exc})") from None
+            raise ConfigError(f"{str(p)!r}: invalid JSON ({exc})") from None
         except ValueError as exc:   # a NUL byte in the path
             raise ConfigError(f"cannot read config file {str(p)!r}: {exc}") from None
         if not isinstance(d, dict):

@@ -52,7 +52,7 @@ def read_text(path) -> str:
     except OSError as exc:
         raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 text (byte {exc.start})") from None
+        raise DataError(f"{str(path)!r}: not valid UTF-8 text (byte {exc.start})") from None
     except ValueError as exc:       # a NUL byte in the path
         raise DataError(f"cannot read {str(path)!r}: {exc}") from None
 

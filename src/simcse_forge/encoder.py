@@ -35,13 +35,15 @@ buckets. A sequence's extent is its last packed position + 1; sorted by
 extent (stable), the sequences are cut into contiguous buckets that
 minimise sum(n_g * T_g^2) + C * G, the score entries the buckets compute
 plus a per-bucket cost C measured in score entries (``_BUCKET_COST``), by a
-DP over the distinct extents. ``attention_core`` then runs the masked
-T x T scores, softmax and context of every bucket at [n_g, H, T_g, T_g] as
-one graph node per layer: it places the Q/K/V rows into each bucket's
-per-head blocks, keeps those blocks and the softmax's row max and sum
-rather than the T x T probabilities, which its backward rebuilds bit for
-bit, and writes each row's gradient once. A batch with no padding is one
-bucket at the full T whose blocks are views of the rows, not copies.
+DP over the distinct extents. ``attention_core`` is one graph node per
+layer: the Q/K/V projections, the masked T x T scores, softmax and context
+of every bucket at [n_g, H, T_g, T_g], and the output projection. It places
+the projected rows into each bucket's per-head blocks by one gather each and
+keeps only its input rows, the weights and the softmax's row max and sum;
+its backward rebuilds the Q/K/V blocks, the probabilities and the context
+rows bit for bit from them and writes each row's gradient once. A batch
+with no padding is one bucket at the full T whose blocks are views of the
+rows, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
@@ -209,7 +211,10 @@ class Bucket(NamedTuple):
     The bucket's packed rows sit at ``slots``, a (sequence in the bucket,
     position) index into an [n, length] block; ``rows`` picks them from the
     packed rows. rows None means every packed row in order, and slots None
-    every slot of the block in order (the batch has no padding).
+    every slot of the block in order (the batch has no padding). ``index``
+    is the same placement seen from the block: the packed row each slot
+    reads, in block order, None when it would read every row in order; the
+    slots no row fills read row 0 and are listed in ``empty``.
     """
 
     seqs: np.ndarray                                  # [n] sequences, ascending
@@ -217,6 +222,8 @@ class Bucket(NamedTuple):
     bias: np.ndarray | None                           # [n, 1, 1, T_g] mask offsets
     rows: np.ndarray | None
     slots: tuple[np.ndarray, np.ndarray] | None
+    index: np.ndarray | None                          # [n * T_g]
+    empty: np.ndarray | None                          # slots no row fills, or None
 
 
 class Packing(NamedTuple):
@@ -252,10 +259,11 @@ class Packing(NamedTuple):
         """The [CLS] rows alone as attention queries, one per sequence. Each
         bucket keeps its sequences and runs at query length 1, so its blocks
         are [n_g, H, 1, hd]; query row b is sequence b, so a bucket's rows
-        are its sequences (None for the one bucket)."""
+        and index are its sequences (None for the one bucket)."""
         one = len(self.buckets) == 1
         return Queries(self.cls_rows, tuple(
-            bucket._replace(length=1, rows=None if one else bucket.seqs, slots=None)
+            bucket._replace(length=1, rows=None if one else bucket.seqs, slots=None,
+                            index=None if one else bucket.seqs, empty=None)
             for bucket in self.buckets))
 
 
@@ -325,7 +333,8 @@ def pack(mask) -> Packing:
     seqs, positions = np.nonzero(keep)
     full = bool(keep.all())
     if full:
-        bucket = Bucket(np.arange(len(mask)), mask.shape[1], _offsets(mask), None, None)
+        bucket = Bucket(np.arange(len(mask)), mask.shape[1], _offsets(mask), None, None,
+                        None, None)
         return Packing(mask, seqs, positions, full, (bucket,))
     b, t = mask.shape
     extents = t - np.argmax(keep[:, ::-1], axis=1)
@@ -340,7 +349,12 @@ def pack(mask) -> Packing:
             local[members] = np.arange(len(members))
             rows = np.flatnonzero(local[seqs] >= 0)
             slots = (local[seqs[rows]], positions[rows])
-        buckets.append(Bucket(members, length, _offsets(mask[members, :length]), rows, slots))
+        index = np.zeros(len(members) * length, dtype=np.intp)
+        filled = slots[0] * length + slots[1]
+        index[filled] = np.arange(len(seqs)) if rows is None else rows
+        empty = np.setdiff1d(np.arange(len(index)), filled, assume_unique=True)
+        buckets.append(Bucket(members, length, _offsets(mask[members, :length]), rows, slots,
+                              index, empty if len(empty) else None))
     return Packing(mask, seqs, positions, full, tuple(buckets))
 
 
@@ -369,15 +383,17 @@ def embed(token_ids, packing: Packing, params: ModelParams, config: EncoderConfi
 
 def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
     """A bucket's packed [N, H*hd] rows placed per head: [n, H, T_g, hd],
-    zero at the slots no row fills. With no padding (rows and slots None) it
-    is a view of rows, not a copy."""
+    zero at the slots no row fills: one gather by ``bucket.index``, then a
+    zero fill of the empty slots. With no padding (index None) it is a view
+    of rows, not a copy."""
     shape = (len(bucket.seqs), bucket.length, num_heads, rows.shape[1] // num_heads)
-    picked = rows if bucket.rows is None else rows[bucket.rows]
-    if bucket.slots is None:
-        block = picked.reshape(shape)
+    if bucket.index is None:
+        block = rows.reshape(shape)
     else:
-        block = np.zeros(shape)
-        block[bucket.slots] = picked.reshape(-1, *shape[2:])
+        block = rows.take(bucket.index, axis=0)
+        if bucket.empty is not None:
+            block[bucket.empty] = 0.0
+        block = block.reshape(shape)
     return block.transpose(0, 2, 1, 3)
 
 
@@ -399,65 +415,112 @@ def _to_rows(blocks, packing: Packing | Queries) -> np.ndarray:
     return out
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, packing: Packing,
+_ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def attention_core(hidden: Tensor, layer: dict[str, Tensor], packing: Packing,
                    num_heads: int, query: Queries | None = None) -> Tensor:
-    """Masked scaled dot-product attention over packed [M, d] query rows and
-    [N, d] key and value rows, as one graph node.
+    """One block's attention up to its residual add, as one graph node: the
+    Q, K and V projections of the packed [N, d] rows ``hidden``, masked
+    scaled dot-product attention per bucket, and the output projection.
 
-    The key and value rows are laid out by ``packing``, the query rows by
-    ``query`` (default: every packed row, M = N), which is bucketed like it.
-    Bucket g runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for
-    the [CLS] queries of ``Packing.cls``. Returns the [M, d] context rows.
+    layer is one block's tensors, ``params.scope("layers.<i>.")``. The key
+    and value rows are laid out by ``packing``, the query rows by ``query``
+    (default: every packed row, M = N), which is bucketed like it. Bucket g
+    runs at [n_g, H, Q_g, T_g], Q_g its query length: T_g, or 1 for the
+    [CLS] queries of ``Packing.cls``. Returns the output projection's [M, d]
+    rows, before dropout.
 
-    The node keeps each bucket's Q, K and V blocks ([n_g, H, ., hd]) and its
-    softmax's row max and row sum ([n_g, H, Q_g, 1]), and no attention
-    probabilities: the forward computes each bucket's [n_g, H, Q_g, T_g]
-    softmax in place over its scores and frees it once its context is
-    taken, and the backward rebuilds it from the kept Q and K blocks and row
-    statistics with the same numpy calls on the same operands
-    (``autograd.softmax_probs``), so it is the forward's bit for bit. The
-    score, softmax and context gradients then take the numpy calls and
-    operand layouts of separate matmul and softmax nodes, whose values they
-    equal bit for bit, and each row's q, k and v gradient is written once.
-    In a padded batch the blocks are copies, so the q, k and v rows
-    are freed once the caller drops them; without padding the blocks are
-    views that keep the rows. When no operand needs a gradient the node
-    keeps nothing, and no bucket's blocks outlive its own context.
+    The projections are the products a separate ``linear`` node per
+    projection ran: K and V over all N rows, Q over the query rows, each
+    [., d] and placed into each bucket's per-head blocks by one gather. (One
+    [d, 3d] product would save two numpy calls, but its [N, 3d] rows can
+    round differently: a one-row product, or a single head under 4 columns
+    wide. A stacked [3, N, d] product rounds alike but was no faster.)
+
+    The node keeps its input rows, the query picks, the weights and each
+    bucket's softmax row max and row sum ([n_g, H, Q_g, 1]): no Q, K or V
+    block, no [n_g, H, Q_g, T_g] probabilities and no context rows. The
+    forward computes each bucket's softmax in place over its scores and
+    frees it once its context is taken. The backward rebuilds the Q, K and V
+    blocks, the probabilities (``autograd.softmax_probs``, which the kept
+    row statistics spare both reductions) and the context rows with the
+    forward's numpy calls on the same operands, so they are the forward's
+    bit for bit. Its gradients then take the numpy calls and operand
+    layouts of separate linear, matmul and softmax nodes, whose values they
+    equal bit for bit, and each row's gradient is written once. The input
+    rows get Q's, K's and V's gradient as three parent entries, so the
+    backward walk sums them in the order it sums three separate
+    projections'. When no operand needs a gradient the node keeps nothing,
+    and no bucket's blocks outlive its own context.
     """
+    x, d = hidden.data, hidden.shape[1]
+    params = tuple(layer[f"attn.{name}"] for name in _ATTENTION_PARAMS)
+    wq, bq, wk, bk, wv, bv, wo, bo = (t.data for t in params)
+    picked = None if query is None else query.picked
     query = packing if query is None else query
-    scale = 1.0 / np.sqrt(q.shape[1] // num_heads)
-    keep = ag._grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    saved = []      # per bucket: qb, kb, vb [n, H, ., hd]; row max, row sum [n, H, Q, 1]
+    scale = 1.0 / np.sqrt(d // num_heads)
+    parents = (hidden,) * 3 + params
+    keep = ag._grad_enabled and any(t.requires_grad for t in parents)
+    input_grad = hidden.requires_grad
+    saved = []      # per bucket: the softmax's row max and row sum [n, H, Q, 1]
 
-    def context(bucket: Bucket, qbucket: Bucket) -> np.ndarray:
-        qb = _to_heads(q.data, qbucket, num_heads)
-        kb, vb = (_to_heads(x.data, bucket, num_heads) for x in (k, v))
-        scores = qb @ kb.swapaxes(-1, -2)
-        stats = [] if keep else None
-        w = softmax(ag._wrap(scores), scale=scale, bias=bucket.bias, out=scores,
-                    stats=stats).data
-        if keep:
-            saved.append((qb, kb, vb, *stats))
-        return w @ vb
+    def blocks(attending):
+        """Each bucket's Q, K and V blocks [n, H, ., hd], in bucket order."""
+        q, k, v = (np.matmul(rows, w) for rows, w in ((attending, wq), (x, wk), (x, wv)))
+        q += bq
+        k += bk
+        v += bv
+        for bucket, qbucket in zip(packing.buckets, query.buckets):
+            yield (_to_heads(q, qbucket, num_heads), _to_heads(k, bucket, num_heads),
+                   _to_heads(v, bucket, num_heads))
 
-    ctx = _to_rows((context(*pair) for pair in zip(packing.buckets, query.buckets)), query)
+    def contexts():
+        attending = x if picked is None else x[picked]
+        for (qb, kb, vb), bucket in zip(blocks(attending), packing.buckets):
+            scores = qb @ kb.swapaxes(-1, -2)
+            stats = [] if keep else None
+            w = softmax(ag._wrap(scores), scale=scale, bias=bucket.bias, out=scores,
+                        stats=stats).data
+            if keep:
+                saved.append(stats)
+            yield w @ vb
+
+    out = np.matmul(_to_rows(contexts(), query), wo)
+    out += bo
 
     def backward(g):
-        grads = ([], [], [])
-        for bucket, qbucket, (qb, kb, vb, *stats) in zip(packing.buckets, query.buckets,
-                                                         saved):
+        attending = x if picked is None else x[picked]
+        gctx = np.matmul(g, wo.T)
+        ctx, grads = [], ([], [], [])
+        # blocks() leads each zip, so the projected rows are freed as soon as
+        # the last bucket is placed, before the gradient rows are allocated
+        for (qb, kb, vb), bucket, qbucket, stats in zip(blocks(attending), packing.buckets,
+                                                        query.buckets, saved):
             scores = qb @ kb.swapaxes(-1, -2)
             w = ag.softmax_probs(scores, scale, bucket.bias, out=scores, stats=stats)
-            gc = _to_heads(g, qbucket, num_heads)
-            gw = gc @ vb.swapaxes(-1, -2)
-            gs = ag.softmax_grad(gw, w, scale)
+            ctx.append(w @ vb)
+            gc = _to_heads(gctx, qbucket, num_heads)
+            gs = ag.softmax_grad(gc @ vb.swapaxes(-1, -2), w, scale)
             grads[0].append(gs @ kb)
             grads[1].append((qb.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
             grads[2].append(w.swapaxes(-1, -2) @ gc)
-        return (_to_rows(grads[0], query),
-                _to_rows(grads[1], packing), _to_rows(grads[2], packing))
+        grads = (_to_rows(grads[0], query), _to_rows(grads[1], packing),
+                 _to_rows(grads[2], packing))
+        gx = [None] * 3
+        if input_grad:
+            gx = [np.matmul(gr, w.T) for gr, w in zip(grads, (wq, wk, wv))]
+            if picked is not None:      # placed as gather_rows's backward places it
+                placed = np.zeros(x.shape)
+                placed[picked] = gx[0]
+                gx[0] = placed
+        gw = []
+        for rows, gr in zip((attending, x, x), grads):
+            gw += [np.matmul(rows.T, gr), ag._unbroadcast(gr, (d,))]
+        ctx = _to_rows(ctx, query)
+        return (*gx, *gw, np.matmul(ctx.T, g), ag._unbroadcast(g, (d,)))
 
-    return ag._make(ctx, (q, k, v), backward, "attention")
+    return ag._make(out, parents, backward, "attention")
 
 
 def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tensor],
@@ -466,12 +529,12 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     """Scaled dot-product self-attention with residual add and layer norm.
 
     hidden is the batch's packed [N, d] rows; layer is one block's tensors,
-    ``params.scope("layers.<i>.")``. The Q, K and V projections feed one
-    ``attention_core`` node, which runs the scores, softmax and context per
-    bucket of ``packing`` and returns context rows for the output
-    projection. Masked key positions get a -1e9 additive score, which
-    underflows to exactly zero attention weight after softmax, so padded
-    slots never reach a real row.
+    ``params.scope("layers.<i>.")``. One ``attention_core`` node runs the
+    Q, K and V projections, the scores, softmax and context per bucket of
+    ``packing`` and the output projection; it keeps the rows it reads and
+    rebuilds the rest in backward. Masked key positions get a -1e9 additive
+    score, which underflows to exactly zero attention weight after softmax,
+    so padded slots never reach a real row.
 
     query (default: every row) picks the rows that attend: K and V run over
     all N rows, and the Q projection, attention context, output projection,
@@ -484,15 +547,11 @@ def multi_head_attention(hidden: Tensor, packing: Packing, layer: dict[str, Tens
     if n != packing.rows:
         raise ag.ShapeMismatchError(
             f"{n} hidden rows, but the attention mask packs {packing.rows}")
-    attending = hidden if query is None else ag.gather_rows(hidden, query.picked,
-                                                            (query.rows, d))
-    q = linear(attending, layer["attn.wq"], layer["attn.bq"])
-    k = linear(hidden, layer["attn.wk"], layer["attn.bk"])
-    v = linear(hidden, layer["attn.wv"], layer["attn.bv"])
-    ctx = attention_core(q, k, v, packing, num_heads, query)
-    out = linear(ctx, layer["attn.wo"], layer["attn.bo"])
+    out = attention_core(hidden, layer, packing, num_heads, query)
     if dropout_fn is not None:
         out = dropout_fn(out)
+    attending = hidden if query is None else ag.gather_rows(hidden, query.picked,
+                                                            (query.rows, d))
     return layer_norm(attending + out, layer["ln1.gamma"], layer["ln1.beta"])
 
 

@@ -103,7 +103,7 @@ def test_unwritable_output_path_exit_1_naming_it(tmp_path, capsys, command, wher
     assert main(argv) == 1
     err = capsys.readouterr().err
     named = tmp_path / "afile" if where == "under-a-file" else tmp_path
-    assert err.startswith(f"error: cannot write {named}: ") and "Errno" not in err
+    assert err.startswith(f"error: cannot write {str(named)!r}: ") and "Errno" not in err
 
 
 # -- train ------------------------------------------------------------------------

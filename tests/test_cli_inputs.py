@@ -2,8 +2,9 @@
 
 A path holding a NUL byte cannot be opened at all. It ends in the exit code
 of the file it names (2 data, 3 checkpoint, 1 config or output) and one
-``error:`` line that quotes the path. A vocab file that repeats a token
-names the file, the token and both of its lines.
+``error:`` line that quotes the path. A path holding a newline is quoted
+too, so its error stays one line. A vocab file that repeats a token names
+the file, the token and both of its lines.
 """
 
 import contextlib
@@ -70,6 +71,24 @@ def test_a_path_with_a_nul_byte_exits_with_its_code_and_is_quoted(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert repr(NUL)[:-1] in err, err       # quoted, NUL escaped
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eval", "no\nmodel.ckpt", "--data", "train.tsv", "--task", "sst"], 3),
+    (["train", "single", "--config", "no\nrun.json"], 1),
+    (["eval", "model.ckpt", "--data", "latin\n1.tsv", "--task", "sst"], 2),
+    (["embed", "model.ckpt", "s.txt", "--out", "a\nfile/out"], 1),
+], ids=["eval-checkpoint", "train-config", "non-utf8-data", "embed-out-under-a-file"])
+def test_a_path_with_a_newline_is_quoted_on_one_error_line(workdir, monkeypatch,
+                                                           argv, code):
+    for name in ("train_single_task", "predict_dataset", "encode"):
+        monkeypatch.setattr(cli, name, _unreachable)
+    (workdir / "latin\n1.tsv").write_bytes("caf\u00e9\t1\n".encode("latin-1"))
+    (workdir / "a\nfile").write_text("a regular file\n")
+    got, err = _main([*argv, "--out", "out"] if argv[0] == "train" else argv)
+    assert got == code, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "\\n" in err, err              # the newline, escaped inside quotes
 
 
 def test_a_vocab_file_that_repeats_a_token_names_the_file_token_and_lines(workdir):

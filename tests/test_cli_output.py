@@ -1,7 +1,8 @@
 """Every command checks where it writes before any work.
 
 A path under a regular file, or an output of the wrong kind, exits 1 with
-``error: cannot write <path>: <reason>`` before the command loads data,
+``error: cannot write '<path>': <reason>`` (the path quoted as ``repr``
+quotes it) before the command loads data,
 trains, scores, encodes or synthesizes, and leaves no directory behind.
 """
 
@@ -84,7 +85,7 @@ def test_bad_output_exit_1_before_any_work(workdir, capsys, monkeypatch, command
     capsys.readouterr()
     assert cli.main([*head, out, *tail]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: cannot write {named}: {reason}\n"
+    assert err == f"error: cannot write {named!r}: {reason}\n"
     assert "Errno" not in err and "File exists" not in err
     assert _tree(workdir) == before
 
@@ -99,7 +100,7 @@ def test_a_file_inside_the_output_directory_that_is_a_directory(workdir, capsys,
     (workdir / "out" / written).mkdir(parents=True)
     capsys.readouterr()
     assert cli.main([*head, "out", *tail]) == 1
-    assert capsys.readouterr().err == (f"error: cannot write out/{written}: "
+    assert capsys.readouterr().err == (f"error: cannot write 'out/{written}': "
                                        f"it is a directory\n")
 
 
@@ -108,7 +109,7 @@ def test_default_run_directory_is_checked_before_training(workdir, capsys, monke
     (workdir / "runs").write_text("not a directory")
     capsys.readouterr()
     assert cli.main(["train", "single", "--config", "run.json"]) == 1
-    assert capsys.readouterr().err == "error: cannot write runs: it is not a directory\n"
+    assert capsys.readouterr().err == "error: cannot write 'runs': it is not a directory\n"
 
 
 @pytest.mark.parametrize("argv", [

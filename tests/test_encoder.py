@@ -178,6 +178,25 @@ def project(h, lp):
     return (h @ lp[f"attn.w{x}"].data + lp[f"attn.b{x}"].data for x in "qkv")
 
 
+def core_layer(lp):
+    """lp with an identity output projection, so that ``attention_core``
+    returns the attention context rows themselves: x @ I + 0 adds only
+    exact zeros to each x."""
+    d = lp["attn.wo"].shape[0]
+    return dict(lp, **{"attn.wo": Tensor(np.eye(d)), "attn.bo": Tensor(np.zeros(d))})
+
+
+ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def random_layer(d, seed):
+    """One layer's attention weights, at a scale that spreads the softmax."""
+    rng = np.random.default_rng(seed)
+    return {f"attn.{name}": Tensor(rng.normal(size=(d, d)) / np.sqrt(d) if name[0] == "w"
+                                   else rng.normal(size=d) * 0.1, requires_grad=True)
+            for name in ATTENTION_WEIGHTS}
+
+
 def attention_rows(h, mask, lp, num_heads):
     """multi_head_attention's rows by plain numpy around the dense_attention
     oracle (projections, context, output projection, residual add, layer
@@ -197,7 +216,7 @@ def test_attention_single_position_weight_is_one():
     h = np.random.default_rng(0).normal(size=(1, cfg.hidden_dim))
     mask = np.ones((1, 1))
     q, k, v = project(h, lp)
-    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), pack(mask), cfg.num_heads)
+    ctx = attention_core(Tensor(h), core_layer(lp), pack(mask), cfg.num_heads)
     assert np.allclose(ctx.data, v, atol=1e-15)
     out = multi_head_attention(Tensor(h), pack(mask), lp, cfg.num_heads)
     assert out.shape == h.shape
@@ -234,7 +253,7 @@ def test_attention_matches_brute_force_two_tokens():
         e = np.exp(s - s.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
         ctx[:, sl] = w @ v[:, sl]
-    core = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, 2)
+    core = attention_core(Tensor(x[0]), core_layer(lp), packing, 2)
     assert np.allclose(core.data, ctx, atol=1e-12)
     proj = ctx @ lp["attn.wo"].data + lp["attn.bo"].data
     pre = x[0] + proj
@@ -693,7 +712,7 @@ def test_all_zero_mask_row_attends_over_its_bucket():
     assert np.all(np.isfinite(r.sequence.data)) and np.all(np.isfinite(r.pooled.data))
     h = np.random.default_rng(8).normal(size=(packing.rows, cfg.hidden_dim))
     q, k, v = project(h, lp)
-    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
+    ctx = attention_core(Tensor(h), core_layer(lp), packing, cfg.num_heads)
     hd = cfg.hidden_dim // cfg.num_heads
     for head in range(cfg.num_heads):                   # row 0: sequence 0
         sl = slice(head * hd, (head + 1) * hd)
@@ -734,14 +753,21 @@ def test_attention_core_matches_a_dense_padded_oracle():
     mask[4, 10] = 0.0                   # an interior hole
     packing = pack(mask)
     assert len(packing.buckets) >= 3
-    rng = np.random.default_rng(9)
-    q, k, v = (rng.normal(size=(packing.rows, cfg.hidden_dim)) for _ in range(3))
-    ctx = attention_core(Tensor(q), Tensor(k), Tensor(v), packing, cfg.num_heads)
-    want_ctx, _ = dense_attention(q, k, v, mask, cfg.num_heads)
+    h = np.random.default_rng(9).normal(size=(packing.rows, cfg.hidden_dim))
+    lp = random_layer(cfg.hidden_dim, seed=9)
+    ctx = attention_core(Tensor(h), core_layer(lp), packing, cfg.num_heads)
+    want_ctx, _ = dense_attention(*project(h, lp), mask, cfg.num_heads)
     assert np.max(np.abs(ctx.data - want_ctx)) < 1e-12
+    out = attention_core(Tensor(h), lp, packing, cfg.num_heads)
+    want = want_ctx @ lp["attn.wo"].data + lp["attn.bo"].data
+    assert np.max(np.abs(out.data - want)) < 1e-12
 
 
-def test_attention_core_gradient_check():
+def gradient_batch():
+    """A tiny padded batch in three buckets, with an interior hole and an
+    all-zero mask row (one packed row), and a probe that leaves that row's
+    output out of the loss: its scores sit on -1e9 offsets, where float64
+    resolves steps of about 1e-7, too coarse for central differences."""
     cfg = toy_config(hidden_dim=4, max_seq_len=64)
     _, mask = three_bucket_batch(cfg, seed=1)
     mask[4, 10] = 0.0                   # an interior hole
@@ -749,19 +775,34 @@ def test_attention_core_gradient_check():
     packing = pack(mask)
     assert len(packing.buckets) >= 3
     rng = np.random.default_rng(10)
-    q, k, v = (Tensor(rng.normal(size=(packing.rows, 4)), requires_grad=True)
-               for _ in range(3))
-    # The all-zero row's own output is left out of the loss: its scores sit
-    # on -1e9 offsets, where float64 resolves steps of about 1e-7, too coarse
-    # for central differences. Its q, k and v must then get zero gradient.
-    probe = Tensor(rng.normal(size=(packing.rows, 4)) * (packing.seqs != 0)[:, None])
-    for i in range(3):
-        def loss(x, i=i):
-            args = [q, k, v]
-            args[i] = x
-            return (attention_core(*args, packing, 2) * probe).sum()
-        check_grad(loss, (q, k, v)[i], tol=1e-7)
-        assert np.all((q, k, v)[i].grad[0] == 0.0)
+    hidden = Tensor(rng.normal(size=(packing.rows, 4)), requires_grad=True)
+    probe = rng.normal(size=(packing.rows, 4)) * (packing.seqs != 0)[:, None]
+    return packing, hidden, probe
+
+
+def test_attention_core_gradient_check():
+    packing, hidden, probe = gradient_batch()
+    lp = random_layer(4, seed=11)
+    check_grad(lambda x: (attention_core(x, lp, packing, 2) * Tensor(probe)).sum(),
+               hidden, tol=1e-7)
+    # the all-zero row reaches only its own, unprobed output
+    assert np.all(hidden.grad[0] == 0.0)
+
+
+@pytest.mark.parametrize("cls", [False, True])
+@pytest.mark.parametrize("name", ATTENTION_WEIGHTS)
+def test_attention_core_weight_gradient_check(name, cls):
+    packing, hidden, probe = gradient_batch()
+    query = packing.cls() if cls else None
+    if cls:
+        probe = probe[query.picked]
+    lp = random_layer(4, seed=12)
+
+    def loss(w):
+        return (attention_core(hidden, dict(lp, **{f"attn.{name}": w}), packing, 2, query)
+                * Tensor(probe)).sum()
+
+    check_grad(loss, lp[f"attn.{name}"], tol=1e-7)
 
 
 def test_one_attention_node_per_layer_and_encode(monkeypatch):

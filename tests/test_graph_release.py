@@ -140,7 +140,7 @@ def test_two_view_step_frees_its_graph_on_backward():
                            dropout=DropoutPolicy(kind="standard", p=0.1))
     params = init_params(config, Rng(0))
     rng = np.random.default_rng(3)
-    lengths = rng.integers(3, 15, size=8)
+    lengths = rng.integers(3, 15, size=16)
     mask = (np.arange(14)[None, :] < lengths[:, None]).astype(np.float64)
     ids = rng.integers(4, 40, size=mask.shape) * mask.astype(np.int64)
     ids[:, 0] = 1

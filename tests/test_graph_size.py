@@ -104,9 +104,10 @@ def cls_only_nodes_per_encode(layers: int) -> int:
     [CLS] rows once (one node), and pooling then needs no gather, so the
     count equals the full pass's."""
     embeddings = 5      # two lookups, add, layer norm, dropout
-    # Q, K, V linears, attention core, output linear, dropout, residual add,
-    # layer norm; FFN linear, gelu, linear, dropout, residual add, layer norm
-    block = 14
+    # the attention node (Q/K/V and output projections and the core), dropout,
+    # residual add, layer norm; FFN linear, gelu, linear, dropout, residual
+    # add, layer norm
+    block = 10
     pooling = 3         # position-0 gather, linear, tanh
     return embeddings + layers * block + pooling
 
@@ -144,7 +145,7 @@ def test_unsup_run_pins_the_cls_only_node_count(layers, monkeypatch):
     assert full == cls == cls_only_nodes_per_encode(layers)
 
 
-def test_two_tier_size_adaptive_sup_step_pins_26_nodes(monkeypatch):
+def test_two_tier_size_adaptive_sup_step_pins_22_nodes(monkeypatch):
     # the two-tier toy encoder (d=16, one layer) under adaptive dropout: one
     # encode of the anchor, positive and hard-negative columns, a row-block
     # gather per column and the one info_nce node
@@ -165,4 +166,4 @@ def test_two_tier_size_adaptive_sup_step_pins_26_nodes(monkeypatch):
     monkeypatch.setattr(autograd.Tensor, "backward", counted)
     tc = training.TrainConfig(task="sts", epochs=1, batch_size=2, lr=1e-3)
     training.train_sup_simcse(tc, config, vocab, triplets, init_params(config, Rng(0)))
-    assert counts == [cls_only_nodes_per_encode(1) + 3 + 1] * 2 == [26, 26]
+    assert counts == [cls_only_nodes_per_encode(1) + 3 + 1] * 2 == [22, 22]

@@ -7,6 +7,7 @@ with ``weakref.ref`` on the arrays of a real train-mode encode.
 """
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 from simcse_forge import autograd as ag
 from simcse_forge import encoder
 from simcse_forge.autograd import Tensor
+from simcse_forge.data import Batch, pad_batch
 from simcse_forge.dropout import DropoutPolicy, adaptive_dropout, standard_dropout
 from simcse_forge.encoder import EncoderConfig, encode, init_params, pack
 from simcse_forge.objectives import sup_simcse_loss, unsup_simcse_loss
 from simcse_forge.rng import Rng
+from simcse_forge.training import encode_views
 
 
 def config_with(kind: str, layers: int = 2) -> EncoderConfig:
@@ -101,18 +104,17 @@ def record(monkeypatch, name, keep):
 
 
 def test_unread_intermediates_of_an_encode_are_freed_before_backward(monkeypatch):
-    """Dropout inputs (the output-projection and FFN linear outputs, and the
-    embedding layer norm's output), the residual dropout outputs, every layer
-    norm's input (residual and embedding sums) and the Q/K/V rows of a padded
-    batch: no rule reads them, so they are gone while the graph lives."""
+    """Dropout inputs (the attention nodes' and FFN linear outputs, and the
+    embedding layer norm's output), the residual dropout outputs and every
+    layer norm's input (residual and embedding sums): no rule reads them, so
+    they are gone while the graph lives. The attention nodes build no Q/K/V
+    tensor at all."""
     config = config_with("standard")
     params = init_params(config, Rng(0))
     ids, mask = padded_batch([9, 3, 6, 2])
     dropouts = record(monkeypatch, "apply_dropout",
                       lambda a, r: (weakref.ref(a[0].data), weakref.ref(r.data)))
     norms = record(monkeypatch, "layer_norm", lambda a, r: weakref.ref(a[0].data))
-    qkv = record(monkeypatch, "attention_core",
-                 lambda a, r: [weakref.ref(t.data) for t in a[:3]])
     pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1),
                     sequence=True).pooled
     gc.collect()
@@ -124,26 +126,33 @@ def test_unread_intermediates_of_an_encode_are_freed_before_backward(monkeypatch
     assert dropouts[0][1]() is not None
     assert all(out() is None for _, out in dropouts[1:])
     assert all(ref() is None for ref in norms)
-    assert len(qkv) == config.num_layers
-    assert all(ref() is None for refs in qkv for ref in refs)
     pooled.sum().backward()
     assert all(p.grad is not None for name, p in params.items()
                if name.startswith(("layers.", "token_", "position_", "emb_ln", "pooler")))
 
 
 def test_unpadded_batch_keeps_its_qkv_rows_as_the_core_reads_them(monkeypatch):
-    # with no padding the core's per-head blocks are views of the rows
+    # with no padding the per-head blocks are views of the projected rows;
+    # the node rebuilds them in backward from its input rows, so it keeps
+    # those rows, and no other [N, d] array, while the graph lives
     config = config_with("standard", layers=1)
     params = init_params(config, Rng(0))
     ids, mask = padded_batch([7, 7, 7], t=7)
-    qkv = record(monkeypatch, "attention_core",
-                 lambda a, r: [weakref.ref(t.data) for t in a[:3]])
+    assert pack(mask).full
+    calls = record(monkeypatch, "attention_core",
+                   lambda a, r: (weakref.ref(a[0].data), r.node))
     pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1)).pooled
     gc.collect()
-    assert all(ref() is not None for ref in qkv[0])
-    del pooled
+    (rows, node), = calls
+    assert rows() is not None
+    arrays = [v for v in saved(node) if isinstance(v, np.ndarray)]
+    assert any(a is rows() for a in arrays)
+    assert all(a is rows() or a.shape[-1] != config.hidden_dim or a.shape[-2] == config.hidden_dim
+               for a in arrays if a.ndim >= 2)
+    del pooled, node, arrays
+    calls.clear()
     gc.collect()
-    assert all(ref() is None for ref in qkv[0])
+    assert rows() is None
 
 
 def test_dropout_node_saves_a_one_byte_mask():
@@ -228,24 +237,88 @@ def test_gelu_without_a_gradient_saves_nothing_and_keeps_its_bytes():
         assert out.data.tobytes() == graded.data.tobytes()
 
 
-def test_attention_node_keeps_no_probability_block():
-    # the core keeps each bucket's Q, K and V blocks and rebuilds the softmax
-    # output in backward, so no [n, H, Q, T] array outlives the forward pass
+def test_attention_node_keeps_no_probability_block(monkeypatch):
+    # the node keeps its input rows and each bucket's softmax row statistics
+    # [n, H, Q, 1]; it rebuilds the Q, K and V blocks, the [n, H, Q, T]
+    # probabilities and the context rows in backward, so none of them, nor
+    # the [N, d] rows they come from, outlives the forward pass: in a batch
+    # of several buckets, and in an unpadded one, whose blocks are views
     config = EncoderConfig(vocab_size=30, hidden_dim=8, num_layers=2, num_heads=2,
                            ffn_dim=16, max_seq_len=64,
                            dropout=DropoutPolicy(kind="standard", p=0.2))
     params = init_params(config, Rng(0))
-    ids, mask = padded_batch([3, 2, 3, 60, 25, 3, 25, 24], t=62)
-    assert len(pack(mask).buckets) >= 3
-    hd = config.hidden_dim // config.num_heads
-    for sequence in (True, False):
-        pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1),
-                        sequence=sequence).pooled
-        nodes = [n for n in graph_nodes(pooled.sum()) if n.op == "attention"]
-        assert len(nodes) == config.num_layers
-        for node in nodes:
-            blocks = [v for v in saved(node) if isinstance(v, np.ndarray) and v.ndim == 4]
-            assert blocks
-            for block in blocks:
-                assert block.shape[1] == config.num_heads, block.shape
-                assert block.shape[-1] in (hd, 1), block.shape
+    calls = record(monkeypatch, "attention_core", lambda a, r: (a[0].data, r.node))
+    for lengths in ([3, 2, 3, 60, 25, 3, 25, 24], [7, 7, 7]):
+        ids, mask = padded_batch(lengths, t=max(lengths))
+        packing = pack(mask)
+        assert len(packing.buckets) >= 3 or packing.full
+        for sequence in (True, False):
+            calls.clear()
+            pooled = encode(ids, mask, params, config, mode="train", rng=Rng(1),
+                            sequence=sequence).pooled
+            nodes = [n for n in graph_nodes(pooled.sum()) if n.op == "attention"]
+            assert len(nodes) == len(calls) == config.num_layers
+            assert {id(n) for n in nodes} == {id(node) for _, node in calls}
+            d = config.hidden_dim
+            for rows, node in calls:
+                arrays = [v for v in saved(node) if isinstance(v, np.ndarray)]
+                stats = [a for a in arrays if a.ndim == 4]
+                assert stats and all(a.shape[1] == config.num_heads and a.shape[-1] == 1
+                                     for a in stats)
+                # rows of width d: the input rows and the [d, d] weights
+                held = [a for a in arrays if a.ndim >= 2 and a.shape[-1] == d]
+                assert any(a is rows for a in held)
+                assert all(a is rows or a.shape[-2] == d for a in held)
+
+
+def held_arrays(value, seen):
+    """Every array value reaches through tuples, lists, dicts and function
+    closures: what a rule's closure keeps alive."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_arrays(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from held_arrays(item, seen)
+    elif isinstance(value, types.FunctionType):
+        for cell in value.__closure__ or ():
+            yield from held_arrays(cell.cell_contents, seen)
+
+
+def base_array(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+# Graph bytes per packed row at the end of the forward pass below. The
+# attention nodes keep their input rows and softmax row statistics but no
+# Q/K/V blocks or context rows: about 10.5 kB per row, against 14.3 kB when
+# the Q/K/V projections, the attention core and the output projection were
+# separate nodes.
+GRAPH_BYTES_PER_ROW = 11_000
+
+
+def test_unsup_step_graph_stays_within_its_byte_budget():
+    # the default encoder, 32 sentences of 7-47 tokens stacked as two views
+    config = EncoderConfig(vocab_size=1000,
+                           dropout=DropoutPolicy(kind="standard", p=0.1))
+    params = init_params(config, Rng(0))
+    rng = np.random.default_rng(7)
+    sentences = [[1] + list(rng.integers(4, 1000, size=n - 1))
+                 for n in rng.integers(7, 48, size=32)]
+    batch = Batch(*pad_batch(sentences * 2), views=2)
+    loss = unsup_simcse_loss(*encode_views(batch, params, config, mode="train",
+                                           rng=Rng(1)))
+    own = {id(base_array(p.data)) for p in params.values()}
+    arrays = {id(base_array(a)): base_array(a)
+              for node in graph_nodes(loss)
+              for a in held_arrays(node.backward_fn, set())}
+    held = sum(a.nbytes for key, a in arrays.items() if key not in own)
+    rows = pack(batch.mask).rows
+    assert held / rows < GRAPH_BYTES_PER_ROW, f"{held / rows:.0f} bytes per packed row"
