@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .data import RESERVED_TOKENS
+from .data import RESERVED_TOKENS, read_input
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig, ModelParams, param_spec
 
@@ -108,15 +108,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    p = Path(path)
-    try:
-        blob = p.read_bytes()
-    except FileNotFoundError:
-        raise IntegrityError(f"checkpoint not found: {str(p)!r}") from None
-    except OSError as exc:
-        raise IntegrityError(f"cannot read checkpoint {str(p)!r}: {exc.strerror}") from None
-    except ValueError as exc:       # a NUL byte in the path
-        raise IntegrityError(f"cannot read checkpoint {str(p)!r}: {exc}") from None
+    blob = read_input(path, IntegrityError, "checkpoint", decode=False)
+    p = repr(str(path))     # every message names the file, quoted
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise IntegrityError(f"{p}: not a checkpoint file (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, 4)

@@ -354,7 +354,7 @@ def cmd_embed(args) -> int:
     vocab = _checkpoint_vocab(ckpt)
     lines = _read_sentence_file(args.sentences)
     if not lines:
-        raise DataError(f"no sentences in {args.sentences}")
+        raise DataError(f"no sentences in {str(args.sentences)!r}")
     token_lists = [tokenize(s, vocab, ckpt.config.max_seq_len) for s in lines]
     vectors = []
     with ag.no_grad():

@@ -17,8 +17,8 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
-from pathlib import Path
 
+from .data import read_input
 from .dropout import DropoutPolicy
 from .encoder import EncoderConfig
 from .optim import AdamWConfig, check_field_types
@@ -185,21 +185,13 @@ def apply_overrides(d: dict, overrides) -> None:
 def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
                     env=os.environ) -> RunConfig:
     if path is not None:
-        p = Path(path)
+        text = read_input(path, ConfigError, "config file")
         try:
-            d = json.loads(p.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {str(p)!r}") from None
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {str(p)!r}: {exc.strerror}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{str(p)!r}: not valid UTF-8 text (byte {exc.start})") from None
+            d = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{str(p)!r}: invalid JSON ({exc})") from None
-        except ValueError as exc:   # a NUL byte in the path
-            raise ConfigError(f"cannot read config file {str(p)!r}: {exc}") from None
+            raise ConfigError(f"{str(path)!r}: invalid JSON ({exc})") from None
         if not isinstance(d, dict):
-            raise ConfigError(f"{p}: top level must be a JSON object")
+            raise ConfigError(f"{str(path)!r}: top level must be a JSON object")
     else:
         d = {}
     apply_overrides(d, overrides)

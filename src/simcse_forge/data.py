@@ -40,21 +40,31 @@ class DataError(ValueError):
     """Malformed dataset file or row; message carries path/line context."""
 
 
-def read_text(path) -> str:
-    """The whole of a UTF-8 text file, line endings untranslated; a missing
-    or unreadable file, a path holding a NUL byte or undecodable bytes are a
-    DataError. A path that cannot be opened is quoted, so a newline or NUL in
-    it keeps the error one printable line."""
+def read_input(path, error: type[Exception], noun: str | None = None,
+               decode: bool = True) -> str | bytes:
+    """The whole of an input file: its UTF-8 text, line endings untranslated,
+    or with decode=False its bytes. A missing or unreadable file, a path
+    holding a NUL byte or undecodable bytes raise ``error``, naming the file
+    by ``noun`` ("checkpoint", say; without one, a missing file is a "file")
+    and its quoted path, so a newline or NUL in the path keeps the error one
+    printable line."""
+    shown = repr(str(path))
+    named = shown if noun is None else f"{noun} {shown}"
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        blob = Path(path).read_bytes()
+        return blob.decode("utf-8") if decode else blob
     except FileNotFoundError:
-        raise DataError(f"file not found: {str(path)!r}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+        raise error(f"{noun or 'file'} not found: {shown}") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"{str(path)!r}: not valid UTF-8 text (byte {exc.start})") from None
-    except ValueError as exc:       # a NUL byte in the path
-        raise DataError(f"cannot read {str(path)!r}: {exc}") from None
+        raise error(f"{shown}: not valid UTF-8 text (byte {exc.start})") from None
+    except (OSError, ValueError) as exc:    # ValueError: a NUL byte in the path
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise error(f"cannot read {named}: {reason}") from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a data file (``read_input``), failing as a DataError."""
+    return read_input(path, DataError)
 
 
 def split_words(text: str) -> list[str]:
@@ -81,9 +91,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.token_to_id) + len(RESERVED_TOKENS)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
@@ -103,7 +110,7 @@ class Vocab:
         first: dict[str, int] = {}
         for line, token in enumerate(tokens, 1):
             if first.setdefault(token, line) != line:
-                raise DataError(f"{path}:{line}: vocab token {token!r} repeats "
+                raise DataError(f"{str(path)!r}:{line}: vocab token {token!r} repeats "
                                 f"line {first[token]}")
         return cls.from_tokens(tokens)
 
@@ -199,22 +206,22 @@ def _parse_row(schema: str, row: tuple[str, ...], vocab: Vocab,
 def read_rows(path, schema: str) -> list[tuple[str, ...]]:
     """Raw TSV rows (header validated and dropped)."""
     columns = _schema(schema).columns
-    p = Path(path)
+    name = repr(str(path))
     rows: list[tuple[str, ...]] = []
-    reader = csv.reader(io.StringIO(read_text(p), newline=""), delimiter="\t",
+    reader = csv.reader(io.StringIO(read_text(path), newline=""), delimiter="\t",
                         quotechar='"')
     try:
         header = next(reader, None)
         if header is None or tuple(header) != columns:
             raise DataError(
-                f"{p}: expected header {list(columns)}, got {header}")
+                f"{name}: expected header {list(columns)}, got {header}")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(columns):
-                raise DataError(f"{p}:{line_no}: expected {len(columns)} columns, "
+                raise DataError(f"{name}:{line_no}: expected {len(columns)} columns, "
                                 f"got {len(row)}")
             rows.append(tuple(row))
     except csv.Error as exc:    # a field past csv's size limit, say
-        raise DataError(f"{p}:{reader.line_num}: {exc}") from None
+        raise DataError(f"{name}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -257,7 +264,7 @@ def examples_from_rows(rows, schema: str, vocab: Vocab, max_len: int = 64,
         except ValueError as exc:
             if path is None:
                 raise
-            raise DataError(f"{Path(path)}:{line_no}: {exc}") from None
+            raise DataError(f"{str(path)!r}:{line_no}: {exc}") from None
     return examples
 
 

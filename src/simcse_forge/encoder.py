@@ -37,13 +37,15 @@ minimise sum(n_g * T_g^2) + C * G, the score entries the buckets compute
 plus a per-bucket cost C measured in score entries (``_BUCKET_COST``), by a
 DP over the distinct extents. ``attention_core`` is one graph node per
 layer: the Q/K/V projections, the masked T x T scores, softmax and context
-of every bucket at [n_g, H, T_g, T_g], and the output projection. It places
-the projected rows into each bucket's per-head blocks by one gather each and
-keeps only its input rows, the weights and the softmax's row max and sum;
-its backward rebuilds the Q/K/V blocks, the probabilities and the context
-rows bit for bit from them and writes each row's gradient once. A batch
-with no padding is one bucket at the full T whose blocks are views of the
-rows, not copies.
+of every bucket at [n_g, H, T_g, T_g], and the output projection. One
+placement rule maps rows to blocks and back: each bucket's ``index`` gives
+each slot's packed row, with empty slots at a scratch row N. The node
+places the projected rows into each bucket's per-head blocks by one gather
+each and keeps only its input rows, the weights and the softmax's row max
+and sum; its backward rebuilds the Q/K/V blocks, the probabilities and the
+context rows bit for bit from them and writes each row's gradient once. A
+batch with no padding is one bucket at the full T whose blocks are views of
+the rows, not copies.
 
 Parameters live in one name->Tensor table (``ModelParams``) laid out by
 ``param_spec``: each name, shape and initializer is written there once, and
@@ -208,20 +210,15 @@ _BUCKET_COST = 2000
 class Bucket(NamedTuple):
     """Sequences whose attention core runs together, at their longest extent.
 
-    The bucket's packed rows sit at ``slots``, a (sequence in the bucket,
-    position) index into an [n, length] block; ``rows`` picks them from the
-    packed rows. rows None means every packed row in order, and slots None
-    every slot of the block in order (the batch has no padding). ``index``
-    is the same placement seen from the block: the packed row each slot
-    reads, in block order, None when it would read every row in order; the
-    slots no row fills read row 0 and are listed in ``empty``.
+    One placement rule: ``index`` gives, for each slot of the bucket's
+    [n, length] block in row-major order, the packed row it holds; a slot no
+    row fills holds the scratch row N and is listed in ``empty``. index None
+    means every packed row in order (the batch has no padding).
     """
 
     seqs: np.ndarray                                  # [n] sequences, ascending
     length: int                                       # T_g: the longest extent
     bias: np.ndarray | None                           # [n, 1, 1, T_g] mask offsets
-    rows: np.ndarray | None
-    slots: tuple[np.ndarray, np.ndarray] | None
     index: np.ndarray | None                          # [n * T_g]
     empty: np.ndarray | None                          # slots no row fills, or None
 
@@ -258,12 +255,12 @@ class Packing(NamedTuple):
     def cls(self) -> "Queries":
         """The [CLS] rows alone as attention queries, one per sequence. Each
         bucket keeps its sequences and runs at query length 1, so its blocks
-        are [n_g, H, 1, hd]; query row b is sequence b, so a bucket's rows
-        and index are its sequences (None for the one bucket)."""
+        are [n_g, H, 1, hd]; query row b is sequence b, so a bucket's index
+        is its sequences, and None (every query row in order, a view) when
+        one bucket holds them all."""
         one = len(self.buckets) == 1
         return Queries(self.cls_rows, tuple(
-            bucket._replace(length=1, rows=None if one else bucket.seqs, slots=None,
-                            index=None if one else bucket.seqs, empty=None)
+            bucket._replace(length=1, index=None if one else bucket.seqs, empty=None)
             for bucket in self.buckets))
 
 
@@ -321,8 +318,8 @@ def pack(mask) -> Packing:
     """The packing of a [B, T] 0/1 mask, with its attention bucket plan.
 
     A sequence's extent is its last packed position + 1; the plan groups the
-    sequences by extent (``_bucket_plan``). A batch with no padding, or a
-    plan of one group, is one bucket over every sequence in order.
+    sequences by extent (``_bucket_plan``). A batch with no padding is one
+    bucket over every sequence in order.
     """
     mask = np.asarray(mask, dtype=np.float64)
     if mask.ndim != 2 or mask.shape[1] < 1:
@@ -333,28 +330,18 @@ def pack(mask) -> Packing:
     seqs, positions = np.nonzero(keep)
     full = bool(keep.all())
     if full:
-        bucket = Bucket(np.arange(len(mask)), mask.shape[1], _offsets(mask), None, None,
-                        None, None)
+        bucket = Bucket(np.arange(len(mask)), mask.shape[1], _offsets(mask), None, None)
         return Packing(mask, seqs, positions, full, (bucket,))
-    b, t = mask.shape
-    extents = t - np.argmax(keep[:, ::-1], axis=1)
-    groups = _bucket_plan(extents)
+    held = np.full(mask.shape, len(seqs))     # each slot's packed row, N where none
+    held[keep] = np.arange(len(seqs))
+    extents = mask.shape[1] - np.argmax(keep[:, ::-1], axis=1)
     buckets = []
-    for members in groups:
+    for members in _bucket_plan(extents):
         length = int(extents[members].max())
-        if len(groups) == 1:
-            rows, slots = None, (seqs, positions)
-        else:
-            local = np.full(b, -1)            # each sequence's index in this bucket
-            local[members] = np.arange(len(members))
-            rows = np.flatnonzero(local[seqs] >= 0)
-            slots = (local[seqs[rows]], positions[rows])
-        index = np.zeros(len(members) * length, dtype=np.intp)
-        filled = slots[0] * length + slots[1]
-        index[filled] = np.arange(len(seqs)) if rows is None else rows
-        empty = np.setdiff1d(np.arange(len(index)), filled, assume_unique=True)
-        buckets.append(Bucket(members, length, _offsets(mask[members, :length]), rows, slots,
-                              index, empty if len(empty) else None))
+        index = held[members, :length].ravel()
+        empty = np.flatnonzero(index == len(seqs))
+        buckets.append(Bucket(members, length, _offsets(mask[members, :length]), index,
+                              empty if len(empty) else None))
     return Packing(mask, seqs, positions, full, tuple(buckets))
 
 
@@ -383,14 +370,14 @@ def embed(token_ids, packing: Packing, params: ModelParams, config: EncoderConfi
 
 def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
     """A bucket's packed [N, H*hd] rows placed per head: [n, H, T_g, hd],
-    zero at the slots no row fills: one gather by ``bucket.index``, then a
-    zero fill of the empty slots. With no padding (index None) it is a view
-    of rows, not a copy."""
+    zero at the slots no row fills: one gather by ``bucket.index`` (its
+    scratch row N clipped to a real one), then a zero fill of the empty
+    slots. With no padding (index None) it is a view of rows, not a copy."""
     shape = (len(bucket.seqs), bucket.length, num_heads, rows.shape[1] // num_heads)
     if bucket.index is None:
         block = rows.reshape(shape)
     else:
-        block = rows.take(bucket.index, axis=0)
+        block = rows.take(bucket.index, axis=0, mode="clip")
         if bucket.empty is not None:
             block[bucket.empty] = 0.0
         block = block.reshape(shape)
@@ -398,21 +385,20 @@ def _to_heads(rows: np.ndarray, bucket: Bucket, num_heads: int) -> np.ndarray:
 
 
 def _to_rows(blocks, packing: Packing | Queries) -> np.ndarray:
-    """The inverse of ``_to_heads`` over every bucket: one [N, H*hd] array
-    holding each bucket's filled slots at its rows, each row written once."""
+    """The inverse of ``_to_heads`` over every bucket, through the same
+    index: each block's [n*T_g, H*hd] slot rows are written to their packed
+    rows of an [N + 1]-row array, the empty slots to its scratch row N, and
+    the first N rows are returned. With no padding (index None) the one
+    bucket's rows are a reshape, not a copy."""
     out = None
     for bucket, block in zip(packing.buckets, blocks):
-        width = block.shape[1] * block.shape[3]
-        picked = block.transpose(0, 2, 1, 3)
-        if bucket.slots is not None:
-            picked = picked[bucket.slots]
-        picked = picked.reshape(-1, width)
-        if bucket.rows is None:             # the one bucket holds every row
-            return picked
+        rows = block.transpose(0, 2, 1, 3).reshape(-1, block.shape[1] * block.shape[3])
+        if bucket.index is None:            # the one bucket holds every row in order
+            return rows
         if out is None:
-            out = np.empty((packing.rows, width))
-        out[bucket.rows] = picked
-    return out
+            out = np.empty((packing.rows + 1, rows.shape[1]))
+        out[bucket.index] = rows
+    return out[:packing.rows]
 
 
 _ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")

@@ -584,7 +584,7 @@ def test_bad_target_in_single_train_file_names_file_and_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train", "single", "--config", config,
                  "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err == f"error: {train}:3: label 7 outside 0..4\n"
+    assert capsys.readouterr().err == f"error: {train!r}:3: label 7 outside 0..4\n"
 
 
 def test_bad_target_in_multitask_train_file_names_file_and_line(tmp_path, capsys):
@@ -599,7 +599,7 @@ def test_bad_target_in_multitask_train_file_names_file_and_line(tmp_path, capsys
     assert main(["train", "multitask", "--config", config,
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == (
-        f"error: {data['para_train']}:3: is_duplicate 2 not in {{0, 1}}\n")
+        f"error: {data['para_train']!r}:3: is_duplicate 2 not in {{0, 1}}\n")
 
 
 def test_bad_target_in_two_tier_train_file_names_file_and_line(tmp_path, capsys):
@@ -612,7 +612,7 @@ def test_bad_target_in_two_tier_train_file_names_file_and_line(tmp_path, capsys)
     assert main(["train", "two-tier", "--config", config,
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == (
-        f"error: {data['sts_train']}:3: similarity 7.5 outside [0, 5]\n")
+        f"error: {data['sts_train']!r}:3: similarity 7.5 outside [0, 5]\n")
 
 
 # -- eval / embed -----------------------------------------------------------------

@@ -78,13 +78,27 @@ def test_a_path_with_a_nul_byte_exits_with_its_code_and_is_quoted(
     (["train", "single", "--config", "no\nrun.json"], 1),
     (["eval", "model.ckpt", "--data", "latin\n1.tsv", "--task", "sst"], 2),
     (["embed", "model.ckpt", "s.txt", "--out", "a\nfile/out"], 1),
-], ids=["eval-checkpoint", "train-config", "non-utf8-data", "embed-out-under-a-file"])
+    (["eval", "bad\nname.ckpt", "--data", "train.tsv", "--task", "sst"], 3),
+    (["train", "single", "--config", "list\nrun.json"], 1),
+    (["eval", "model.ckpt", "--data", "wrong\nheader.tsv", "--task", "sst"], 2),
+    (["eval", "model.ckpt", "--data", "bad\nlabel.tsv", "--task", "sst"], 2),
+    (["train", "single", "--config", "run.json", "--data.vocab", "dup\nvocab.txt"], 2),
+    (["embed", "model.ckpt", "no\nsentences.txt"], 2),
+], ids=["eval-checkpoint", "train-config", "non-utf8-data", "embed-out-under-a-file",
+        "checkpoint-bad-magic", "config-not-an-object", "data-wrong-header",
+        "data-bad-row", "vocab-repeated-token", "embed-no-sentences"])
 def test_a_path_with_a_newline_is_quoted_on_one_error_line(workdir, monkeypatch,
                                                            argv, code):
     for name in ("train_single_task", "predict_dataset", "encode"):
         monkeypatch.setattr(cli, name, _unreachable)
     (workdir / "latin\n1.tsv").write_bytes("caf\u00e9\t1\n".encode("latin-1"))
     (workdir / "a\nfile").write_text("a regular file\n")
+    (workdir / "bad\nname.ckpt").write_bytes(b"not a checkpoint")
+    (workdir / "list\nrun.json").write_text("[1]")
+    (workdir / "wrong\nheader.tsv").write_text("id\ttext\tlabel\n1\tthe dog\t2\n")
+    (workdir / "bad\nlabel.tsv").write_text("id\tsentence\tlabel\n1\tthe dog\t7\n")
+    (workdir / "dup\nvocab.txt").write_text("dog\ncat\ndog\n")
+    (workdir / "no\nsentences.txt").write_text("\n\n")
     got, err = _main([*argv, "--out", "out"] if argv[0] == "train" else argv)
     assert got == code, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -97,5 +111,5 @@ def test_a_vocab_file_that_repeats_a_token_names_the_file_token_and_lines(workdi
     code, err = _main(["train", "single", "--config", "run.json",
                        "--data.vocab", "dup.txt", "--out", "out"])
     assert code == 2, err
-    assert err == (f"error: dup.txt:{len(tokens) + 1}: vocab token "
+    assert err == (f"error: 'dup.txt':{len(tokens) + 1}: vocab token "
                    f"{tokens[1]!r} repeats line 2\n")

@@ -67,7 +67,7 @@ def test_vocab_reserved_ids_and_build_determinism():
 
 def test_vocab_min_count():
     v = Vocab.build(["a a b"], min_count=2)
-    assert "a" in v and "b" not in v
+    assert "a" in v.token_to_id and "b" not in v.token_to_id
 
 
 def test_vocab_save_load_roundtrip(tmp_path):
@@ -120,7 +120,7 @@ def test_load_tsv_score_precision(tmp_path, vocab):
 def test_load_tsv_bad_label_names_line(tmp_path, vocab):
     p = tmp_path / "bad.tsv"
     write_tsv(p, "classification", [("a", "x", "1"), ("b", "y", "7")])
-    with pytest.raises(DataError, match=r"bad\.tsv:3"):
+    with pytest.raises(DataError, match=r"bad\.tsv':3"):
         load_tsv(p, "classification", vocab)
 
 

@@ -576,6 +576,19 @@ def brute_force_cost(extents):
     return best
 
 
+def filled_slots(bucket, rows):
+    """[n * T_g] True at the slots of a bucket's block that hold a packed
+    row. Checks that index and empty agree: index holds the scratch row
+    ``rows`` (N) exactly at the slots listed in empty."""
+    filled = np.ones(len(bucket.seqs) * bucket.length, dtype=bool)
+    if bucket.empty is not None:
+        filled[bucket.empty] = False
+    if bucket.index is not None:
+        assert len(bucket.index) == len(filled)
+        assert np.array_equal(bucket.index == rows, ~filled)
+    return filled
+
+
 def test_bucket_plan_is_a_pure_function_of_the_mask():
     mask = random_mask(np.random.default_rng(0), 12, 40)
     before = mask.copy()
@@ -584,8 +597,8 @@ def test_bucket_plan_is_a_pure_function_of_the_mask():
     assert len(a.buckets) == len(b.buckets)
     for x, y in zip(a.buckets, b.buckets):
         assert np.array_equal(x.seqs, y.seqs) and x.length == y.length
-        assert np.array_equal(x.rows, y.rows) and np.array_equal(x.bias, y.bias)
-        assert all(np.array_equal(i, j) for i, j in zip(x.slots, y.slots))
+        assert np.array_equal(x.index, y.index) and np.array_equal(x.bias, y.bias)
+        assert np.array_equal(x.empty, y.empty)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -602,9 +615,15 @@ def test_bucket_plan_is_the_optimal_contiguous_split(seed):
     assert sorted(np.concatenate([bk.seqs for bk in packing.buckets])) == list(range(b))
     for bk in packing.buckets:
         assert bk.length == max(extents[s] for s in bk.seqs)
-    placed = [np.arange(packing.rows) if bk.rows is None else bk.rows
-              for bk in packing.buckets]
+    placed = [np.arange(packing.rows) if bk.index is None
+              else bk.index[filled_slots(bk, packing.rows)] for bk in packing.buckets]
     assert sorted(np.concatenate(placed)) == list(range(packing.rows))
+    for bk in packing.buckets:          # slot (s, t) holds sequence seqs[s]'s position t
+        if bk.index is not None:
+            slot = np.flatnonzero(filled_slots(bk, packing.rows))
+            held = bk.index[slot]
+            assert np.array_equal(packing.seqs[held], bk.seqs[slot // bk.length])
+            assert np.array_equal(packing.positions[held], slot % bk.length)
     assert sum(len(bk.seqs) * bk.length ** 2 for bk in packing.buckets) <= b * t * t
 
 
@@ -612,12 +631,13 @@ def test_unpadded_batch_is_one_bucket_without_a_row_copy():
     packing = pack(np.ones((3, 7)))
     (bucket,) = packing.buckets
     assert np.array_equal(bucket.seqs, np.arange(3)) and bucket.length == 7
-    assert bucket.rows is None and bucket.slots is None and bucket.bias is None
+    assert bucket.index is None and bucket.empty is None and bucket.bias is None
     x = np.random.default_rng(0).normal(size=(21, 8))
     heads = _to_heads(x, bucket, 2)
     assert heads.shape == (3, 2, 7, 4) and np.shares_memory(heads, x)
     assert np.array_equal(heads[1, 1, 2], x[7 + 2, 4:])    # sequence 1, position 2, head 1
-    assert np.array_equal(_to_rows([heads], packing), x)
+    back = _to_rows([heads], packing)
+    assert np.array_equal(back, x) and np.shares_memory(back, x)
 
 
 def test_to_heads_and_to_rows_are_inverse_placements():
@@ -626,16 +646,22 @@ def test_to_heads_and_to_rows_are_inverse_placements():
         mask[i, :n] = 1.0
     mask[3, 0] = 0.0                    # an all-zero mask row keeps its position 0
     mask[0, 4] = 0.0                    # an interior hole is not a packed row
-    for m in (mask, mask[[0, 2]], np.ones((2, 4))):
+    for m, buckets in ((mask, 2), (mask[[0, 2]], 1), (np.ones((2, 4)), 1)):
         packing = pack(m)
-        x = np.random.default_rng(1).normal(size=(packing.rows, 6))
-        blocks = [_to_heads(x, bk, 3) for bk in packing.buckets]
-        for bk, block in zip(packing.buckets, blocks):
-            assert block.shape == (len(bk.seqs), 3, bk.length, 2)
-            filled = np.zeros((len(bk.seqs), bk.length), dtype=bool)
-            filled[slice(None) if bk.slots is None else bk.slots] = True
-            assert np.all(block.transpose(0, 2, 1, 3)[~filled] == 0.0)
-        assert np.array_equal(_to_rows(blocks, packing), x)
+        assert len(packing.buckets) == buckets
+        # every packed row, and the [CLS] query rows of Packing.cls (query
+        # row b is sequence b, at query length 1)
+        for placing in (packing, packing.cls()):
+            x = np.random.default_rng(1).normal(size=(placing.rows, 6))
+            blocks = [_to_heads(x, bk, 3) for bk in placing.buckets]
+            for bk, block in zip(placing.buckets, blocks):
+                assert block.shape == (len(bk.seqs), 3, bk.length, 2)
+                slots = block.transpose(0, 2, 1, 3).reshape(-1, 6)
+                assert np.all(slots[~filled_slots(bk, placing.rows)] == 0.0)
+            if placing is not packing:
+                for bk, block in zip(placing.buckets, blocks):
+                    assert np.array_equal(block[:, :, 0].reshape(-1, 6), x[bk.seqs])
+            assert np.array_equal(_to_rows(blocks, placing), x)
     packing = pack(mask)
     assert len(packing.buckets) == 2
     # sequence 0 sits in the long bucket; its position 5 is packed row 4 (the

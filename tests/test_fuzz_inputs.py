@@ -204,7 +204,7 @@ def test_a_field_past_the_csv_size_limit_exit_2(fuzz):
     d, _, _ = fuzz
     path = d / "long_field.tsv"
     path.write_text("id\tsentence\tlabel\n1\t\"" + "word " * 30000 + "\t2\n")
-    with pytest.raises(DataError, match="long_field.tsv:2: field larger than"):
+    with pytest.raises(DataError, match="long_field.tsv':2: field larger than"):
         read_rows(path, "classification")
     code, err = _main(["eval", str(d / "model.ckpt"), "--data", str(path),
                        "--task", "sst"])

@@ -1,6 +1,8 @@
 """Every name a src module imports at top level is read there, or is one
 that perfbench/tracing.py patches on that module (its callers resolve the
-name through the module, so the import must stay)."""
+name through the module, so the import must stay). Every private name a src
+module defines at top level is read there too, so a refactor leaves no
+helper without a caller."""
 
 import ast
 import importlib.util
@@ -37,6 +39,23 @@ def unread_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Private names (``_name``, dunders excluded) bound at the module's top
+    level by a def, class or assignment and never read in it."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    return [name for name in bound if name.startswith("_") and name not in read
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
 def test_unread_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\n"
               "import numpy as np\nfrom .a import b, c as d\n"
@@ -51,3 +70,18 @@ def test_src_imports_only_what_it_reads_or_perfbench_patches(path):
     dead = [name for name in unread_imports(path.read_text(encoding="utf-8"))
             if (owner, name) not in patched]
     assert dead == [], f"{path.name} imports but never reads {dead}"
+
+
+def test_unread_private_names_are_found():
+    source = ("_USED, _SPARE = 1, 2\n__all__ = []\nPUBLIC = 3\n_note: int = 4\n"
+              "def _helper():\n    return _USED\n"
+              "class _Kept:\n    pass\n"
+              "def f(k=_Kept):\n    return _helper()\n"
+              "def _orphan():\n    pass\n")
+    assert unread_private_names(source) == ["_SPARE", "_note", "_orphan"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_reads_every_private_name_it_defines(path):
+    dead = unread_private_names(path.read_text(encoding="utf-8"))
+    assert dead == [], f"{path.name} defines but never reads {dead}"
