@@ -29,7 +29,9 @@ on a new loss built on a walked intermediate, raises ``GraphReleasedError``
 before any rule runs, so no gradient is half-written.
 
 Everything is float64: the test suite rests on central finite differences,
-which are not trustworthy at single precision.
+which are not trustworthy at single precision. Importing the module raises
+glibc's dynamic malloc thresholds once, so the heap a step frees stays mapped
+for the next step (see the statement after the imports).
 
 Gradient arrays are never mutated in place, because a backward rule may hand
 its parent a view of the incoming gradient. Kernels that work in place follow
@@ -54,6 +56,21 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Keep freed heap mapped between training steps. glibc serves a request above
+# its mmap threshold (128 KiB at start) with a fresh mmap; when such a chunk
+# is freed, it raises the threshold to the chunk's size and the heap's trim
+# threshold to twice that (mallopt(3), M_MMAP_THRESHOLD), for chunks up to
+# 32 MiB. A step's arrays then come from the heap, which glibc no longer
+# trims at each step's end, so the next step reuses its pages without
+# faulting: an unsup-SimCSE step (default encoder, batch 32) took about 6,000
+# minor faults, now none. The block is 31 MiB, since a 32 MiB request's
+# chunk (request + header, page-rounded) exceeds the cap and would be
+# ignored; the thresholds become 31 and 62 MiB. It is never written, so it
+# costs no resident memory. Other allocators, or glibc with a MALLOC_*
+# variable set (which turns the dynamic thresholds off), just map and unmap
+# it.
+np.empty(31 << 20, np.uint8)
 
 
 class ShapeMismatchError(ValueError):
@@ -180,7 +197,8 @@ class Tensor:
             raise ValueError("backward() on a tensor with no gradient path")
 
         if self._handle is None:            # a leaf loss: its gradient is one
-            self._grad = np.ones_like(self.data)
+            one = np.ones_like(self.data)
+            self._grad = one if self._grad is None else self._grad + one
             return
         # depth-first over handles only: a leaf has no parents, so leaving
         # it off the stack moves no handle in the order

@@ -200,6 +200,17 @@ def test_backward_accumulates_across_consumers():
     assert np.allclose(x.grad, 3.0 + 18.0 * x.data)
 
 
+def test_backward_on_a_leaf_loss_accumulates_like_any_walk():
+    x = Tensor(2.0, requires_grad=True)
+    (x * 3.0).backward()
+    x.backward()                    # d/dx x = 1, added to the 3 already there
+    assert x.grad == 4.0
+    y = Tensor(2.0, requires_grad=True)
+    y.backward()
+    y.backward()
+    assert y.grad == 2.0
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
