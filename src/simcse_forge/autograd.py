@@ -1,32 +1,31 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 A Tensor wraps a C-contiguous numpy float64 array plus, for an op's output
-that needs a gradient, a ``Handle``: its place in the computation graph,
-holding its node (parent entries and a backward rule) and its gradient slot,
-but not its array. Calling ``backward()`` on a scalar loss walks the graph in
-reverse topological order and accumulates gradients additively into every
-reachable leaf that requires them. The walk orders handles alone: a leaf
-has no parents, so it never enters the order, and its gradient is summed
-where each consumer's rule returns it.
+that needs a gradient, a ``Node``: its one graph entry, holding the parents'
+entries, a backward rule and a gradient slot, but not the array. Calling
+``backward()`` on a scalar loss walks the nodes in reverse topological order
+and accumulates gradients additively into every reachable leaf that requires
+them. A leaf (no node: parameters, inputs) stands for itself among a node's
+parents and never enters the order; its gradient is summed where each
+consumer's rule returns it. A node and a leaf both read ``.node``, ``.grad``
+and ``.requires_grad``, so a walker treats them alike.
 
-The graph holds only what backward reads. A node's parents are the
-operands' handles; a leaf (no node: parameters, inputs) stands for itself.
-Each rule's closure captures only the arrays, shapes and flags it reads,
-never an operand Tensor: ``add`` keeps shapes, ``mul`` keeps the other
-operand only if this side needs a gradient, ``layer_norm`` keeps ``xhat``,
-``inv_sigma`` and ``gamma``, ``gelu`` keeps its slope. An intermediate whose
-array no rule reads is therefore freed as soon as the caller drops the
-Tensor, though the graph built on it lives until the walk.
+The graph holds only what backward reads. Each rule's closure captures only
+the arrays, shapes and flags it reads, never an operand Tensor: ``add`` keeps
+shapes, ``mul`` keeps the other operand only if this side needs a gradient,
+``layer_norm`` keeps ``xhat``, ``inv_sigma`` and ``gamma``, ``gelu`` keeps its
+slope. An intermediate whose array no rule reads is therefore freed as soon
+as the caller drops the Tensor, though the graph built on it lives until the
+walk.
 
 The walk releases the graph as it goes, as PyTorch does by default
-(``retain_graph=False``). Leaf tensors keep their ``.grad``. Intermediates
-do not: before a node's rule runs, the walk takes the handle's gradient and
-node, sets its gradient to None and its node to ``RELEASED``, so each rule's
-saved arrays are freed once it has run; the Tensor reads ``.grad`` and
-``.node`` through its handle, so it shows the release too. A graph can
-therefore be walked only once. A second ``backward()`` on the same loss, or
-on a new loss built on a walked intermediate, raises ``GraphReleasedError``
-before any rule runs, so no gradient is half-written.
+(``retain_graph=False``). Leaf tensors keep their ``.grad``. Before a node's
+rule runs, the walk takes and clears the node's gradient, parents and rule,
+so each rule's saved arrays are freed once it has run. The node stays on its
+Tensor with ``.released`` true and no parents, so a graph can be walked only
+once: a second ``backward()`` on the same loss, or on a new loss built on a
+walked intermediate, raises ``GraphReleasedError`` before any rule runs, so
+no gradient is half-written.
 
 Everything is float64: the test suite rests on central finite differences,
 which are not trustworthy at single precision. Importing the module raises
@@ -100,58 +99,39 @@ class no_grad:
 
 
 class Node:
-    __slots__ = ("parents", "backward_fn", "op")
+    """An op output's graph entry: its parents' entries, its backward rule
+    and its gradient slot, but not its array. A walk clears all three in
+    place (see the module docstring)."""
+
+    __slots__ = ("parents", "backward_fn", "op", "grad")
+    requires_grad = True        # only an output that needs a gradient has one
 
     def __init__(self, parents, backward_fn, op=""):
         self.parents = parents
         self.backward_fn = backward_fn
         self.op = op
-
-
-# The node of every intermediate a backward walk has passed: no parents, no
-# rule, so the walked graph can be freed while the tensor lives on.
-RELEASED = Node((), None, "released")
-
-
-class Handle:
-    """An intermediate's graph entry: its node and gradient slot, not its
-    array. Node.parents hold it in place of the Tensor, so the array lives
-    only as long as the caller or a rule that reads it keeps it."""
-
-    __slots__ = ("node", "grad")
-    requires_grad = True        # only an output that needs a gradient has one
-
-    def __init__(self, node: Node):
-        self.node = node
         self.grad: np.ndarray | None = None
+
+    @property
+    def node(self) -> "Node":
+        """The entry itself, so walkers read a node and a leaf alike."""
+        return self
+
+    @property
+    def released(self) -> bool:
+        return self.backward_fn is None
 
 
 class Tensor:
-    """Dense float64 array with optional gradient and graph handle."""
+    """Dense float64 array with optional gradient and graph node."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "_handle")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.array(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self._grad: np.ndarray | None = None
-        self._handle: Handle | None = None
-
-    @property
-    def node(self) -> Node | None:
-        """The op that made this tensor; None for a leaf."""
-        return None if self._handle is None else self._handle.node
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad if self._handle is None else self._handle.grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        if self._handle is None:
-            self._grad = value
-        else:
-            self._handle.grad = value
+        self.grad: np.ndarray | None = None
+        self.node: Node | None = None       # the op that made it; None for a leaf
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -196,48 +176,44 @@ class Tensor:
         if not self.requires_grad:
             raise ValueError("backward() on a tensor with no gradient path")
 
-        if self._handle is None:            # a leaf loss: its gradient is one
+        root = self.node
+        if root is None:                    # a leaf loss: its gradient is one
             one = np.ones_like(self.data)
-            self._grad = one if self._grad is None else self._grad + one
+            self.grad = one if self.grad is None else self.grad + one
             return
-        # depth-first over handles only: a leaf has no parents, so leaving
-        # it off the stack moves no handle in the order
-        root = self._handle
-        order: list[Handle] = []
+        # depth-first over nodes only: a leaf has no parents, so leaving it
+        # off the stack moves no node in the order
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Handle, bool]] = [(root, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
-            h, expanded = stack.pop()
+            n, expanded = stack.pop()
             if expanded:
-                order.append(h)
+                order.append(n)
                 continue
-            if id(h) in seen:
+            if id(n) in seen:
                 continue
-            node = h.node
-            if node is RELEASED:
+            if n.backward_fn is None:
                 raise GraphReleasedError(
                     "backward() through a graph that an earlier backward() released; "
                     "rebuild the loss with a fresh forward pass")
-            seen.add(id(h))
-            stack.append((h, True))
-            for p in node.parents:
-                if type(p) is Handle and id(p) not in seen:
+            seen.add(id(n))
+            stack.append((n, True))
+            for p in n.parents:
+                if type(p) is Node and id(p) not in seen:
                     stack.append((p, False))
 
         root.grad = np.ones_like(self.data)
         while order:
-            h = order.pop()
-            g, node, h.grad, h.node = h.grad, h.node, None, RELEASED
+            n = order.pop()
+            g, parents, fn = n.grad, n.parents, n.backward_fn
+            n.grad, n.parents, n.backward_fn = None, (), None
             if g is None:
                 continue
-            for p, gp in zip(node.parents, node.backward_fn(g)):
-                if gp is None:
-                    continue
+            for p, gp in zip(parents, fn(g)):
                 # never mutate gradient arrays in place: views may be shared
-                if type(p) is Handle:
+                if gp is not None and p.requires_grad:
                     p.grad = gp if p.grad is None else p.grad + gp
-                elif p.requires_grad:
-                    p._grad = gp if p._grad is None else p._grad + gp
 
     # -- operators ---------------------------------------------------------
 
@@ -299,24 +275,24 @@ def _wrap(data: np.ndarray) -> Tensor:
     t = Tensor.__new__(Tensor)
     t.data = data
     t.requires_grad = False
-    t._grad = None
-    t._handle = None
+    t.grad = None
+    t.node = None
     return t
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable, op: str = "") -> Tensor:
     """The output tensor of an op. When grad mode is on and an operand needs
-    a gradient, it gets a handle whose node holds the operands' graph
-    entries and backward_fn, which must capture no operand Tensor (see the
+    a gradient, it gets a node that holds the operands' graph entries and
+    backward_fn, which must capture no operand Tensor (see the
     module docstring) and returns one gradient or None per operand."""
     out = _wrap(np.asarray(data, dtype=np.float64))
     if _grad_enabled:
         for p in parents:           # a plain loop: any() over a generator costs
             if p.requires_grad:     # more than many small ops themselves
                 out.requires_grad = True
-                entries = tuple([q if q._handle is None else q._handle for q in parents])
-                out._handle = Handle(Node(entries, backward_fn, op))
+                entries = tuple([q if q.node is None else q.node for q in parents])
+                out.node = Node(entries, backward_fn, op)
                 break
     return out
 

@@ -26,19 +26,21 @@ from .checkpoint import (Checkpoint, IntegrityError, load_checkpoint,
 from .config import RunConfig, config_hash, load_run_config
 # make_batches and evaluate_task are unused here but stay importable as
 # cli.make_batches and cli.evaluate_task, names perfbench/tracing.py patches.
-from .data import (SYNTH_SCHEMAS, DataError, Vocab, examples_from_rows,  # noqa: F401
-                   load_tsv, make_batches, pad_batch, read_rows, read_text,
+from .data import (SYNTH_SCHEMAS, DataError, Vocab,  # noqa: F401
+                   distinct_token_lists, examples_from_rows, load_tsv,
+                   make_batches, pad_batch, read_rows, read_text,
                    synth_toy_corpus, texts_of_rows, tokenize, write_tsv)
 from .encoder import encode
 from .evaluation import MetricReport, emit_report, similarity_heatmap
 from .experiments import (EXPERIMENTS, add_experiment_args,
                           experiment_config_from_args)
 from .rng import Rng
-from .training import (TASKS, dropout_alignment,  # noqa: F401
-                       evaluate_task, predict_dataset, report_row,
-                       run_two_tier, sentence_pool, stage_encoder_config,
-                       task_metric, train_multitask, train_single_task,
-                       train_sup_simcse, train_unsup_simcse, transfer_finetune)
+from .training import (TASKS, check_scored_set,  # noqa: F401
+                       dropout_alignment, evaluate_task, predict_dataset,
+                       report_row, run_two_tier, sentence_pool,
+                       stage_encoder_config, task_metric, train_multitask,
+                       train_single_task, train_sup_simcse, train_unsup_simcse,
+                       transfer_finetune)
 
 logger = logging.getLogger("simcse_forge.cli")
 
@@ -170,14 +172,10 @@ def _read_sentence_file(path) -> list[str]:
 
 
 def _load_scored(path, task: str, vocab: Vocab, max_len: int):
-    """A dataset the command will score, checked before any work: it needs
-    one example, and two for sts, whose Pearson r needs two points."""
+    """A dataset the command will score, checked before any work
+    (``check_scored_set``)."""
     examples = load_tsv(path, SYNTH_SCHEMAS[task], vocab, max_len)
-    need = 2 if task == "sts" else 1
-    if len(examples) < need:
-        raise DataError(f"{str(path)!r}: {'empty' if not examples else 'too small a'} "
-                        f"dataset, it has {len(examples)} example(s) and "
-                        f"scoring {task} needs at least {need}")
+    check_scored_set(task, examples, repr(str(path)))
     return examples
 
 
@@ -187,11 +185,11 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
     ``train`` lists (data key, schema) pairs for the train files; a schema
     of None marks a sentence file, which gives token lists. ``dev`` lists
     (data key, task) pairs for the dev sets the run scores. A sentence
-    file's repeated lines are dropped (first seen kept): in a contrastive
-    batch a sentence's copy would be its own negative. With a source
-    checkpoint, its vocabulary (it must carry one) and max_seq_len are used;
-    without, data.vocab or a vocabulary built from the train files'
-    sentences, at the run config's max_seq_len.
+    file's lines that tokenize alike are kept once, where first seen
+    (``distinct_token_lists``). With a source checkpoint, its vocabulary (it
+    must carry one) and max_seq_len are used; without, data.vocab or a
+    vocabulary built from the train files' sentences, at the run config's
+    max_seq_len.
     """
     paths = {key: _require(config, key) for key, _ in (*train, *dev)}
     rows = {key: read_rows(paths[key], schema) if schema
@@ -207,7 +205,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
             min_count=config.data.min_count)
     examples = {key: examples_from_rows(rows[key], schema, vocab, max_len,
                                         path=paths[key]) if schema
-                else [tokenize(s, vocab, max_len) for s in dict.fromkeys(rows[key])]
+                else distinct_token_lists(tokenize(s, vocab, max_len) for s in rows[key])
                 for key, schema in train}
     for key, task in dev:
         examples[key] = _load_scored(paths[key], task, vocab, max_len)

@@ -279,6 +279,13 @@ def sentences_of(examples) -> list[str]:
     return list(dict.fromkeys(t for ex in examples for t in ex.texts))
 
 
+def distinct_token_lists(token_lists) -> list[list[int]]:
+    """Each distinct token list once, where first seen. Sentences that differ
+    only in case, spacing or unknown words tokenize alike, and in a
+    contrastive pool such copies would be each other's in-batch negatives."""
+    return [list(t) for t in dict.fromkeys(map(tuple, token_lists))]
+
+
 # -- batching -------------------------------------------------------------------
 
 @dataclass

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
-from .data import (SYNTH_SCHEMAS, Batch, DataError, Vocab, make_batches,
-                   pad_batch, sentences_of, tokenize)
+from .data import (SYNTH_SCHEMAS, Batch, DataError, Vocab, distinct_token_lists,
+                   make_batches, pad_batch, sentences_of, tokenize)
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
@@ -80,6 +80,20 @@ def _check_schema(kind: str, examples, which: str) -> None:
         if e.schema != want:
             raise ValueError(f"{which} dataset holds {e.schema} examples, "
                              f"but {kind!r} needs {want}")
+
+
+def check_scored_set(task: str, examples, where: str) -> None:
+    """A dataset to score needs one example; an sts set needs two with
+    distinct gold scores, since Pearson r of a constant is undefined.
+    ``where`` names the file or split in the DataError."""
+    need = 2 if task == "sts" else 1
+    if len(examples) < need:
+        raise DataError(f"{where}: {'empty' if not examples else 'too small a'} "
+                        f"dataset, it has {len(examples)} example(s) and "
+                        f"scoring {task} needs at least {need}")
+    if task == "sts" and len({e.target for e in examples}) < 2:
+        raise DataError(f"{where}: every gold similarity is {examples[0].target!r}, "
+                        f"and scoring sts (Pearson r) needs two distinct ones")
 
 
 def _require_train_set(train, what: str) -> None:
@@ -268,6 +282,8 @@ def _train_tasks(train_config: TrainConfig, encoder_config: EncoderConfig,
         _check_schema(t, datasets[t][1] or (), f"{t} dev")
         _require_train_set(datasets[t][0], f"task {t!r}")
     scored = [t for t in tasks if datasets[t][1]]
+    for t in scored:
+        check_scored_set(t, datasets[t][1], f"{t} dev split")
 
     def rounds(rng, step):
         streams = [make_batches(datasets[t][0], train_config.batch_size, rng)
@@ -349,8 +365,10 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
 
 
 def sentence_pool(examples, vocab: Vocab, max_len: int) -> list[list[int]]:
-    """The distinct sentences of the examples, in order, tokenized."""
-    return [tokenize(s, vocab, max_len) for s in sentences_of(examples)]
+    """The examples' sentences, tokenized, each distinct token list once in
+    first-seen order (``distinct_token_lists``)."""
+    return distinct_token_lists(tokenize(s, vocab, max_len)
+                                for s in sentences_of(examples))
 
 
 def _train_contrastive(stage: str, train_config: TrainConfig,

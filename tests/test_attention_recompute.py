@@ -108,7 +108,7 @@ def check_node(packing, query, num_heads, d, seed):
     probe = np.random.default_rng(seed + 1).normal(size=(m, d))
     got, got_grads = run(attention_core, hidden, layer, packing, num_heads, query, probe)
     want, want_grads = run(reference, hidden, layer, packing, num_heads, query, probe)
-    assert got.node is ag.RELEASED and got.shape == (m, d)
+    assert got.node.released and got.shape == (m, d)
     assert same_bits(got.data, want.data)
     for name, g, w in zip(("hidden",) + NAMES, got_grads, want_grads):
         assert same_bits(g, w), name

@@ -10,7 +10,7 @@ from simcse_forge import experiments, training
 from simcse_forge.cli import main
 from simcse_forge.checkpoint import load_checkpoint
 from simcse_forge.config import load_run_config
-from simcse_forge.data import SCHEMAS, read_rows
+from simcse_forge.data import SCHEMAS, read_rows, write_tsv
 from simcse_forge.evaluation import emit_report, parse_report_tsv
 from simcse_forge.experiments import EXPERIMENTS, ExperimentConfig
 from simcse_forge.objectives import SIMILARITY_HEADS
@@ -478,6 +478,18 @@ def test_unsup_simcse_on_one_sentence_exit_2(sst_run, capsys):
     assert not (run / "checkpoint.ckpt").exists()
 
 
+def test_unsup_simcse_pool_keeps_one_of_the_lines_that_tokenize_alike(sst_run):
+    tmp_path, _, out = sst_run
+    config = write_config(tmp_path, data={
+        "checkpoint": str(out / "checkpoint.ckpt"),
+        "sentences": _sentences(tmp_path / "alike.txt", [
+            "The cat sat", "the cat sat", "the  cat sat", "moon over the harbor"])})
+    run = tmp_path / "alike_run"
+    assert main(["train", "unsup-simcse", "--config", config, "--out", str(run)]) == 0
+    [row] = parse_report_tsv((run / "metrics.tsv").read_text())
+    assert row.metric == "alignment" and row.n_examples == 2
+
+
 def test_unsup_simcse_batch_size_one_exit_1(sst_run, capsys):
     tmp_path, _, out = sst_run
     config = write_config(tmp_path, data={
@@ -723,6 +735,56 @@ def test_eval_header_only_data_exit_2(sst_run, capsys):
     assert main(["eval", str(out / "checkpoint.ckpt"), "--data",
                  _header_only(tmp_path, "classification"), "--task", "sst"]) == 2
     assert "empty dataset" in capsys.readouterr().err
+
+
+def _flat_sts(tmp_path):
+    """An sts file whose gold similarities all read 2.5: no Pearson r."""
+    rows = read_rows(synth(tmp_path, "sts", 4, "sts_rows.tsv", seed=8), "pair_scored")
+    path = tmp_path / "flat.tsv"
+    write_tsv(path, "pair_scored", [row[:-1] + ("2.5",) for row in rows])
+    return str(path)
+
+
+@pytest.fixture()
+def no_step(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an optimizer step ran before the dev set was checked")
+
+    monkeypatch.setattr(training, "adamw_step", unreachable)
+
+
+def test_eval_constant_gold_sts_data_exit_2(sst_run, capsys):
+    tmp_path, _, out = sst_run
+    flat = _flat_sts(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", str(out / "checkpoint.ckpt"), "--data", flat,
+                 "--task", "sts", "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "'" + flat + "'" in err and "every gold similarity is 2.5" in err
+    assert not (tmp_path / "eval" / "heatmap.csv").exists()
+
+
+def test_train_single_constant_gold_sts_dev_exit_2_before_training(tmp_path, capsys,
+                                                                  no_step):
+    flat = _flat_sts(tmp_path)
+    config = write_config(tmp_path, data={
+        "train": synth(tmp_path, "sts", 8, "sts.tsv", seed=5), "dev": flat})
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", "single", "--config", config, "--out", str(run),
+                 "--train.task", "sts"]) == 2
+    err = capsys.readouterr().err
+    assert "'" + flat + "'" in err and "every gold similarity is 2.5" in err
+    assert not run.exists()
+
+
+def test_two_tier_experiment_constant_gold_dev_split_exit_2_before_training(
+        capsys, no_step):
+    # this seed's two dev pairs have the same gold similarity
+    capsys.readouterr()
+    assert main(["experiment", "two-tier-stages", "--seed", "21", "--train-size",
+                 "8", "--dev-size", "2", "--epochs", "1"]) == 2
+    assert "sts dev split: every gold similarity" in capsys.readouterr().err
 
 
 def test_embed_rows_and_duplicates(sst_run, tmp_path):

@@ -30,10 +30,10 @@ def test_backward_releases_intermediates_and_keeps_leaf_grads():
     loss.backward()
     for t in (h, y, loss):
         assert t.grad is None
-        assert t.node is ag.RELEASED
+        assert t.node.released and t.node.grad is None
     assert x.grad is not None and w.grad is not None
     assert x.node is None and w.node is None
-    assert ag.RELEASED.parents == ()
+    assert all(t.node.parents == () for t in (h, y, loss))
 
 
 def test_second_backward_raises_and_leaves_leaf_grads_unchanged():
@@ -63,7 +63,7 @@ def test_new_loss_on_a_walked_intermediate_raises_before_any_rule_runs():
 def reference_backward(loss):
     """Tensor.backward's walk before it left leaves off its stack: leaves
     join the depth-first order and are read through .node and .grad."""
-    root = loss if loss._handle is None else loss._handle
+    root = loss if loss.node is None else loss.node
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         t, expanded = stack.pop()
@@ -72,7 +72,7 @@ def reference_backward(loss):
             continue
         if id(t) in seen:
             continue
-        if t.node is ag.RELEASED:
+        if t.node is not None and t.node.released:
             raise GraphReleasedError("released")
         seen.add(id(t))
         stack.append((t, True))
@@ -86,10 +86,11 @@ def reference_backward(loss):
         node = t.node
         if node is None:
             continue
-        g, t.grad, t.node = t.grad, None, ag.RELEASED
+        g, parents, rule = t.grad, node.parents, node.backward_fn
+        t.grad, t.parents, t.backward_fn = None, (), None
         if g is None:
             continue
-        for p, gp in zip(node.parents, node.backward_fn(g)):
+        for p, gp in zip(parents, rule(g)):
             if gp is None or not p.requires_grad:
                 continue
             p.grad = gp if p.grad is None else p.grad + gp
@@ -167,4 +168,4 @@ def test_two_view_step_frees_its_graph_on_backward():
     margin = 32 * 1024
     assert graph > 10 * margin       # the check can see a graph being kept
     assert held < margin, f"{held} bytes still held after backward (graph was {graph})"
-    assert loss.node is ag.RELEASED
+    assert loss.node.released

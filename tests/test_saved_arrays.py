@@ -77,17 +77,17 @@ def test_no_rule_holds_a_tensor_and_parents_are_handles(kind):
     for node in nodes:
         assert not any(isinstance(v, Tensor) for v in saved(node)), node.op
         for p in node.parents:
-            assert isinstance(p, ag.Handle) or p.node is None, node.op
+            assert isinstance(p, ag.Node) or p.node is None, node.op
 
 
 def test_walk_releases_the_user_visible_tensor_through_its_handle():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     y = ag.tanh(x) * 2.0
     handle = y.node.parents[0]
-    assert isinstance(handle, ag.Handle) and handle.node.op == "tanh"
+    assert isinstance(handle, ag.Node) and handle.node.op == "tanh"
     y.sum().backward()
-    assert handle.node is ag.RELEASED and handle.grad is None
-    assert y.node is ag.RELEASED and y.grad is None
+    assert handle.released and handle.grad is None
+    assert y.node.released and y.node.grad is None
 
 
 def record(monkeypatch, name, keep):

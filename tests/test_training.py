@@ -1,10 +1,11 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simcse_forge import optim
+from simcse_forge import optim, training
 from simcse_forge.checkpoint import params_hash, save_checkpoint
 from simcse_forge.data import (SYNTH_SCHEMAS, DataError, Vocab,
                                examples_from_rows, sentences_of,
@@ -293,7 +294,35 @@ def test_task_training_with_no_dev_examples_writes_no_dev_rows():
         {"stage", "task", "epoch", "train_loss"}] * 2
 
 
+def test_task_training_rejects_a_constant_gold_sts_dev_split_before_any_step(
+        monkeypatch):
+    train, vocab = corpus("sts", 8, seed=27)
+    dev = [replace(e, target=2.5) for e in corpus("sts", 3, seed=28, vocab=vocab)[0]]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an optimizer step ran before the dev split was checked")
+
+    monkeypatch.setattr(training, "adamw_step", no_step)
+    tc = TrainConfig(task="sts", epochs=1, batch_size=4)
+    with pytest.raises(DataError, match="^sts dev split: every gold similarity is 2.5"):
+        train_single_task(tc, toy_encoder_config(vocab), vocab, train, dev)
+    with pytest.raises(DataError, match="^sts dev split: too small a dataset"):
+        train_single_task(tc, toy_encoder_config(vocab), vocab, train, dev[:1])
+
+
 # -- contrastive stages ------------------------------------------------------------------
+
+def test_sentence_pool_keeps_one_of_the_sentences_that_tokenize_alike():
+    rows = [("a", "The cat sat", "a dog ran", "1.0"),
+            ("b", "the  cat sat", "the cat sat", "2.0")]
+    vocab = Vocab.build(texts_of_rows(rows, "pair_scored"))
+    examples = examples_from_rows(rows, "pair_scored", vocab, MAX_LEN)
+    assert training.sentence_pool(examples, vocab, MAX_LEN) == [
+        tokenize("the cat sat", vocab, MAX_LEN), tokenize("a dog ran", vocab, MAX_LEN)]
+    # under a vocabulary that knows none of the words, both read [CLS] [UNK]x3 [SEP]
+    other = Vocab.build(["moon harbor"])
+    assert len(training.sentence_pool(examples, other, MAX_LEN)) == 1
+
 
 def sentence_pool(n: int, seed: int):
     rows = synth_toy_corpus("sts", n, Rng(seed))
