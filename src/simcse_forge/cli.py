@@ -203,8 +203,7 @@ def _load(config: RunConfig, train, dev=(), source: Checkpoint | None = None):
         vocab = Vocab.build([text for key, schema in train for text in (
             texts_of_rows(rows[key], schema) if schema else rows[key])],
             min_count=config.data.min_count)
-    examples = {key: examples_from_rows(rows[key], schema, vocab, max_len,
-                                        path=paths[key]) if schema
+    examples = {key: examples_from_rows(rows[key], schema, vocab, max_len) if schema
                 else distinct_token_lists(tokenize(s, vocab, max_len) for s in rows[key])
                 for key, schema in train}
     for key, task in dev:
@@ -249,8 +248,7 @@ def _train_contrastive(key: str, trainer, config: RunConfig):
     vocab, data = _load(config, [(key, schema)], source=source)
     tc = config.train_config(task="sts", dropout_p=0.1)
     ck = trainer(tc, source.config, vocab, data[key], source.params)
-    pool = (sentence_pool(data[key], vocab, source.config.max_seq_len)
-            if schema else data[key])
+    pool = sentence_pool(data[key]) if schema else data[key]
     value = dropout_alignment(ck.params, stage_encoder_config(ck.config, tc),
                               pool, seed=config.seed)
     return vocab, ck, [MetricReport(ck.stage, "simcse", "alignment", value,

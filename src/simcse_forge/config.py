@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from functools import partial
 
 from .data import read_input
 from .dropout import DropoutPolicy
@@ -182,12 +183,23 @@ def apply_overrides(d: dict, overrides) -> None:
                               f"to parse") from None
 
 
+def _unique_keys(path, pairs) -> dict:
+    """A JSON object's members. json.loads would keep a repeated key's last
+    value silently; here a repeat is a ConfigError naming the key."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"{str(path)!r}: key {key!r} repeats")
+        d[key] = value
+    return d
+
+
 def load_run_config(path=None, overrides=(), seed_flag: int | None = None,
                     env=os.environ) -> RunConfig:
     if path is not None:
         text = read_input(path, ConfigError, "config file")
         try:
-            d = json.loads(text)
+            d = json.loads(text, object_pairs_hook=partial(_unique_keys, path))
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{str(path)!r}: invalid JSON ({exc})") from None
         if not isinstance(d, dict):

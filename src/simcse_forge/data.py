@@ -42,17 +42,17 @@ class DataError(ValueError):
 
 def read_input(path, error: type[Exception], noun: str | None = None,
                decode: bool = True) -> str | bytes:
-    """The whole of an input file: its UTF-8 text, line endings untranslated,
-    or with decode=False its bytes. A missing or unreadable file, a path
-    holding a NUL byte or undecodable bytes raise ``error``, naming the file
-    by ``noun`` ("checkpoint", say; without one, a missing file is a "file")
-    and its quoted path, so a newline or NUL in the path keeps the error one
-    printable line."""
+    """The whole of an input file: its UTF-8 text, line endings untranslated
+    and one leading byte-order mark dropped, or with decode=False its bytes.
+    A missing or unreadable file, a path holding a NUL byte or undecodable
+    bytes raise ``error``, naming the file by ``noun`` ("checkpoint", say;
+    without one, a missing file is a "file") and its quoted path, so a
+    newline or NUL in the path keeps the error one printable line."""
     shown = repr(str(path))
     named = shown if noun is None else f"{noun} {shown}"
     try:
         blob = Path(path).read_bytes()
-        return blob.decode("utf-8") if decode else blob
+        return blob.decode("utf-8").removeprefix("\ufeff") if decode else blob
     except FileNotFoundError:
         raise error(f"{noun or 'file'} not found: {shown}") from None
     except UnicodeDecodeError as exc:
@@ -192,43 +192,49 @@ def _schema(name: str) -> Schema:
     return SCHEMAS[name]
 
 
+def _checked_target(s: Schema, row) -> int | float | None:
+    """The row's parsed target (None for triplets), once its column count is
+    checked; a fault raises ValueError (a DataError, or the parse's own)."""
+    if len(row) != len(s.columns):
+        raise DataError(f"expected {len(s.columns)} columns, got {len(row)}")
+    return s.target(row[-1]) if s.target else None
+
+
 def _parse_row(schema: str, row: tuple[str, ...], vocab: Vocab,
                max_len: int) -> Example:
     s = SCHEMAS[schema]
-    if len(row) != len(s.columns):
-        raise DataError(f"expected {len(s.columns)} columns, got {len(row)}")
+    target = _checked_target(s, row)
     texts = tuple(row[s.sentences])
     return Example(schema, row[0] if s.columns[0] == "id" else None, texts,
-                   [tokenize(t, vocab, max_len) for t in texts],
-                   s.target(row[-1]) if s.target else None)
+                   [tokenize(t, vocab, max_len) for t in texts], target)
 
 
 def read_rows(path, schema: str) -> list[tuple[str, ...]]:
-    """Raw TSV rows (header validated and dropped)."""
-    columns = _schema(schema).columns
-    name = repr(str(path))
+    """Raw TSV rows, header validated and dropped, each row's column count
+    and target checked. A fault names the file and the line its row starts
+    on: a quoted field may span lines."""
+    s = _schema(schema)
     rows: list[tuple[str, ...]] = []
     reader = csv.reader(io.StringIO(read_text(path), newline=""), delimiter="\t",
                         quotechar='"')
+    line = 1
     try:
         header = next(reader, None)
-        if header is None or tuple(header) != columns:
-            raise DataError(
-                f"{name}: expected header {list(columns)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
-                raise DataError(f"{name}:{line_no}: expected {len(columns)} columns, "
-                                f"got {len(row)}")
+        if header is None or tuple(header) != s.columns:
+            raise DataError(f"expected header {list(s.columns)}, got {header}")
+        line = reader.line_num + 1
+        for row in reader:
+            _checked_target(s, row)
             rows.append(tuple(row))
-    except csv.Error as exc:    # a field past csv's size limit, say
-        raise DataError(f"{name}:{reader.line_num}: {exc}") from None
+            line = reader.line_num + 1
+    except (ValueError, csv.Error) as exc:   # csv.Error: a field past its size limit
+        raise DataError(f"{str(path)!r}:{line}: {exc}") from None
     return rows
 
 
 def load_tsv(path, schema: str, vocab: Vocab, max_len: int = 64) -> list[Example]:
     """Parse and tokenize a dataset file into Examples."""
-    return examples_from_rows(read_rows(path, schema), schema, vocab, max_len,
-                              path=path)
+    return examples_from_rows(read_rows(path, schema), schema, vocab, max_len)
 
 
 def write_tsv(path, schema: str, rows) -> None:
@@ -249,34 +255,17 @@ def write_tsv(path, schema: str, rows) -> None:
             (quoted if any("\r" in f for f in row) else writer).writerow(row)
 
 
-def examples_from_rows(rows, schema: str, vocab: Vocab, max_len: int = 64,
-                       path=None) -> list[Example]:
-    """Tokenize already-parsed rows (e.g. synth_toy_corpus output) in memory.
-
-    Given the path the rows were read from (``read_rows``), a bad row's
-    DataError names it and the row's line, as ``load_tsv`` does.
-    """
+def examples_from_rows(rows, schema: str, vocab: Vocab,
+                       max_len: int = 64) -> list[Example]:
+    """Tokenize parsed rows (``read_rows`` or synth_toy_corpus output)."""
     _schema(schema)
-    examples = []
-    for line_no, row in enumerate(rows, start=2):
-        try:
-            examples.append(_parse_row(schema, tuple(row), vocab, max_len))
-        except ValueError as exc:
-            if path is None:
-                raise
-            raise DataError(f"{str(path)!r}:{line_no}: {exc}") from None
-    return examples
+    return [_parse_row(schema, tuple(row), vocab, max_len) for row in rows]
 
 
 def texts_of_rows(rows, schema: str) -> list[str]:
     """The sentence columns of raw rows, flattened (for vocabulary building)."""
     sentences = _schema(schema).sentences
     return [t for r in rows for t in r[sentences]]
-
-
-def sentences_of(examples) -> list[str]:
-    """Every sentence string occurring in the examples, in order, deduplicated."""
-    return list(dict.fromkeys(t for ex in examples for t in ex.texts))
 
 
 def distinct_token_lists(token_lists) -> list[list[int]]:

@@ -130,8 +130,7 @@ def run_transfer_ablation(xc: ExperimentConfig) -> list[MetricReport]:
     vocab, datasets = _task_datasets(xc)
     config = xc.encoder_config(len(vocab))
 
-    pool = sentence_pool([e for task in TASKS for e in datasets[task][0]],
-                         vocab, xc.max_seq_len)
+    pool = sentence_pool([e for task in TASKS for e in datasets[task][0]])
 
     source = init_params(config, Rng(xc.seed))
     simcse_tc = xc.train_config("sts", batch_size=max(2, xc.batch_size))

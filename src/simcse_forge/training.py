@@ -26,8 +26,9 @@ import numpy as np
 
 from . import autograd as ag
 from .checkpoint import Checkpoint, params_hash
-from .data import (SYNTH_SCHEMAS, Batch, DataError, Vocab, distinct_token_lists,
-                   make_batches, pad_batch, sentences_of, tokenize)
+# tokenize is unused here but is a name perfbench/tracing.py patches
+from .data import (SYNTH_SCHEMAS, Batch, DataError, Vocab,  # noqa: F401
+                   distinct_token_lists, make_batches, pad_batch, tokenize)
 from .encoder import (EncoderConfig, ModelParams, encode, init_from_spec,
                       init_params, param_spec)
 from .evaluation import MetricReport, accuracy, pearson
@@ -364,11 +365,10 @@ def dropout_alignment(params: ModelParams, config: EncoderConfig, token_lists,
     return float(np.mean(sims))
 
 
-def sentence_pool(examples, vocab: Vocab, max_len: int) -> list[list[int]]:
-    """The examples' sentences, tokenized, each distinct token list once in
-    first-seen order (``distinct_token_lists``)."""
-    return distinct_token_lists(tokenize(s, vocab, max_len)
-                                for s in sentences_of(examples))
+def sentence_pool(examples) -> list[list[int]]:
+    """The examples' token lists (``Example.tokens``), each distinct one
+    once in first-seen order (``distinct_token_lists``)."""
+    return distinct_token_lists(ts for ex in examples for ts in ex.tokens)
 
 
 def _train_contrastive(stage: str, train_config: TrainConfig,
@@ -515,7 +515,7 @@ def run_two_tier(tt: TwoTierConfig, encoder_config: EncoderConfig, vocab: Vocab,
     params = stage("", train_single_task(
         tt.stage1, encoder_config, vocab, sts_train, sts_dev, stage="baseline"))
     if not tt.skip_unsup:
-        pool = sentence_pool(sts_train, vocab, encoder_config.max_seq_len)
+        pool = sentence_pool(sts_train)
         params = stage(params_hash(params), train_unsup_simcse(
             tt.stage2, encoder_config, vocab, pool, params))
     params = stage(params_hash(params), train_sup_simcse(

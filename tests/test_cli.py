@@ -434,7 +434,7 @@ def test_contrastive_alignment_row_uses_the_stage_dropout(tmp_path, variant):
     # the alignment its metrics.tsv reports
     from dataclasses import replace
 
-    from simcse_forge.data import Vocab, load_tsv, sentences_of, tokenize
+    from simcse_forge.data import Vocab, texts_of_rows, tokenize
     from simcse_forge.training import dropout_alignment
 
     train = synth(tmp_path, "sst", 16, "train.tsv", seed=1)
@@ -455,7 +455,7 @@ def test_contrastive_alignment_row_uses_the_stage_dropout(tmp_path, variant):
     assert ck.config.dropout.p == 0.3
     vocab, max_len = Vocab.from_tokens(ck.vocab_tokens), ck.config.max_seq_len
     if variant == "sup-simcse":
-        lines = sentences_of(load_tsv(nli, "triplet", vocab, max_len))
+        lines = list(dict.fromkeys(texts_of_rows(read_rows(nli, "triplet"), "triplet")))
     else:       # the repeated line trains, and is scored, once
         lines = lines[:2]
     pool = [tokenize(s, vocab, max_len) for s in lines]
@@ -597,6 +597,20 @@ def test_bad_target_in_single_train_file_names_file_and_line(tmp_path, capsys):
     assert main(["train", "single", "--config", config,
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == f"error: {train!r}:3: label 7 outside 0..4\n"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("c\tthird\t9\n", "label 9 outside 0..4"),
+    ('c\t"two\nlines"\n', "expected 3 columns, got 2")], ids=["target", "columns"])
+def test_a_bad_row_after_a_multi_line_row_exit_2_naming_its_first_line(
+        tmp_path, capsys, bad_row, message):
+    train = tmp_path / "multi.tsv"
+    train.write_text('id\tsentence\tlabel\na\t"first\nrow"\t1\n' + bad_row)
+    config = write_config(tmp_path, data={"train": str(train)})
+    capsys.readouterr()
+    assert main(["train", "single", "--config", config,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {str(train)!r}:4: {message}\n"
 
 
 def test_bad_target_in_multitask_train_file_names_file_and_line(tmp_path, capsys):

@@ -4,7 +4,8 @@ A path holding a NUL byte cannot be opened at all. It ends in the exit code
 of the file it names (2 data, 3 checkpoint, 1 config or output) and one
 ``error:`` line that quotes the path. A path holding a newline is quoted
 too, so its error stays one line. A vocab file that repeats a token names
-the file, the token and both of its lines.
+the file, the token and both of its lines. A UTF-8 byte-order mark at the
+start of a text input is skipped.
 """
 
 import contextlib
@@ -113,3 +114,35 @@ def test_a_vocab_file_that_repeats_a_token_names_the_file_token_and_lines(workdi
     assert code == 2, err
     assert err == (f"error: 'dup.txt':{len(tokens) + 1}: vocab token "
                    f"{tokens[1]!r} repeats line 2\n")
+
+
+def _add_bom(path):
+    path.write_bytes("\ufeff".encode() + path.read_bytes())
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["train", "single", "--config", "run.json"], "run.json"),
+    (["train", "single", "--config", "run.json"], "train.tsv"),
+    (["train", "single", "--config", "run.json", "--data.vocab", "vocab.txt"],
+     "vocab.txt"),
+    (["train", "unsup-simcse", "--config", "run.json", "--data.checkpoint",
+      "model.ckpt", "--data.sentences", "s.txt"], "s.txt"),
+], ids=["config", "data", "vocab", "sentences"])
+def test_an_input_with_a_byte_order_mark_reads_as_without(workdir, argv, name):
+    (workdir / "s.txt").write_text("the dog ran\na cat sat\n")
+    assert _main([*argv, "--out", "plain"])[0] == 0
+    _add_bom(workdir / name)
+    code, err = _main([*argv, "--out", "bom"])
+    assert code == 0, err
+    for output in ("checkpoint.ckpt", "metrics.tsv", "vocab.txt"):
+        assert ((workdir / "bom" / output).read_bytes()
+                == (workdir / "plain" / output).read_bytes()), output
+
+
+def test_embed_writes_a_first_sentence_without_its_byte_order_mark(workdir):
+    assert _main(["embed", "model.ckpt", "s.txt", "--out", "plain"])[0] == 0
+    _add_bom(workdir / "s.txt")
+    assert _main(["embed", "model.ckpt", "s.txt", "--out", "bom"])[0] == 0
+    written = (workdir / "bom" / "embeddings.tsv").read_text(encoding="utf-8")
+    assert written.splitlines()[1].startswith("the dog ran\t")
+    assert written == (workdir / "plain" / "embeddings.tsv").read_text(encoding="utf-8")

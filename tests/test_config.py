@@ -99,6 +99,21 @@ def test_bad_json_and_missing_file(tmp_path):
         load_run_config(str(tmp_path / "arr.json"))
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"optim": {"lr": 0.1}, "optim": {"lr": 0.2}}', "optim"),
+    ('{"train": {"epochs": 1, "epochs": 7}}', "epochs")], ids=["section", "key"])
+def test_a_repeated_key_is_a_config_error_naming_it(tmp_path, capsys, text, key):
+    from simcse_forge.cli import main
+
+    p = tmp_path / "run.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=f"key '{key}' repeats"):
+        load_run_config(str(p))
+    capsys.readouterr()
+    assert main(["train", "single", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {str(p)!r}: key {key!r} repeats\n"
+
+
 def test_unreadable_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read") as info:
         load_run_config(str(tmp_path))

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from simcse_forge.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Batch,
                                DataError, Example, Vocab, examples_from_rows,
                                load_tsv, make_batches, pad_batch, read_rows, read_text,
-                               sentences_of, split_words, synth_toy_corpus,
+                               split_words, synth_toy_corpus,
                                SCHEMAS, SYNTH_SCHEMAS, tokenize, write_tsv)
 from simcse_forge.rng import Rng
 
@@ -124,6 +125,20 @@ def test_load_tsv_bad_label_names_line(tmp_path, vocab):
         load_tsv(p, "classification", vocab)
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    ("c\tthird\t9\n", "label 9 outside 0..4"),
+    ('c\t"two\nlines"\n', "expected 3 columns, got 2")], ids=["target", "columns"])
+def test_a_bad_row_names_the_line_it_starts_on(tmp_path, vocab, bad_row, message):
+    # the first row's quoted field spans lines 2-3, so the bad row starts on 4
+    p = tmp_path / "multi.tsv"
+    p.write_text('id\tsentence\tlabel\na\t"first\nrow"\t1\n' + bad_row
+                 + "d\tlast\t2\n")
+    for read in (lambda: read_rows(p, "classification"),
+                 lambda: load_tsv(p, "classification", vocab)):
+        with pytest.raises(DataError, match=re.escape(f"multi.tsv':4: {message}")):
+            read()
+
+
 def test_load_tsv_wrong_columns(tmp_path, vocab):
     p = tmp_path / "bad.tsv"
     p.write_text("id\tsentence\tlabel\nonly-two\tcolumns\n")
@@ -197,12 +212,6 @@ def test_any_text_roundtrips_through_tsv(schema, data):
         write_tsv(path, schema, rows)
         examples = load_tsv(path, schema, Vocab.build(["a b"]))
     assert [e.to_row() for e in examples] == rows
-
-
-def test_sentences_of_dedup(vocab):
-    examples = [Example("pair_scored", "a", ("x y", "z"), [[1, 2], [1, 2]], 1.0),
-                Example("pair_scored", "b", ("z", "x y"), [[1, 2], [1, 2]], 2.0)]
-    assert sentences_of(examples) == ["x y", "z"]
 
 
 # -- batching -------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_every_trainer_encodes_once_per_optimizer_step(monkeypatch):
           for task, (rows, schema) in data.items()}
     config = _config(vocab, p=0.1)
     params = init_params(config, Rng(0))
-    pool = training.sentence_pool(ex["sts"], vocab, 16)
+    pool = training.sentence_pool(ex["sts"])
     tc = {task: training.TrainConfig(task=task, epochs=2, batch_size=3)
           for task in ("sst", "paraphrase", "sts")}
     runs = [lambda t=t: training.train_single_task(tc[t], config, vocab, ex[t], [])

@@ -8,8 +8,8 @@ import pytest
 from simcse_forge import optim, training
 from simcse_forge.checkpoint import params_hash, save_checkpoint
 from simcse_forge.data import (SYNTH_SCHEMAS, DataError, Vocab,
-                               examples_from_rows, sentences_of,
-                               synth_toy_corpus, texts_of_rows, tokenize)
+                               examples_from_rows, synth_toy_corpus,
+                               texts_of_rows, tokenize)
 from simcse_forge.dropout import DropoutPolicy, curriculum_rate
 from simcse_forge.encoder import EncoderConfig, init_params
 from simcse_forge.rng import Rng
@@ -317,11 +317,12 @@ def test_sentence_pool_keeps_one_of_the_sentences_that_tokenize_alike():
             ("b", "the  cat sat", "the cat sat", "2.0")]
     vocab = Vocab.build(texts_of_rows(rows, "pair_scored"))
     examples = examples_from_rows(rows, "pair_scored", vocab, MAX_LEN)
-    assert training.sentence_pool(examples, vocab, MAX_LEN) == [
+    assert training.sentence_pool(examples) == [
         tokenize("the cat sat", vocab, MAX_LEN), tokenize("a dog ran", vocab, MAX_LEN)]
     # under a vocabulary that knows none of the words, both read [CLS] [UNK]x3 [SEP]
     other = Vocab.build(["moon harbor"])
-    assert len(training.sentence_pool(examples, other, MAX_LEN)) == 1
+    examples = examples_from_rows(rows, "pair_scored", other, MAX_LEN)
+    assert len(training.sentence_pool(examples)) == 1
 
 
 def sentence_pool(n: int, seed: int):
@@ -571,6 +572,30 @@ def test_two_tier_stage_wiring_and_reports():
     assert summaries[1]["init_hash"] == summaries[0]["final_hash"]
     assert summaries[2]["init_hash"] == summaries[1]["final_hash"]
     assert summaries[2]["final_hash"] == params_hash(ck.params)
+
+
+def test_two_tier_unsup_pool_is_the_token_lists_stage_one_trained_on(monkeypatch):
+    # the examples are tokenized at 6 tokens, shorter than the encoder's 12,
+    # and stage 2 trains on those token lists, not on a re-tokenization
+    sts_rows = synth_toy_corpus("sts", 8, Rng(53))
+    vocab = Vocab.build(texts_of_rows(sts_rows, "pair_scored"))
+    sts = examples_from_rows(sts_rows, "pair_scored", vocab, max_len=6)
+    pools = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(tc, config, vocab, pool, params):
+        pools.append(pool)
+        raise Captured
+
+    monkeypatch.setattr(training, "train_unsup_simcse", capture)
+    with pytest.raises(Captured):
+        run_two_tier(tiny_two_tier_config(), toy_encoder_config(vocab), vocab,
+                     sts[:6], sts[6:], [])
+    distinct = dict.fromkeys(tuple(ts) for ex in sts[:6] for ts in ex.tokens)
+    assert pools == [[list(ts) for ts in distinct]]
+    assert all(len(ts) <= 6 for ts in pools[0])
 
 
 def test_two_tier_skip_unsup_and_extra_finetune():
